@@ -3,7 +3,7 @@
 
 Runs a Table-1-style qualification campaign of the microphone amplifier
 — 5 corners x 3 temperatures x 4 mismatch seeds = 60 work units, five
-metrics each (offset, IQ, gain, PSRR, CMRR) — four ways and records
+metrics each (offset, IQ, gain, PSRR, CMRR) — three ways and records
 units/second for each:
 
 * ``naive``     — the pre-campaign idiom this PR retires: a hand-rolled
@@ -11,28 +11,21 @@ units/second for each:
   *per measurement family* (offset/IQ, gain, PSRR, CMRR each pay their
   own build + Newton solve + linearisation), exactly like the old
   ``examples/process_variation_study.py`` / ``characterize`` loops.
-* ``serial``    — :class:`repro.campaign.executors.SerialExecutor`: one
-  operating point and one shared ``SmallSignalContext`` factorization
-  per unit, circuits cached across the temperature axis.
-* ``parallel``  — :class:`ProcessPoolCampaignExecutor` with chunked
-  dispatch.  Its speedup over ``serial`` is bounded by the host CPU
-  count (recorded in the JSON): on a multi-core host the pool must
-  clear 3x; on a single-CPU container there is physically nothing to
-  parallelise over, so the floor that applies instead is the engine's
-  own >= 3x over the naive reference — the same work-sharing that makes
-  each pool worker fast.
+* ``serial``    — :func:`repro.campaign.runner.run_chunk`, the per-unit
+  oracle: one operating point and one shared ``SmallSignalContext``
+  factorization per unit, circuits cached across the temperature axis.
+* ``batched``   — :func:`repro.campaign.run_campaign`, the one execution
+  path: the 60 structure-sharing units run as one tensor group.
 
-The same-run cross-check asserts the engine reproduces the naive loop's
-numbers to ``rtol=1e-12`` — and the batched and pool executors the
-serial executor's *bytes* — before any timing is trusted.
+The same-run cross-check asserts the per-unit engine reproduces the
+naive loop's numbers to ``rtol=1e-12`` — and ``run_campaign`` the
+oracle's *bytes* — before any timing is trusted.
 
-Timing basis: single-process legs (naive/serial/batched) are timed in
-both wall-clock and process-CPU seconds, and the speedup floors gate on
-the CPU ratios — on shared hosts with hypervisor steal, short wall
-measurements are off by integer factors run-to-run while CPU time only
-accrues when the code actually executes.  The pool leg keeps wall-clock
-(its work runs in child processes, invisible to the parent's CPU
-clock).
+Timing basis: every leg is timed in both wall-clock and process-CPU
+seconds, and the speedup floors gate on the CPU ratios — on shared
+hosts with hypervisor steal, short wall measurements are off by integer
+factors run-to-run while CPU time only accrues when the code actually
+executes.
 
 Usage::
 
@@ -128,8 +121,7 @@ def _best_of(fn, repeats: int):
     Wall time is what a user experiences; CPU time is what the code
     costs.  On shared hosts with hypervisor steal the wall numbers can
     be off by integer factors run-to-run, so the speedup *floors* gate
-    on CPU time for single-process legs (the pool spends its time in
-    child processes, invisible to the parent's clock, and keeps wall).
+    on CPU time.
     """
     best_wall, best_cpu, result = float("inf"), float("inf"), None
     for _ in range(repeats):
@@ -142,18 +134,14 @@ def _best_of(fn, repeats: int):
 
 
 def run_bench(smoke: bool) -> dict:
-    from repro.campaign import (
-        BatchedCampaignExecutor,
-        ProcessPoolCampaignExecutor,
-        SerialExecutor,
-        run_campaign,
-    )
+    from repro.campaign import run_campaign, run_chunk
+    from repro.campaign.result import CampaignResult
 
     spec = _make_spec(smoke)
+    units = spec.expand()
     n = spec.n_units
     repeats = 1 if smoke else 3
     cpus = os.cpu_count() or 1
-    single_cpu = cpus == 1
 
     print(f"[bench_campaign] {n} units "
           f"({len(spec.corners)} corners x {len(spec.temps_c)} temps x "
@@ -165,71 +153,46 @@ def run_bench(smoke: bool) -> dict:
           f"({n / cpu_naive:.1f} units/cpu-s)")
 
     t_serial, cpu_serial, serial_result = _best_of(
-        lambda: run_campaign(spec, executor=SerialExecutor()), repeats)
-    print(f"  serial executor:            {t_serial:.2f}s wall / {cpu_serial:.2f}s cpu "
+        lambda: CampaignResult.from_units(spec, units, run_chunk(spec, units)),
+        repeats)
+    print(f"  serial (per-unit oracle):   {t_serial:.2f}s wall / {cpu_serial:.2f}s cpu "
           f"({n / cpu_serial:.1f} units/cpu-s)")
 
-    batched = BatchedCampaignExecutor()
     t_batched, cpu_batched, batched_result = _best_of(
-        lambda: run_campaign(spec, executor=batched), repeats)
-    print(f"  batched executor:           {t_batched:.2f}s wall / {cpu_batched:.2f}s cpu "
+        lambda: run_campaign(spec), repeats)
+    print(f"  batched (run_campaign):     {t_batched:.2f}s wall / {cpu_batched:.2f}s cpu "
           f"({n / cpu_batched:.1f} units/cpu-s)")
 
-    workers = min(4, cpus)
-    pool = ProcessPoolCampaignExecutor(max_workers=workers)
-    try:
-        t_pool, _, pool_result = _best_of(
-            lambda: run_campaign(spec, executor=pool), repeats)
-    finally:
-        pool.close()
-    print(f"  pool executor ({workers} workers): {t_pool:.2f}s wall "
-          f"({n / t_pool:.1f} units/s)")
-
     # Same-run equivalence: the engine must reproduce the naive loop's
-    # numbers — and the batched and pool executors the serial executor's
-    # *bytes* — before any timing is trusted.
-    serial_json = serial_result.to_json()
-    assert batched_result.to_json() == serial_json, \
-        "batched executor export differs from serial"
-    assert pool_result.to_json() == serial_json, \
-        "pool executor export differs from serial"
+    # numbers — and run_campaign the oracle's *bytes* — before any
+    # timing is trusted.
+    assert batched_result.to_json() == serial_result.to_json(), \
+        "run_campaign export differs from the per-unit oracle"
     for metric in serial_result.metrics:
         ref = np.array([r[metric] for r in naive])
         np.testing.assert_allclose(serial_result.metric(metric), ref, rtol=1e-12)
-        np.testing.assert_allclose(pool_result.metric(metric),
-                                   serial_result.metric(metric), rtol=0, atol=0)
 
     return {
         "n_units": n,
         "n_measurements": len(spec.measurements),
         "cpu_count": cpus,
-        # On a 1-CPU host the pool has nothing to parallelise over;
-        # this flag marks parallel_speedup_vs_serial as physically
-        # meaningless so downstream readers stop comparing it to 1.0.
-        "single_cpu": single_cpu,
-        "pool_workers": workers,
-        # The single-process speedups are CPU-time ratios: hypervisor
-        # steal on shared hosts distorts short wall measurements by
-        # integer factors, while process CPU time only accrues when
-        # the code actually runs.  The pool leg necessarily stays
-        # wall-clock (its work happens in child processes).
-        "timing_basis": "process_cpu_time for single-process speedups; "
-                        "wall for the pool",
+        # The speedups are CPU-time ratios: hypervisor steal on shared
+        # hosts distorts short wall measurements by integer factors,
+        # while process CPU time only accrues when the code actually
+        # runs.
+        "timing_basis": "process_cpu_time",
         "naive_s": t_naive,
         "serial_s": t_serial,
         "batched_s": t_batched,
-        "parallel_s": t_pool,
         "naive_cpu_s": cpu_naive,
         "serial_cpu_s": cpu_serial,
         "batched_cpu_s": cpu_batched,
         "naive_units_per_s": n / cpu_naive,
         "serial_units_per_s": n / cpu_serial,
         "batched_units_per_s": n / cpu_batched,
-        "parallel_units_per_s": n / t_pool,
         "engine_speedup_vs_naive": cpu_naive / cpu_serial,
         "batched_speedup_vs_naive": cpu_naive / cpu_batched,
         "batched_speedup_vs_serial": cpu_serial / cpu_batched,
-        "parallel_speedup_vs_serial": t_serial / t_pool,
     }
 
 
@@ -250,10 +213,8 @@ def _merge_out(out: pathlib.Path, campaign: dict, smoke: bool) -> None:
     payload.setdefault("campaign_trajectory", []).append({
         "serial_units_per_s": campaign["serial_units_per_s"],
         "batched_units_per_s": campaign["batched_units_per_s"],
-        "parallel_units_per_s": campaign["parallel_units_per_s"],
         "batched_speedup_vs_naive": campaign["batched_speedup_vs_naive"],
         "cpu_count": campaign["cpu_count"],
-        "single_cpu": campaign["single_cpu"],
         "smoke": smoke,
     })
     out.write_text(json.dumps(payload, indent=2) + "\n")
@@ -283,24 +244,9 @@ def main(argv: list[str] | None = None) -> int:
               f"({results['engine_speedup_vs_naive']:.2f}x)")
         failed = True
     if results["batched_speedup_vs_naive"] < 10.0:
-        print("FAIL: batched executor below the 10x floor over the naive loop "
+        print("FAIL: run_campaign below the 10x floor over the naive loop "
               f"({results['batched_speedup_vs_naive']:.2f}x)")
         failed = True
-    if results["single_cpu"]:
-        print("note: single-CPU host — parallel_speedup_vs_serial is "
-              "physically meaningless here (flagged in the JSON) and no "
-              "pool floor is enforced")
-    else:
-        if results["parallel_speedup_vs_serial"] < 1.0:
-            print("FAIL: pool executor slower than serial on a "
-                  f"{results['cpu_count']}-CPU host "
-                  f"({results['parallel_speedup_vs_serial']:.2f}x)")
-            failed = True
-        if results["cpu_count"] >= 4 and results["parallel_speedup_vs_serial"] < 3.0:
-            print("FAIL: pool executor below the 3x floor over serial on a "
-                  f"{results['cpu_count']}-CPU host "
-                  f"({results['parallel_speedup_vs_serial']:.2f}x)")
-            failed = True
     return 1 if failed else 0
 
 

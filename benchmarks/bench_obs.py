@@ -122,26 +122,25 @@ def _campaign_spec(smoke: bool):
 
 
 def campaign_bench(smoke: bool, worst_ns: float) -> dict:
-    from repro.campaign import BatchedCampaignExecutor, run_campaign
+    from repro.campaign import run_campaign
     from repro.obs.events import EventLog
     from repro.obs.profile import Profiler
     from repro.obs.trace import Tracer
 
     spec = _campaign_spec(smoke)
-    executor = BatchedCampaignExecutor()
     repeats = 1 if smoke else 3
 
     best_cpu = float("inf")
     disarmed_json = None
     for _ in range(repeats):
         c0 = time.process_time()
-        disarmed_json = run_campaign(spec, executor=executor).to_json()
+        disarmed_json = run_campaign(spec).to_json()
         best_cpu = min(best_cpu, time.process_time() - c0)
 
     tracer, profiler, log = Tracer(), Profiler(), EventLog()
     with tracer.activate(), profiler.activate(), log.activate():
         c0 = time.process_time()
-        armed_json = run_campaign(spec, executor=executor).to_json()
+        armed_json = run_campaign(spec).to_json()
         armed_cpu = time.process_time() - c0
     assert armed_json == disarmed_json, \
         "tracing/profiling/events armed changed the campaign export bytes"

@@ -5,12 +5,12 @@ Runs the Table-1-style qualification campaign of ``bench_campaign.py``
 — 5 corners x 3 temperatures x 4 mismatch seeds = 60 work units, five
 metrics each — twice against one store root:
 
-* ``cold``  — a fresh store: every unit is executed through the serial
+* ``cold``  — a fresh store: every unit is executed through the
   campaign engine and written back (this is a plain campaign run plus
   keying/write-back overhead, which is also what the entry records);
 * ``warm``  — a second process-equivalent run (fresh ``ResultStore``
   handle, cold sqlite connection): the partition finds every unit
-  cached, the executor runs **zero** units, and the merged
+  cached, the engine runs **zero** units, and the merged
   ``CampaignResult`` must be byte-identical to the cold one.
 
 The byte-identity check is a hard gate: the structured arrays are

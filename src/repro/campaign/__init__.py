@@ -9,10 +9,10 @@ hand-rolled loops into data:
   temperature, supply, mismatch seed, gain code), a registered circuit
   builder and a set of registered measurements;
 * :func:`~repro.campaign.runner.run_campaign` expands the cross-product
-  into work units and executes them through a pluggable executor
-  (:class:`~repro.campaign.executors.SerialExecutor` or the chunked
-  :class:`~repro.campaign.executors.ProcessPoolCampaignExecutor`), one
-  shared operating-point factorization per unit;
+  into work units and executes them in-process: structure-sharing
+  groups through the tensor engine of :mod:`repro.campaign.batchrun`,
+  everything else unit by unit, one shared operating-point
+  factorization per unit;
 * :class:`~repro.campaign.result.CampaignResult` collects the records
   columnar (structured NumPy arrays) with percentile/sigma/worst-case/
   yield reducers and CSV/JSON export.
@@ -34,33 +34,24 @@ command line; ``benchmarks/bench_campaign.py`` tracks its throughput.
 
 from repro.campaign.batchrun import run_chunk_batched
 from repro.campaign.builders import BUILDERS, BuiltUnit, register_builder
-from repro.campaign.executors import (
-    BatchedCampaignExecutor,
-    CampaignExecutionError,
-    ProcessPoolCampaignExecutor,
-    SerialExecutor,
-)
 from repro.campaign.measurements import MEASUREMENTS, register_measurement
 from repro.campaign.result import AXIS_COLUMNS, CampaignResult
-from repro.campaign.runner import UnitRuntime, run_campaign
+from repro.campaign.runner import UnitRuntime, run_campaign, run_chunk
 from repro.campaign.spec import CampaignSpec, WorkUnit, mc_seeds
 
 __all__ = [
     "AXIS_COLUMNS",
     "BUILDERS",
-    "BatchedCampaignExecutor",
     "BuiltUnit",
-    "CampaignExecutionError",
     "CampaignResult",
     "CampaignSpec",
     "MEASUREMENTS",
-    "ProcessPoolCampaignExecutor",
-    "SerialExecutor",
     "UnitRuntime",
     "WorkUnit",
     "mc_seeds",
     "register_builder",
     "register_measurement",
     "run_campaign",
+    "run_chunk",
     "run_chunk_batched",
 ]

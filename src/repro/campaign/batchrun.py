@@ -1,6 +1,6 @@
-"""Batched campaign chunk execution.
+"""Batched campaign execution: the one path ``run_campaign`` takes.
 
-Turns a chunk of :class:`~repro.campaign.spec.WorkUnit`\\ s into records
+Turns a list of :class:`~repro.campaign.spec.WorkUnit`\\ s into records
 through the tensor engine of :mod:`repro.spice.batch`: consecutive units
 whose built circuits share one MNA structure (mismatch-seed and
 gain-code siblings across the temperature axis) form a *group*, the
@@ -26,8 +26,14 @@ Every path is anchored to the serial reference:
   :func:`~repro.campaign.runner.run_unit` semantics for the whole
   group, so injected chaos degrades speed, never results.
 
-The result: records byte-identical to ``SerialExecutor``'s, an order of
-magnitude faster on mismatch campaigns.
+Each group picks its path from the input alone: units of a
+non-batchable builder (ingested decks) and structure groups smaller
+than :data:`MIN_BATCH_UNITS` run :func:`~repro.campaign.runner.run_unit`
+directly; every other group takes the tensor path.
+
+The result: records byte-identical to the per-unit oracle
+:func:`~repro.campaign.runner.run_chunk`, several times faster on
+mismatch campaigns.
 """
 
 from __future__ import annotations
@@ -38,7 +44,12 @@ import numpy as np
 
 from repro.campaign.builders import BUILDERS
 from repro.campaign.measurements import MEASUREMENTS
-from repro.campaign.runner import ChunkCache, UnitRuntime, emit_unit_health
+from repro.campaign.runner import (
+    ChunkCache,
+    UnitRuntime,
+    emit_unit_health,
+    run_unit,
+)
 from repro.campaign.spec import CampaignSpec, WorkUnit
 from repro.faults.harness import fault_point
 from repro.obs.events import active_event_log, event
@@ -54,6 +65,17 @@ from repro.spice.netlist import is_ground
 #: stamping, small enough that the (N, dim, dim) tensors of the paper's
 #: circuits stay comfortably in cache.
 DEFAULT_BATCH_SIZE = 64
+
+#: Smallest structure group worth a tensor solve; smaller groups run
+#: ``run_unit``.  Tensor-path CPU time over ``run_unit`` for healthy
+#: micamp Table-1 groups (2-CPU host, 1 BLAS thread, median of 12
+#: paired runs, byte-equal records): 1 unit 1.40x, 2 units 0.84x,
+#: 3 units 0.66x, 4 units 0.59x, 12 units 0.48x.  The threshold sits
+#: above 3 because the robust optimizer's 3-unit groups are a different
+#: input: many DE candidates fail lockstep Newton and re-run the serial
+#: ladder from scratch, which made those groups 1.22x slower on the
+#: tensor path (median of 12 paired searches).
+MIN_BATCH_UNITS = 4
 
 
 class _GroupRun:
@@ -318,7 +340,7 @@ def _b_cmrr(gr: _GroupRun, live: list[int], records: list) -> None:
 # Group execution
 # ----------------------------------------------------------------------
 def _run_group(spec: CampaignSpec, units: list[WorkUnit], builts: list,
-               techs: list, stats: dict | None) -> list[dict]:
+               techs: list) -> list[dict]:
     circuits = [b.circuit for b in builts]
     temps = [u.temp_c for u in units]
     pattern = circuits[0].compile(temp_c=temps[0])
@@ -331,10 +353,8 @@ def _run_group(spec: CampaignSpec, units: list[WorkUnit], builts: list,
 
     records: list[dict] = [{} for _ in units]
     live = [u for u in range(len(units)) if converged[u]]
-    if stats is not None:
-        stats["batched_units"] = stats.get("batched_units", 0) + len(live)
-        stats["fallback_units"] = (stats.get("fallback_units", 0)
-                                   + len(units) - len(live))
+    prof_count("campaign.batched_units", len(live))
+    prof_count("campaign.fallback_units", len(units) - len(live))
 
     # Units the lockstep plain-Newton pass could not converge re-enter
     # the full serial strategy ladder from scratch (the serial path would
@@ -377,77 +397,89 @@ def _run_group(spec: CampaignSpec, units: list[WorkUnit], builts: list,
     return records
 
 
+def _run_tensor_group(spec: CampaignSpec, members: list,
+                      cache: ChunkCache) -> list[dict]:
+    """One structure group through the tensor engine; any exception
+    (structure surprise, injected fault) re-runs the whole group through
+    :func:`run_unit` on the circuits already built."""
+    units = [m[0] for m in members]
+    builts = [m[1] for m in members]
+    with span("campaign.batch_group", n_units=len(members)) as sp:
+        try:
+            fault_point("campaign.batch_group", n_units=len(members))
+            records = _run_group(spec, units, builts, [m[2] for m in members])
+            prof_count("campaign.batch_groups")
+        except Exception as exc:
+            prof_count("campaign.fallback_units", len(members))
+            prof_count("campaign.batch_group_fallbacks")
+            event("campaign.batch_group_fallback", "warn",
+                  builder=spec.builder, n_units=len(members),
+                  error=f"{type(exc).__name__}: {exc}")
+            sp.annotate(fallback=True)
+            records = [run_unit(spec, unit, cache, built)
+                       for unit, built in zip(units, builts)]
+    return records
+
+
 def run_chunk_batched(spec: CampaignSpec, units: list[WorkUnit],
-                      cache: ChunkCache | None = None,
                       batch_size: int = DEFAULT_BATCH_SIZE,
-                      stats: dict | None = None) -> list[dict]:
-    """Batched drop-in for :func:`repro.campaign.runner.run_chunk`.
+                      progress=None) -> list[dict]:
+    """Records for ``units``, byte-identical to :func:`~repro.campaign.
+    runner.run_chunk`.
 
-    Builds circuits through the same cache walk as the serial runner,
-    groups consecutive structure-sharing units up to ``batch_size`` and
-    executes each group through the tensor engine; any group-level
-    exception (structure mismatch, injected fault) downgrades that group
-    to plain per-unit serial execution.  ``stats`` (optional dict)
-    accumulates ``batched_units``/``fallback_units`` counters.
+    Builds circuits through the same cache walk as the per-unit runner
+    and groups consecutive structure-sharing units up to ``batch_size``.
+    Groups of at least :data:`MIN_BATCH_UNITS` run through the tensor
+    engine, smaller ones through :func:`run_unit`.  A non-batchable
+    builder, or a unit list too short to form one such group, skips the
+    grouping walk and runs every unit through :func:`run_unit`,
+    ``batch_size`` at a time.  ``progress(units_done, units_total)``
+    fires after each group, outside its fallback handler, so an
+    exception it raises propagates and no later group runs.
     """
-    from repro.campaign.runner import run_unit
-
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if cache is None:
-        cache = ChunkCache(spec)
-    records: list = [None] * len(units)
+    cache = ChunkCache(spec)
+    records: list[dict] = []
 
-    def flush(idxs: list[int], members: list) -> None:
-        if not idxs:
-            return
-        g_units = [m[0] for m in members]
-        g_builts = [m[1] for m in members]
-        g_techs = [m[2] for m in members]
-        with span("campaign.batch_group", n_units=len(idxs)) as sp:
-            try:
-                fault_point("campaign.batch_group", n_units=len(idxs))
-                builder_fn = BUILDERS.get(spec.builder)
-                if builder_fn is not None and \
-                        not getattr(builder_fn, "batchable", True):
-                    # Ingested/foreign structure: the tensor engine must
-                    # not stack it (see register_builder); take the same
-                    # byte-identical per-unit fallback as any group
-                    # surprise.
-                    raise RuntimeError(
-                        f"builder {spec.builder!r} is not batchable")
-                recs = _run_group(spec, g_units, g_builts, g_techs, stats)
-                prof_count("campaign.batch_groups")
-            except Exception as exc:
-                if stats is not None:
-                    stats["fallback_units"] = (stats.get("fallback_units", 0)
-                                               + len(idxs))
-                prof_count("campaign.batch_group_fallbacks")
-                event("campaign.batch_group_fallback", "warn",
-                      builder=spec.builder, n_units=len(idxs),
-                      error=f"{type(exc).__name__}: {exc}")
-                sp.annotate(fallback=True)
-                recs = [run_unit(spec, unit, cache) for unit in g_units]
-        for i, rec in zip(idxs, recs):
-            records[i] = rec
+    def done() -> None:
+        if progress is not None:
+            progress(len(records), len(units))
 
-    group_idx: list[int] = []
-    group_members: list = []
+    if len(units) < MIN_BATCH_UNITS or \
+            not getattr(BUILDERS.get(spec.builder), "batchable", True):
+        # No tensor group possible, or ingested/foreign structure the
+        # tensor engine must not stack (see register_builder).
+        for start in range(0, len(units), batch_size):
+            records.extend(run_unit(spec, unit, cache)
+                           for unit in units[start:start + batch_size])
+            done()
+        return records
+
+    def flush(members: list) -> None:
+        if len(members) >= MIN_BATCH_UNITS:
+            records.extend(_run_tensor_group(spec, members, cache))
+        else:
+            records.extend(run_unit(spec, unit, cache, built)
+                           for unit, built, _tech in members)
+        done()
+
+    members: list = []
     group_sig = None
     last_built = None
     last_sig = None
-    for i, unit in enumerate(units):
+    for unit in units:
         built = cache.built(unit)
         tech = cache.tech(unit.corner)
         if built is not last_built:
             last_sig = circuit_signature(built.circuit)
             last_built = built
-        if group_idx and (last_sig != group_sig or len(group_idx) >= batch_size):
-            flush(group_idx, group_members)
-            group_idx, group_members = [], []
-        if not group_idx:
+        if members and (last_sig != group_sig or len(members) >= batch_size):
+            flush(members)
+            members = []
+        if not members:
             group_sig = last_sig
-        group_idx.append(i)
-        group_members.append((unit, built, tech))
-    flush(group_idx, group_members)
+        members.append((unit, built, tech))
+    if members:
+        flush(members)
     return records

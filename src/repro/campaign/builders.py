@@ -44,11 +44,11 @@ def register_builder(name: str, *,
                      batchable: bool = True) -> Callable[[BuilderFn], BuilderFn]:
     """Decorator: expose a builder function to campaign specs as ``name``.
 
-    ``batchable=False`` marks builders whose circuits the tensor-batched
-    executor must not stack (arbitrary ingested structure, potentially
-    above the sparse threshold where dense ``(N, dim, dim)`` tensors are
-    prohibitive); the batched executor routes their units through its
-    per-unit serial fallback instead.
+    ``batchable=False`` marks builders whose circuits the tensor engine
+    must not stack (arbitrary ingested structure, potentially above the
+    sparse threshold where dense ``(N, dim, dim)`` tensors are
+    prohibitive); the campaign runner sends their units straight to
+    :func:`~repro.campaign.runner.run_unit` instead.
     """
 
     def deco(fn: BuilderFn) -> BuilderFn:

@@ -23,6 +23,7 @@ for external tooling.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from typing import Callable, Iterable, Sequence
@@ -36,6 +37,14 @@ AXIS_COLUMNS: tuple[str, ...] = ("corner", "temp_c", "supply", "seed", "gain_cod
 
 _AXIS_DTYPES = [("corner", "U8"), ("temp_c", "f8"), ("supply", "f8"),
                 ("seed", "i8"), ("gain_code", "i8")]
+
+
+@functools.lru_cache(maxsize=256)
+def _record_dtype(metrics: tuple[str, ...]) -> np.dtype:
+    """The structured row dtype for ``metrics``, shared between results
+    (a long-lived service retains thousands of small results with a
+    handful of distinct metric sets)."""
+    return np.dtype(_AXIS_DTYPES + [(m, "f8") for m in metrics])
 
 
 def _axis_values(unit: WorkUnit) -> tuple:
@@ -77,7 +86,7 @@ class CampaignResult:
         """Assemble the columnar table from per-unit metric dicts."""
         if len(units) != len(records):
             raise ValueError(
-                f"{len(units)} units but {len(records)} records — an executor "
+                f"{len(units)} units but {len(records)} records — the runner "
                 "dropped or duplicated work"
             )
         metrics: list[str] = []
@@ -85,8 +94,7 @@ class CampaignResult:
             for key in rec:
                 if key not in metrics:
                     metrics.append(key)
-        dtype = np.dtype(_AXIS_DTYPES + [(m, "f8") for m in metrics])
-        data = np.empty(len(units), dtype=dtype)
+        data = np.empty(len(units), dtype=_record_dtype(tuple(metrics)))
         for i, (unit, rec) in enumerate(zip(units, records)):
             data[i] = _axis_values(unit) + tuple(
                 float(rec.get(m, np.nan)) for m in metrics
@@ -176,8 +184,7 @@ class CampaignResult:
         metrics = tuple(payload["metrics"])
         cols = payload["columns"]
         n = len(cols["corner"])
-        dtype = np.dtype(_AXIS_DTYPES + [(m, "f8") for m in metrics])
-        data = np.empty(n, dtype=dtype)
+        data = np.empty(n, dtype=_record_dtype(metrics))
         for name in data.dtype.names:
             if name == "corner":
                 data[name] = cols[name]

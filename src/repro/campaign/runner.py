@@ -2,13 +2,13 @@
 
 The runner turns expanded :class:`~repro.campaign.spec.WorkUnit`\\ s into
 metric records.  Two levels of sharing keep it fast without ever making
-the numbers depend on how work was chunked or scheduled:
+the numbers depend on how work was grouped:
 
 * **Within a unit** — one DC operating point is solved per unit and its
   cached :class:`~repro.spice.linsolve.SmallSignalContext` serves every
   measurement (gain probe, PSRR/CMRR injections, noise adjoints): one
   linearisation + factorization per (corner, temp, supply, seed, code).
-* **Within a chunk** — skewed technologies are cached per corner and
+* **Within a run** — skewed technologies are cached per corner and
   built circuits per :meth:`WorkUnit.circuit_key` (which excludes
   temperature), so the spec's temperature-innermost expansion order
   means each physical circuit is built once and re-solved per
@@ -16,11 +16,11 @@ the numbers depend on how work was chunked or scheduled:
 
 Determinism: every unit is a cold, self-contained computation (fresh
 mismatch generator seeded from the unit's own seed, cold Newton solve),
-so chunk boundaries and executor choice cannot change any value — the
-serial and process-pool executors produce identical
-:class:`~repro.campaign.result.CampaignResult` arrays, which
-``tests/campaign`` asserts at ``rtol=1e-12`` (they are in fact
-byte-identical).
+so grouping cannot change any value.  :func:`run_campaign` executes
+through :func:`repro.campaign.batchrun.run_chunk_batched`, and its
+export is byte-identical to the per-unit oracle :func:`run_chunk`
+(``tests/campaign/test_executor_equivalence.py`` pins it for every
+registered builder).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class UnitRuntime:
 
 @dataclass
 class ChunkCache:
-    """Per-chunk (per-worker-message) reuse of techs and built circuits.
+    """Per-run reuse of techs and built circuits.
 
     The circuit cache holds a *single* entry: the expansion order is
     temperature-innermost, so once the circuit key changes the previous
@@ -97,20 +97,26 @@ def emit_unit_health(unit: WorkUnit, health: dict) -> None:
     """Emit one ``unit.solver_health`` event for an executed unit.
 
     These info-severity events are the raw material of the campaign's
-    solver-health sidecar (``result.stats["solver_health"]``): they ship
-    home from pool workers over the same channel as every other event,
-    so the sidecar covers all executors.  Only called while an event log
-    is armed.
+    solver-health sidecar (``result.stats["solver_health"]``), emitted
+    by the per-unit and the tensor path alike.  Only called while an
+    event log is armed.
     """
     event("unit.solver_health", "info", corner=unit.corner,
           temp_c=unit.temp_c, supply=unit.supply, seed=unit.seed,
           gain_code=unit.gain_code, **health)
 
 
-def run_unit(spec: CampaignSpec, unit: WorkUnit, cache: ChunkCache) -> dict[str, float]:
-    """Execute one work unit: build (or reuse), solve DC once, measure."""
+def run_unit(spec: CampaignSpec, unit: WorkUnit, cache: ChunkCache,
+             built: BuiltUnit | None = None) -> dict[str, float]:
+    """Execute one work unit: build (or reuse), solve DC once, measure.
+
+    ``built`` is the unit's already-built circuit when the caller holds
+    it (a grouped walk has moved the one-slot cache past it); ``None``
+    builds or reuses through ``cache``.
+    """
     prof_count("campaign.units_run")
-    built = cache.built(unit)
+    if built is None:
+        built = cache.built(unit)
     op = dc_operating_point(built.circuit, temp_c=unit.temp_c)
     rt = UnitRuntime(spec=spec, unit=unit, tech=cache.tech(unit.corner),
                      built=built, op=op)
@@ -122,96 +128,48 @@ def run_unit(spec: CampaignSpec, unit: WorkUnit, cache: ChunkCache) -> dict[str,
     return record
 
 
-def run_chunk(spec: CampaignSpec, units: list[WorkUnit],
-              cache: ChunkCache | None = None) -> list[dict[str, float]]:
-    """Execute a chunk of units with a shared cache.
+def run_chunk(spec: CampaignSpec,
+              units: list[WorkUnit]) -> list[dict[str, float]]:
+    """Execute ``units`` one by one with a shared cache.
 
-    This is the function the process-pool executor ships to workers: one
-    picklable ``(spec, units)`` message in, one list of plain-float
-    records out.  Pre-warmed workers pass their long-lived
-    :func:`worker_chunk_cache` so corner technologies survive across
-    chunk messages; with ``cache=None`` a fresh one is used (the cold
-    path — still correct, every unit is a self-contained computation).
+    The per-unit reference path: the oracle the equivalence tests
+    compare :func:`run_campaign` exports against.
     """
-    if cache is None:
-        cache = ChunkCache(spec)
+    cache = ChunkCache(spec)
     return [run_unit(spec, unit, cache) for unit in units]
 
 
-#: One-slot per-process cache for pool workers: ``[spec, ChunkCache]``.
-#: Keyed by spec *value* equality (CampaignSpec is a frozen dataclass),
-#: so a worker reused across campaigns rebuilds only when the spec
-#: actually changes.
-_WORKER_CACHE: list = [None, None]
-
-
-def worker_chunk_cache(spec: CampaignSpec) -> ChunkCache:
-    """The calling process's persistent :class:`ChunkCache` for ``spec``."""
-    if _WORKER_CACHE[0] != spec:
-        _WORKER_CACHE[0] = spec
-        _WORKER_CACHE[1] = ChunkCache(spec)
-    return _WORKER_CACHE[1]
-
-
-def _execute_units(spec: CampaignSpec, units: list[WorkUnit], executor,
-                   chunk_size: int | None,
-                   progress=None) -> list[dict[str, float]]:
-    """Run ``units`` through ``executor`` in contiguous chunks.
-
-    Handles the edge cases uniformly for every executor: an empty unit
-    list produces zero chunks (no pool is spun up, no worker message
-    sent) and a ``chunk_size`` larger than the unit count degenerates to
-    a single chunk.
-
-    ``progress`` is an optional ``(units_done, units_total)`` callback
-    invoked after each collected chunk — the hook long-lived front ends
-    (the serve layer's job status endpoint) use to report per-unit
-    progress without touching any record.
-    """
-    size = executor.default_chunk_size(spec) if chunk_size is None else chunk_size
-    if size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {size}")
-    if not units:
-        return []
-    chunks = [units[i:i + size] for i in range(0, len(units), size)]
-    records: list[dict[str, float]] = []
-    for chunk_records in executor.map_chunks(spec, chunks):
-        records.extend(chunk_records)
-        if progress is not None:
-            progress(len(records), len(units))
-    return records
-
-
-def run_campaign(spec: CampaignSpec, executor=None, chunk_size: int | None = None,
-                 store=None, units: list[WorkUnit] | None = None,
-                 progress=None):
+def run_campaign(spec: CampaignSpec, store=None,
+                 units: list[WorkUnit] | None = None, progress=None):
     """Expand, execute and collect a campaign into a ``CampaignResult``.
 
-    ``executor`` defaults to :class:`~repro.campaign.executors.SerialExecutor`;
-    pass a :class:`~repro.campaign.executors.ProcessPoolCampaignExecutor`
-    for multi-core hosts.  ``chunk_size`` defaults to the executor's
-    heuristic (all-in-one-chunk for serial; a few chunks per worker for
-    the pool, so the per-chunk circuit cache still amortises builds).
+    Execution has one path: :func:`~repro.campaign.batchrun.
+    run_chunk_batched` over every unit to compute, with one shared
+    :class:`ChunkCache`.  It picks per structure group between the tensor
+    engine and :func:`run_unit` from the input alone (see
+    :data:`~repro.campaign.batchrun.MIN_BATCH_UNITS`); either way the
+    export is byte-identical to the per-unit oracle :func:`run_chunk`.
 
     ``store`` (a :class:`repro.store.ResultStore`) makes the run
     **incremental**: units whose content-addressed key is already stored
     are read back instead of executed, freshly executed records are
     written back, and the merged result is byte-identical to a
-    store-less run — the executor only ever sees the missing units, and
-    record floats round-trip the store exactly.  The partition is
-    reported on ``result.store_stats``.
+    store-less run — only the missing units are executed, and record
+    floats round-trip the store exactly.  The partition is reported on
+    ``result.store_stats``.
 
     ``units`` restricts execution to an explicit subset of the
     expansion (the result then covers exactly those units, in the given
     order).  An empty subset is legal and yields a well-formed
     zero-row result.
 
-    ``progress`` is an optional ``(units_done, units_total)`` callback.
-    Store-backed runs count reused units as done up front (the first
-    call reports the warm coverage), then advance chunk by chunk over
-    the missing units; plain runs advance chunk by chunk from zero.
-    The callback observes execution only — results are identical with
-    or without it.
+    ``progress`` is an optional ``(units_done, units_total)`` callback,
+    fired once per executed group (at most ``DEFAULT_BATCH_SIZE`` units)
+    and never inside a group's fallback handler, so an exception it
+    raises — a serve job's deadline check — ends the run after the
+    current group.  Store-backed runs count reused units as done up
+    front (the first call reports the warm coverage).  The callback
+    observes execution only — results are identical with or without it.
 
     An **unavailable store degrades, never fails, the run**: if the
     store cannot be read (after its own internal retries) every unit
@@ -222,19 +180,15 @@ def run_campaign(spec: CampaignSpec, executor=None, chunk_size: int | None = Non
     """
     import sqlite3
 
-    from repro.campaign.executors import SerialExecutor
+    from repro.campaign.batchrun import run_chunk_batched
     from repro.campaign.result import CampaignResult
 
-    if executor is None:
-        executor = SerialExecutor()
     units = spec.expand() if units is None else list(units)
 
-    with span("campaign.run", builder=spec.builder, n_units=len(units),
-              executor=getattr(executor, "name",
-                               type(executor).__name__)) as run_span:
+    with span("campaign.run", builder=spec.builder,
+              n_units=len(units)) as run_span:
         if store is None:
-            records = _execute_units(spec, units, executor, chunk_size,
-                                     progress)
+            records = run_chunk_batched(spec, units, progress=progress)
             result = CampaignResult.from_units(spec, units, records)
         else:
             from repro.store import UnitKeyer
@@ -254,8 +208,8 @@ def run_campaign(spec: CampaignSpec, executor=None, chunk_size: int | None = Non
             if progress is not None:
                 progress(reused, len(units))
                 inner = lambda done, _total: progress(reused + done, len(units))
-            fresh = _execute_units(spec, [u for u, _ in missing], executor,
-                                   chunk_size, inner)
+            fresh = run_chunk_batched(spec, [u for u, _ in missing],
+                                      progress=inner)
             fresh_by_key = {}
             entries = []
             for (unit, key), record in zip(missing, fresh):

@@ -5,18 +5,18 @@ paper's robustness story — process corner, temperature, total supply
 voltage, Pelgrom mismatch seed and PGA gain code — plus a registered
 circuit builder and a set of registered measurements.  :meth:`expand`
 turns the cross-product into an ordered list of :class:`WorkUnit`\\ s
-that the runner executes (serially or through a process pool) and the
-columnar :class:`~repro.campaign.result.CampaignResult` indexes.
+that the runner executes and the columnar
+:class:`~repro.campaign.result.CampaignResult` indexes.
 
 The expansion order is part of the contract: units are yielded
 ``corner -> supply -> seed -> gain_code -> temp`` (temperature
-innermost), so all temperatures of one physical circuit are adjacent and
-the runner's per-chunk build cache gets maximal reuse, and so results
-are byte-for-byte reproducible across executors.
+innermost), so all temperatures of one physical circuit are adjacent:
+the runner's build cache gets maximal reuse and structure-sharing units
+form contiguous tensor groups.
 
-Everything in a spec is picklable (axes are plain tuples, builders and
-measurements are registry *names*), which is what lets the process-pool
-executor ship whole chunks of work to worker processes in one message.
+Everything in a spec is plain data (axes are plain tuples, builders and
+measurements are registry *names*), which is what lets the store key
+units by content.
 """
 
 from __future__ import annotations
@@ -158,13 +158,6 @@ class CampaignSpec:
                             ))
                             index += 1
         return units
-
-    def chunked(self, chunk_size: int) -> list[list[WorkUnit]]:
-        """Contiguous chunks of the expansion, preserving unit order."""
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        units = self.expand()
-        return [units[i:i + chunk_size] for i in range(0, len(units), chunk_size)]
 
 
 def mc_seeds(n_trials: int, base_seed: int = 2026) -> tuple[int, ...]:

@@ -129,13 +129,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     import contextlib
     import time
 
-    from repro.campaign import (
-        BatchedCampaignExecutor,
-        CampaignSpec,
-        ProcessPoolCampaignExecutor,
-        SerialExecutor,
-        run_campaign,
-    )
+    from repro.campaign import CampaignSpec, run_campaign
     from repro.process import CORNERS
 
     if args.spec is not None:
@@ -171,17 +165,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         except (KeyError, ValueError, TypeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    choice = getattr(args, "executor", "auto")
-    if choice == "serial":
-        executor = SerialExecutor()
-    elif choice == "pool":
-        executor = ProcessPoolCampaignExecutor(max_workers=max(args.workers, 2))
-    elif choice == "batched":
-        executor = BatchedCampaignExecutor()
-    elif args.workers > 1:
-        executor = ProcessPoolCampaignExecutor(max_workers=args.workers)
-    else:
-        executor = BatchedCampaignExecutor()
     store = None
     if args.store is not None:
         from repro.store import ResultStore
@@ -190,7 +173,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     print(f"campaign: {spec.n_units} units "
           f"({len(spec.corners)} corners x {len(spec.temps_c)} temps x "
           f"{len(spec.supplies)} supplies x {len(spec.seeds)} seeds x "
-          f"{len(spec.gain_codes)} codes), executor={executor.name}")
+          f"{len(spec.gain_codes)} codes)")
     tracer = None
     with contextlib.ExitStack() as stack:
         if args.profile:
@@ -205,8 +188,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             stack.callback(tracer.close)
         t0 = time.perf_counter()
         try:
-            result = run_campaign(spec, executor=executor,
-                                  chunk_size=args.chunk, store=store)
+            result = run_campaign(spec, store=store)
         except ValueError as exc:
             # Builder/measurement incompatibilities surface at run time
             # (e.g. gain codes on a codeless builder); report them like
@@ -246,7 +228,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     import time
 
-    from repro.campaign import ProcessPoolCampaignExecutor
     from repro.optimize import RobustSettings, optimize_mic_amp
     from repro.pga.specs import MIC_AMP_SPEC
 
@@ -284,8 +265,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                 return 2
         budget = 60 if args.quick else args.budget
         seed, mode = args.seed, args.mode
-    executor = (ProcessPoolCampaignExecutor(max_workers=args.workers)
-                if args.workers > 1 else None)
     store = None
     if args.store is not None:
         from repro.store import ResultStore
@@ -305,7 +284,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         result = optimize_mic_amp(
             budget=budget, seed=seed, mode=mode,
-            robust=robust, executor=executor, store=store,
+            robust=robust, store=store,
             log=(None if args.no_progress else print),
         )
         wall = time.perf_counter() - t0
@@ -399,7 +378,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     store = None if args.no_store else open_store(args.store)
     service = CharacterizationService(store=store, workers=args.workers,
-                                      pool_workers=args.pool_workers,
                                       journal_dir=args.journal,
                                       max_jobs=args.max_jobs,
                                       job_timeout=args.job_timeout)
@@ -407,7 +385,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     host, port = server.server_address[:2]
     print(f"serving on http://{host}:{port} "
           f"(store: {'disabled' if store is None else store.root}, "
-          f"{args.workers} worker(s), pool={args.pool_workers})",
+          f"{args.workers} worker(s))",
           flush=True)
     try:
         server.serve_forever()
@@ -697,8 +675,9 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign",
         help="declarative PVT x mismatch x gain-code characterization sweep",
         description="Expand a corner/temperature/supply/seed/gain-code "
-                    "cross-product into work units, execute them (serially "
-                    "or on a process pool) and print reduced statistics.",
+                    "cross-product into work units, execute them in-process "
+                    "(structure-sharing groups through the tensor engine) "
+                    "and print reduced statistics.",
     )
     pc.add_argument("--builder", default="micamp",
                     help="registered circuit builder (default: micamp)")
@@ -718,15 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list of gain codes; 'nominal' = builder default")
     pc.add_argument("--measure", default="offset_v,iq_ma",
                     help="comma list of registered measurements")
-    pc.add_argument("--workers", type=int, default=1,
-                    help="process-pool workers (1 = in-process, default)")
-    pc.add_argument("--executor", default="auto",
-                    choices=("auto", "serial", "pool", "batched"),
-                    help="execution engine: auto picks batched in-process "
-                         "(or the pool when --workers > 1); all choices "
-                         "produce byte-identical records")
-    pc.add_argument("--chunk", type=int, default=None,
-                    help="units per dispatch chunk (default: executor heuristic)")
     pc.add_argument("--csv", default=None, help="write the full table as CSV")
     pc.add_argument("--json", default=None, help="write the full table as JSON")
     pc.add_argument("--store", default=None, metavar="ROOT",
@@ -770,8 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
     po2.add_argument("--trials", type=int, default=None,
                      help="robust-mode mismatch seeds on top of nominal "
                           "(requires --robust)")
-    po2.add_argument("--workers", type=int, default=1,
-                     help="campaign process-pool workers (1 = serial)")
     po2.add_argument("--quick", action="store_true",
                      help="60-evaluation smoke run")
     po2.add_argument("--no-progress", action="store_true",
@@ -834,8 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="listen port (0 = pick a free one; default: 8765)")
     psv.add_argument("--workers", type=int, default=2,
                      help="service worker threads (default: 2)")
-    psv.add_argument("--pool-workers", type=int, default=1,
-                     help="campaign process-pool size per job (1 = serial)")
     psv.add_argument("--job-timeout", type=float, default=None,
                      metavar="SECONDS",
                      help="per-job wall-clock budget; overruns fail the "

@@ -3,16 +3,16 @@ overhead when disarmed.
 
 The production code is instrumented with **fault points** — bare calls
 like ``fault_point("store.payload_read", key=key)`` at the places where
-the real world fails: payload reads, sqlite transactions, pool chunk
-dispatch, journal writes, job execution.  Disarmed (the default), a
+the real world fails: payload reads, sqlite transactions, tensor group
+execution, journal writes, job execution.  Disarmed (the default), a
 fault point is a single module-global ``None`` check; the chaos suite
 and ``bench_serve.py --chaos`` confirm the instrumented hot paths keep
 their benchmark floors.
 
 Armed, an active :class:`FaultPlan` matches each firing point against
 its :class:`FaultRule`\\ s.  A rule triggers an *action* — raise an
-exception, sleep (hang simulation), kill the process, or run a caller
-callable — gated by deterministic knobs:
+exception, sleep (hang simulation), or run a caller callable — gated by
+deterministic knobs:
 
 ``times``
     trigger at most N times (the workhorse for "fail once, then work");
@@ -20,8 +20,7 @@ callable — gated by deterministic knobs:
     skip the first N matching hits;
 ``when``
     a predicate over the fault point's keyword payload (e.g. trigger
-    only on ``attempt == 0`` — how the pool-kill tests stay
-    deterministic across retries);
+    only on one job id);
 ``probability``
     a Bernoulli draw from the **plan's seeded RNG** — the same seed
     replays the same fault schedule, which is what lets the chaos
@@ -65,20 +64,19 @@ class FaultRule:
     """One trigger: which point, when, and what happens.
 
     ``raises`` may be an exception class or instance; ``sleep`` delays
-    (before raising, if both are set); ``kill`` hard-exits the process
-    via ``os._exit`` — only meaningful inside pool worker processes;
-    ``action`` is an arbitrary ``callable(ctx)`` escape hatch.
+    (before raising, if both are set); ``action`` is an arbitrary
+    ``callable(ctx)`` escape hatch.
     """
 
     def __init__(self, point: str, *, raises=None, message: str | None = None,
                  probability: float = 1.0, times: int | None = None,
                  after: int = 0, when=None, sleep: float = 0.0,
-                 kill: bool = False, action=None) -> None:
+                 action=None) -> None:
         if not (0.0 <= probability <= 1.0):
             raise ValueError(f"probability must be in [0, 1], got {probability}")
         if times is not None and times < 1:
             raise ValueError(f"times must be >= 1, got {times}")
-        if raises is None and not sleep and not kill and action is None:
+        if raises is None and not sleep and action is None:
             raises = FaultError
         self.point = point
         self.raises = raises
@@ -88,7 +86,6 @@ class FaultRule:
         self.after = after
         self.when = when
         self.sleep = sleep
-        self.kill = kill
         self.action = action
         #: Matching fault-point firings seen (triggered or not).
         self.hits = 0
@@ -116,10 +113,7 @@ class FaultPlan:
 
     Thread-safe: eligibility bookkeeping (hit counts, probability draws)
     happens under one lock, so concurrent serve workers see a coherent
-    ``times`` budget.  Forked pool workers inherit the plan *by copy* —
-    their counters diverge from the parent's, which is why child-side
-    rules key off the deterministic ``when`` payload (attempt numbers)
-    rather than shared counts.
+    ``times`` budget.
     """
 
     def __init__(self, rules, seed: int = 0) -> None:
@@ -162,8 +156,6 @@ class FaultPlan:
                 time.sleep(rule.sleep)
             if rule.action is not None:
                 rule.action(ctx)
-            if rule.kill:
-                os._exit(86)            # simulated hard worker death
             exc = rule._exception(point)
             if exc is not None:
                 raise exc
@@ -258,7 +250,7 @@ def plan_from_env(spec: str) -> FaultPlan:
     Grammar (semicolon-separated rules, colon-separated options)::
 
         [seed=N;]point[:raise=ExcName][:p=0.05][:times=N][:after=N]
-                      [:sleep=S][:kill]
+                      [:sleep=S]
 
     Example — 5 % locked-index faults plus one journal-write crash::
 
@@ -274,9 +266,7 @@ def plan_from_env(spec: str) -> FaultPlan:
         fields = part.split(":")
         kwargs: dict = {"point": fields[0]}
         for opt in fields[1:]:
-            if opt == "kill":
-                kwargs["kill"] = True
-            elif opt.startswith("raise="):
+            if opt.startswith("raise="):
                 kwargs["raises"] = _env_exception(opt[6:])
             elif opt.startswith("p="):
                 kwargs["probability"] = float(opt[2:])

@@ -6,7 +6,7 @@ every hook is a single module-global ``None`` check (the
 can never perturb a byte-identity or determinism gate:
 
 * :mod:`repro.obs.trace` — spans with parent/child nesting, trace-ID
-  propagation across threads *and* pool worker processes, JSONL export,
+  propagation across threads, JSONL export,
   queryable per job via ``GET /v1/jobs/<id>/trace`` and ``repro trace``.
 * :mod:`repro.obs.metrics` — fixed-bucket latency histograms, gauges,
   and the Prometheus text exposition behind ``GET /metrics``.
@@ -14,7 +14,7 @@ can never perturb a byte-identity or determinism gate:
   LU factor/solve, sparse-vs-dense decisions, store I/O, cache levels)
   surfaced through ``CampaignResult.stats`` and ``--profile``.
 * :mod:`repro.obs.events` — structured degradation events (strategy
-  escalations, fallback latches, quarantines, worker restarts) with
+  escalations, fallback latches, quarantines, worker replacements) with
   severities, trace correlation, and ring-buffered retention; surfaced
   as ``events.*`` counters in ``/v1/metrics`` and triaged by
   ``repro doctor``.
@@ -61,7 +61,6 @@ from repro.obs.trace import (
     current_context,
     format_tree,
     load_jsonl,
-    seed_context,
     slowest_spans,
     span,
     trace_point,
@@ -74,6 +73,6 @@ __all__ = [
     "Profiler", "active_profiler", "format_profile", "prof_add",
     "prof_count", "timed",
     "Tracer", "active_tracer", "current_context", "format_tree",
-    "load_jsonl", "seed_context", "slowest_spans", "span", "trace_point",
+    "load_jsonl", "slowest_spans", "span", "trace_point",
     "SEVERITIES", "EventLog", "active_event_log", "event", "format_events",
 ]

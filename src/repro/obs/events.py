@@ -4,7 +4,7 @@ Spans say *where the wall clock went*; events say *what went wrong and
 why*.  Every silent fallback in the stack — a Newton ladder escalating
 to gmin stepping, a sparse step latching to dense, a spectral solve
 rejected on residual, a batched group dropping to serial, a store
-payload quarantined, a pool worker restarted, a serve job timed out —
+payload quarantined, a serve worker replaced, a serve job timed out —
 emits one :func:`event` with a name, a severity, and the fields a
 post-mortem needs (the rejecting residual, the triggering exception,
 the quarantine reason).
@@ -26,9 +26,7 @@ with no plumbing.  The log is a bounded ring — overflow evicts the
 oldest and counts the drops — and severity tallies are monotonic
 (they survive eviction), which is what the service surfaces as the
 ``events.*`` counters in ``/v1/metrics`` and the Prometheus
-exposition.  Pool workers collect into a fresh local log and ship
-``events()`` home with the chunk results for the parent to
-:meth:`~EventLog.absorb` — the same pattern the tracer uses.
+exposition.
 
 Events record diagnosis only — never results — so arming cannot change
 the bytes of any exported document (CI proves it with ``cmp``).
@@ -87,12 +85,6 @@ class EventLog:
                     self._export_fh = open(self.export_path, "a")
                 self._export_fh.write(json.dumps(event_dict) + "\n")
                 self._export_fh.flush()
-
-    def absorb(self, event_dicts) -> None:
-        """Merge events collected elsewhere (a pool worker) into this
-        log, preserving their trace correlation and pids."""
-        for ed in event_dicts:
-            self.record(ed)
 
     def events(self, name: str | None = None,
                severity: str | None = None) -> list[dict]:

@@ -19,7 +19,7 @@ always on, they live on ``ServiceMetrics`` and cost one lock + bisect
 per observation).  ``1`` / ``all`` / ``on`` arm every component.
 
 Like the fault harness, arming happens at import time so subprocesses
-(CLI runs, CI smoke jobs, forked pool workers) inherit the armed state
+(CLI runs, CI smoke jobs) inherit the armed state
 from their environment with no code changes.  With ``REPRO_OBS`` unset
 this module is inert and every hook stays a single ``None`` check.
 """

@@ -13,11 +13,8 @@ disarmed, :func:`prof_count` / :func:`prof_add` are one module-global
 is deliberately absent).
 
 Arming is scoped: :meth:`Profiler.activate` (the ``--profile`` CLI
-flag and ``run_campaign(profile=True)`` wrap one run), or process-wide
-via ``REPRO_OBS=profile`` (see :mod:`repro.obs.harness`).  Pool workers
-ship their snapshot back with each chunk's results; the parent
-:meth:`~Profiler.merge`\\ s them, so a pooled campaign's profile covers
-child-process work too.
+flag wraps one run), or process-wide via ``REPRO_OBS=profile`` (see
+:mod:`repro.obs.harness`).
 """
 
 from __future__ import annotations
@@ -41,15 +38,6 @@ class Profiler:
     def add_time(self, name: str, seconds: float) -> None:
         with self._lock:
             self._times[name] = self._times.get(name, 0.0) + seconds
-
-    def merge(self, snapshot: dict) -> None:
-        """Fold another profiler's :meth:`snapshot` into this one
-        (pool-worker results coming home)."""
-        with self._lock:
-            for name, n in (snapshot.get("counts") or {}).items():
-                self._counts[name] = self._counts.get(name, 0) + n
-            for name, s in (snapshot.get("times_s") or {}).items():
-                self._times[name] = self._times.get(name, 0.0) + s
 
     def snapshot(self) -> dict:
         """``{"counts": {...}, "times_s": {...}}``, keys sorted (stable

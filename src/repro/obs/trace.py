@@ -1,6 +1,6 @@
 """Spans and trace IDs: who spent the wall clock, structured.
 
-The stack is instrumented with **spans** — ``with span("campaign.chunk",
+The stack is instrumented with **spans** — ``with span("campaign.batch_group",
 n_units=12):`` around the phases worth attributing time to — and
 **trace points**, zero-duration events inside a span.  Disarmed (the
 default), both are a single module-global ``None`` check returning a
@@ -18,12 +18,9 @@ via :mod:`repro.obs.harness`), every finished span lands in the active
 Parent/child nesting is tracked per thread: the innermost open span is
 the parent of anything opened under it, so a serve worker's
 ``serve.job`` span automatically parents the campaign's
-``campaign.run`` which parents each ``campaign.chunk``.  Crossing a
-process boundary is explicit — :func:`current_context` captures
-``(trace_id, span_id)`` into a picklable tuple, :func:`seed_context`
-adopts it on the far side, and the pool executor ships the child's
-collected span dicts back with the chunk results for the parent's
-tracer to :meth:`~Tracer.absorb`.
+``campaign.run`` which parents each ``campaign.batch_group``.
+:func:`current_context` exposes the thread's ``(trace_id, span_id)``
+so other records (events) can correlate to the open span.
 
 Spans record timing and metadata only — never results — so tracing
 armed cannot perturb any byte-identity contract (CI proves it with
@@ -79,12 +76,6 @@ class Tracer:
                     self._export_fh = open(self.export_path, "a")
                 self._export_fh.write(json.dumps(span_dict) + "\n")
                 self._export_fh.flush()
-
-    def absorb(self, span_dicts) -> None:
-        """Merge spans collected elsewhere (a pool worker, a batch
-        group) into this tracer, preserving their ids."""
-        for sd in span_dicts:
-            self.record(sd)
 
     def spans(self, trace_id: str | None = None) -> list[dict]:
         """Buffered spans (a copy), optionally only one trace's."""
@@ -259,27 +250,8 @@ def trace_point(name: str, **attrs) -> None:
 
 
 def current_context() -> tuple[str, str] | None:
-    """The thread's ``(trace_id, span_id)``, picklable for shipping
-    across a process boundary; ``None`` outside any span."""
+    """The thread's ``(trace_id, span_id)``; ``None`` outside any span."""
     return getattr(_TLS, "ctx", None)
-
-
-class seed_context:
-    """Adopt a remote parent context for this thread (context manager):
-    spans opened inside nest under ``(trace_id, span_id)`` exactly as if
-    the remote span were open locally."""
-
-    def __init__(self, trace_id: str, span_id: str) -> None:
-        self._ctx = (trace_id, span_id)
-        self._prev = None
-
-    def __enter__(self) -> "seed_context":
-        self._prev = getattr(_TLS, "ctx", None)
-        _TLS.ctx = self._ctx
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _TLS.ctx = self._prev
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +306,7 @@ def slowest_spans(spans, top: int = 10) -> list[dict]:
     covered by direct children, clamped at zero), slowest first.
 
     Self-time is what makes a hot *leaf* visible: a ``campaign.run``
-    span covering the whole wall clock ranks below the one chunk that
+    span covering the whole wall clock ranks below the one group that
     actually burned it.  Returns copies of the span dicts with a
     ``self_s`` key added — what ``repro trace --top`` prints.
     """

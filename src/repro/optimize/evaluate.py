@@ -9,9 +9,7 @@ over the ``micamp_sized`` builder:
   DC operating point, and read every metric off the unit's shared
   :class:`~repro.spice.linsolve.SmallSignalContext` factorization;
 * **robust mode** — the same candidate swept across a PVT x mismatch
-  :class:`RobustSettings` grid through any campaign executor (serial or
-  process pool — results are byte-identical by the campaign contract),
-  then collapsed to the spec-relevant worst case per metric
+  :class:`RobustSettings` grid in one campaign, then collapsed to the spec-relevant worst case per metric
   (:meth:`Objective.worst_sense`: floors take the minimum, ceilings the
   maximum, symmetric errors the absolute maximum).
 
@@ -110,20 +108,15 @@ class Evaluation:
     score: float
     feasible: bool
     error: str | None = None         # build/solve failure, if any
-    #: True when ``error`` came from infrastructure (a broken worker
-    #: pool, OS failure), not from the candidate itself — such a result
+    #: True when ``error`` came from infrastructure (exhausted memory,
+    #: OS failure), not from the candidate itself — such a result
     #: must never be persisted as the design's permanent verdict.
     transient: bool = False
 
 
 class CandidateEvaluator:
     """Evaluate design vectors through the campaign engine, with a memo
-    cache keyed on the quantized vector.
-
-    ``executor`` is any campaign executor (``None`` = serial); in robust
-    mode a process pool parallelises the per-candidate grid without
-    changing a single bit of the result.
-    """
+    cache keyed on the quantized vector."""
 
     def __init__(
         self,
@@ -135,7 +128,6 @@ class CandidateEvaluator:
         measurements: Sequence[str] = DEFAULT_MEASUREMENTS,
         gain_code: int = 5,
         robust: RobustSettings | None = None,
-        executor=None,
         store=None,
     ) -> None:
         self.space = space
@@ -145,7 +137,6 @@ class CandidateEvaluator:
         self.measurements = tuple(measurements)
         self.gain_code = gain_code
         self.robust = robust
-        self.executor = executor
         self.store = store
         self.cache: dict[tuple, Evaluation] = {}
         self.cache_hits = 0
@@ -209,8 +200,7 @@ class CandidateEvaluator:
         params = self.space.as_dict(x)
         transient = False
         try:
-            result = run_campaign(self._campaign_spec(params),
-                                  executor=self.executor)
+            result = run_campaign(self._campaign_spec(params))
             metrics = self._aggregate(result)
             error = None
         except Exception as exc:  # infeasible region: no operating point,

@@ -36,7 +36,6 @@ def optimize_mic_amp(
     spec: Spec = MIC_AMP_SPEC,
     mode: str = "feasibility",
     robust: RobustSettings | None = None,
-    executor=None,
     space: DesignSpace | None = None,
     warm_start: bool = True,
     log: Callable[[str], None] | None = None,
@@ -46,15 +45,13 @@ def optimize_mic_amp(
     """Search the Sec. 3.2 sizing space for a spec-compliant minimum
     current/area design.  ``robust`` switches the evaluation from the
     typical point to worst-case over a PVT x mismatch campaign grid;
-    ``executor`` is any campaign executor (results are identical);
     ``store`` (a :class:`repro.store.ResultStore`) persists every
     measured candidate so repeated or extended searches resume across
     processes; ``progress`` receives ``(evaluations_done, budget)``
     per evaluation (the serve layer's job-status hook)."""
     space = space or mic_amp_design_space()
     evaluator = CandidateEvaluator(space, mic_amp_objective(spec, mode),
-                                   tech, robust=robust, executor=executor,
-                                   store=store)
+                                   tech, robust=robust, store=store)
     seeds = (space.default(),) if warm_start else ()
     return optimize(space, evaluator, budget=budget, seed=seed,
                     seed_points=seeds, log=log, progress=progress)

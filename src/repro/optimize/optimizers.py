@@ -10,9 +10,8 @@ and those are deduplicated by the evaluator's quantized-vector cache.
 Determinism is a hard contract, matching the campaign engine's: every
 random draw comes from one ``np.random.default_rng(seed)``, candidates
 are proposed and evaluated in a fixed order, and candidate measurements
-are executor-independent — so a fixed seed reproduces the identical
-search whether the evaluator runs its campaigns serially or on a
-process pool (``tests/optimize`` pins this).
+are byte-identical campaign exports — so a fixed seed reproduces the
+identical search (``tests/optimize`` pins this).
 
 The three stages earn their keep differently: LHS covers the box so DE
 starts informed; DE (current-to-best/1/bin) handles the coupled,

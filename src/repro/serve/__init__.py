@@ -1,7 +1,7 @@
 """Characterization-as-a-service: the layer that turns batches into a system.
 
 PRs 1–4 built four batch layers — a batched small-signal engine, a
-campaign executor, a sizing optimizer and a persistent result store —
+campaign engine, a sizing optimizer and a persistent result store —
 each consumed by a one-shot process.  This package puts a long-lived
 service in front of all of them, the way bench measurements are
 actually consumed: many clients, repeated requests, one shared cache.
@@ -13,7 +13,7 @@ actually consumed: many clients, repeated requests, one shared cache.
   :class:`~repro.serve.jobs.JobQueue`: a coalescing, journal-capable
   queue in which identical in-flight requests attach to one execution.
 * :mod:`repro.serve.service` —
-  :class:`~repro.serve.service.CharacterizationService`: a worker pool
+  :class:`~repro.serve.service.CharacterizationService`: worker threads
   over ``run_campaign`` / ``optimize_mic_amp``, store-backed **warm
   hits** (a fully-cached campaign never touches the engine) and
   exactly-once unit execution across any interleaving of duplicates.

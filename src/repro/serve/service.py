@@ -11,18 +11,17 @@ directly usable in-process, which is how the tests pin its semantics):
   with one batched :meth:`~repro.store.ResultStore.contains_many` call;
   if *every* unit of the expansion is cached, the result is merged
   inline from the store (``run_campaign`` with zero missing units — the
-  engine, the executor and the worker pool are never touched) and the
-  job is born ``done``.
+  engine and the worker threads are never touched) and the job is born
+  ``done``.
 * **coalescing** — identical in-flight requests attach to one execution
   (see :class:`~repro.serve.jobs.JobQueue.submit`); with a store
   attached, the shared units of *sequential* duplicates are never
   re-executed either, so across any interleaving each unit is executed
   exactly once.
 * **workers** — a small thread pool drains the queue; each campaign job
-  runs through :func:`repro.campaign.run_campaign` (optionally on a
-  :class:`~repro.campaign.executors.ProcessPoolCampaignExecutor` for
-  multi-core hosts) with a per-unit progress callback feeding the job's
-  status view, and each optimize job wraps
+  runs in-process through :func:`repro.campaign.run_campaign` with a
+  per-group progress callback feeding the job's status view, and each
+  optimize job wraps
   :func:`repro.optimize.optimize_mic_amp` the same way.
 
 Served campaign results are **byte-identical** to a direct
@@ -34,7 +33,8 @@ Failure policy (the robustness contract, attacked by ``tests/faults``):
 
 * **per-job timeouts** — with ``job_timeout`` set, every job carries a
   wall-clock deadline enforced *cooperatively* at each progress step
-  (chunk boundaries for campaigns, evaluations for optimize); an
+  (after each group of at most ``DEFAULT_BATCH_SIZE`` units for
+  campaigns, after each evaluation for optimize); an
   overrun fails the job with a one-line timeout error, never wedges a
   worker forever.
 * **watchdog** — a background thread replaces dead worker threads
@@ -158,15 +158,11 @@ class CharacterizationService:
 
     ``store`` (a :class:`repro.store.ResultStore` or ``None``) enables
     warm hits and cross-restart result recovery; ``workers`` sizes the
-    in-process worker *thread* pool (each runs one job at a time);
-    ``pool_workers > 1`` gives every campaign job a
-    :class:`ProcessPoolCampaignExecutor` of that size, otherwise jobs
-    run on the serial executor (results are byte-identical either way —
-    the campaign contract).  ``journal_dir`` persists job metadata
-    across restarts.  ``max_jobs`` caps *retention*: past it, the
-    oldest terminal jobs (and their in-memory results) are evicted —
-    an evicted campaign answers a fresh submission as a store warm hit,
-    so nothing is lost but the job id.
+    in-process worker *thread* pool (each runs one job at a time).
+    ``journal_dir`` persists job metadata across restarts.  ``max_jobs``
+    caps *retention*: past it, the oldest terminal jobs (and their
+    in-memory results) are evicted — an evicted campaign answers a fresh
+    submission as a store warm hit, so nothing is lost but the job id.
 
     ``job_timeout`` (seconds, ``None`` = unlimited) bounds each job's
     wall clock; ``watchdog_interval`` paces the dead/hung-worker scan
@@ -174,9 +170,8 @@ class CharacterizationService:
     recovery probe while the store is degraded.
     """
 
-    def __init__(self, store=None, workers: int = 2, pool_workers: int = 1,
-                 journal_dir=None, max_jobs: int = 1024,
-                 job_timeout: float | None = None,
+    def __init__(self, store=None, workers: int = 2, journal_dir=None,
+                 max_jobs: int = 1024, job_timeout: float | None = None,
                  watchdog_interval: float = 1.0,
                  store_retry_interval: float = 5.0) -> None:
         if workers < 1:
@@ -184,7 +179,6 @@ class CharacterizationService:
         if job_timeout is not None and job_timeout <= 0:
             raise ValueError(f"job_timeout must be > 0, got {job_timeout}")
         self.store = store
-        self.pool_workers = pool_workers
         self.job_timeout = job_timeout
         self.watchdog_interval = watchdog_interval
         self.store_retry_interval = store_retry_interval
@@ -457,15 +451,6 @@ class CharacterizationService:
     # ------------------------------------------------------------------
     # Workers
     # ------------------------------------------------------------------
-    def _campaign_executor(self):
-        if self.pool_workers > 1:
-            from repro.campaign import ProcessPoolCampaignExecutor
-
-            return ProcessPoolCampaignExecutor(max_workers=self.pool_workers)
-        from repro.campaign import SerialExecutor
-
-        return SerialExecutor()
-
     def _worker_loop(self) -> None:
         name = threading.current_thread().name
         while True:
@@ -522,8 +507,8 @@ class CharacterizationService:
 
     def _deadline_progress(self, job: J.Job, update) -> "callable":
         """Wrap a job's progress updater with the cooperative deadline
-        check: every progress step (chunk / evaluation) both reports and
-        gives the timeout a chance to fire."""
+        check: every progress step (campaign group / evaluation) both
+        reports and gives the timeout a chance to fire."""
         start = job.started_at or time.time()   # anchored at dequeue
         deadline = (None if self.job_timeout is None
                     else start + self.job_timeout)
@@ -551,16 +536,6 @@ class CharacterizationService:
         self.metrics.incr("jobs_done")
         self.queue.finish(job, J.DONE)
 
-    def _cancellable_chunk_size(self, spec) -> int | None:
-        """With a deadline armed, bound serial chunks so the cooperative
-        check runs every few units instead of once per campaign (the
-        serial executor's default is one whole-campaign chunk).  Without
-        a deadline keep the executor's heuristic — and its cache
-        behaviour — untouched."""
-        if self.job_timeout is None or self.pool_workers > 1:
-            return None
-        return max(1, math.ceil(spec.n_units / 8))
-
     def _run_campaign_job(self, job: J.Job) -> None:
         from repro.campaign import run_campaign
 
@@ -570,9 +545,7 @@ class CharacterizationService:
             job.progress = {"units_done": done, "units_total": total}
 
         store = self._active_store()
-        result = run_campaign(spec, executor=self._campaign_executor(),
-                              chunk_size=self._cancellable_chunk_size(spec),
-                              store=store,
+        result = run_campaign(spec, store=store,
                               progress=self._deadline_progress(job, update))
         job.result = result
         if result.store_stats is not None:
@@ -596,8 +569,6 @@ class CharacterizationService:
         result = optimize_mic_amp(
             budget=kwargs["budget"], seed=kwargs["seed"],
             mode=kwargs["mode"], robust=kwargs["robust"],
-            executor=(self._campaign_executor()
-                      if self.pool_workers > 1 else None),
             store=self._active_store(),
             progress=self._deadline_progress(job, update),
         )

@@ -8,10 +8,10 @@ sibling circuits into one ``(N, dim, dim)`` G/C tensor and running a
 single lockstep Newton iteration across all of them, so the per-unit
 LAPACK calls of the serial path collapse into batched gufunc calls.
 
-Bitwise contract — the whole point of the batched executor is that its
-records are *byte-identical* to :class:`~repro.campaign.executors.
-SerialExecutor`, so every step here replays the serial op sequence
-exactly rather than approximating it:
+Bitwise contract — the whole point of the batched path is that its
+records are *byte-identical* to the per-unit oracle
+:func:`~repro.campaign.runner.run_chunk`, so every step here replays the
+serial op sequence exactly rather than approximating it:
 
 * static stamps replay :func:`repro.spice.mna.linear_stamp_values`
   through the pattern system's :meth:`~repro.spice.mna.MnaSystem.
@@ -237,7 +237,7 @@ class BatchedSystem:
 
         if check_structure:
             # Callers that already grouped by signature (the batched
-            # chunk runner) skip this O(units x elements) re-walk.
+            # campaign runner) skip this O(units x elements) re-walk.
             sig0 = circuit_signature(circuits[0])
             for u, circ in enumerate(circuits[1:], start=1):
                 if circuit_signature(circ) != sig0:

@@ -10,7 +10,7 @@ Two workloads ride on it:
 
 * **incremental campaigns** — ``run_campaign(spec, store=store)``
   partitions the expanded units into cached-vs-missing, executes only
-  the missing ones (serial or pool) and merges a byte-identical
+  the missing ones and merges a byte-identical
   :class:`~repro.campaign.result.CampaignResult`; a warm rerun executes
   zero units;
 * **resumable optimizer runs** — ``CandidateEvaluator(store=store)``

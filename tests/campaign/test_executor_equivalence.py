@@ -1,25 +1,29 @@
-"""Cross-executor equivalence: serial / pool / batched, every builder.
+"""One execution path against the per-unit oracle, every builder.
 
-The batched executor re-implements stamping, Newton and the AC probes
-as unit-tensor operations; the pool executor re-implements scheduling
-with persistent pre-warmed workers.  Neither is allowed to move a
-single bit: for every registered builder the three executors must
-produce byte-identical ``to_json()`` exports from the same spec.  JSON
-bytes are the strictest practical surface — they capture values, key
-order, row order and float repr in one comparison.
+``run_campaign`` has a single path: structure groups of at least
+``MIN_BATCH_UNITS`` units run through the tensor engine (stamping,
+lockstep Newton and the AC probes re-implemented as unit-tensor
+operations), everything else through ``run_unit``.  Neither choice is
+allowed to move a single bit: for every registered builder, plus an
+ingested deck, the export must equal the one assembled from
+``run_chunk`` — the plain per-unit loop — byte for byte.  JSON bytes are
+the strictest practical surface: they capture values, key order, row
+order and float repr in one comparison.
+
+Profiler counters prove which path ran: ``batch.units_stamped`` counts
+units stamped into a tensor, ``campaign.batch_group_fallbacks`` counts
+tensor groups that fell back to ``run_unit``.
 """
 
 import pathlib
 
 import pytest
 
-from repro.campaign import (
-    BatchedCampaignExecutor,
-    CampaignSpec,
-    ProcessPoolCampaignExecutor,
-    SerialExecutor,
-    run_campaign,
-)
+from repro.campaign import CampaignSpec, run_campaign, run_chunk
+from repro.campaign import batchrun
+from repro.campaign.result import CampaignResult
+from repro.obs.events import EventLog
+from repro.obs.profile import Profiler
 
 # One spec per registered builder, measurements chosen to exercise every
 # batched implementation (DC reads, branch currents, gain, PSRR/CMRR
@@ -50,28 +54,38 @@ BUILDER_SPECS = {
 }
 
 
+def oracle_json(spec: CampaignSpec) -> str:
+    """The reference export: every unit through the per-unit path."""
+    units = spec.expand()
+    return CampaignResult.from_units(spec, units,
+                                     run_chunk(spec, units)).to_json()
+
+
+def profiled_run(spec: CampaignSpec):
+    profiler = Profiler()
+    with profiler.activate():
+        result = run_campaign(spec)
+    return result, profiler.snapshot()["counts"]
+
+
 @pytest.fixture(scope="module")
-def serial_json():
-    return {
-        name: run_campaign(spec, executor=SerialExecutor()).to_json()
-        for name, spec in BUILDER_SPECS.items()
-    }
+def oracle():
+    return {name: oracle_json(spec) for name, spec in BUILDER_SPECS.items()}
 
 
 class TestBatchedEquivalence:
     @pytest.mark.parametrize("builder", sorted(BUILDER_SPECS))
-    def test_batched_byte_identical(self, builder, serial_json):
+    def test_batched_byte_identical(self, builder, oracle):
         spec = BUILDER_SPECS[builder]
-        executor = BatchedCampaignExecutor()
-        result = run_campaign(spec, executor=executor)
-        assert result.to_json() == serial_json[builder]
+        result, counts = profiled_run(spec)
+        assert result.to_json() == oracle[builder]
         # The comparison only means something if the tensor path did the
-        # work: every unit must have been batch-solved, none recomputed
+        # work: every unit must have been stamped, no group recomputed
         # through the per-unit fallback.
-        assert executor.stats["batched_units"] == spec.n_units
-        assert executor.stats.get("fallback_units", 0) == 0
+        assert counts["batch.units_stamped"] == spec.n_units
+        assert "campaign.batch_group_fallbacks" not in counts
 
-    def test_batched_with_serial_only_measurements(self, tmp_path):
+    def test_batched_with_serial_only_measurements(self):
         """noise_voice / area_mm2 have no batched implementation: they
         must run serially on the batch's bit-identical operating point
         and still match the reference export byte for byte."""
@@ -80,51 +94,84 @@ class TestBatchedEquivalence:
             seeds=(0, 1), gain_codes=(5,),
             measurements=("offset_v", "noise_voice", "area_mm2"),
         )
-        serial = run_campaign(spec, executor=SerialExecutor())
-        executor = BatchedCampaignExecutor()
-        batched = run_campaign(spec, executor=executor)
-        assert batched.to_json() == serial.to_json()
-        assert executor.stats["batched_units"] == spec.n_units
+        result, counts = profiled_run(spec)
+        assert result.to_json() == oracle_json(spec)
+        assert counts["batch.units_stamped"] == spec.n_units
 
-    def test_batched_chunk_and_batch_size_invariance(self, serial_json):
-        """Chunk boundaries and batch-size choice are scheduling knobs;
-        neither may alter a byte of the export."""
+    def test_batched_chunk_and_batch_size_invariance(self, oracle,
+                                                     monkeypatch):
+        """Batch size is a scheduling knob; it may not alter a byte.
+        With the group-size threshold lowered to 1, even 1- and 2-unit
+        groups take the tensor path."""
         spec = BUILDER_SPECS["micamp"]
-        for chunk_size, batch_size in ((3, 2), (7, 64), (None, 1)):
-            executor = BatchedCampaignExecutor(batch_size=batch_size)
-            result = run_campaign(spec, executor=executor,
-                                  chunk_size=chunk_size)
-            assert result.to_json() == serial_json["micamp"]
+        units = spec.expand()
+        monkeypatch.setattr(batchrun, "MIN_BATCH_UNITS", 1)
+        for batch_size in (1, 2, 64):
+            profiler = Profiler()
+            with profiler.activate():
+                records = batchrun.run_chunk_batched(spec, units,
+                                                     batch_size=batch_size)
+            result = CampaignResult.from_units(spec, units, records)
+            assert result.to_json() == oracle["micamp"]
+            counts = profiler.snapshot()["counts"]
+            assert counts["batch.units_stamped"] == spec.n_units
+            assert counts["campaign.batch_groups"] == \
+                -(-spec.n_units // batch_size)
 
 
-class TestPoolEquivalence:
-    @pytest.mark.parametrize("builder", sorted(BUILDER_SPECS))
-    def test_pool_byte_identical(self, builder, serial_json):
-        spec = BUILDER_SPECS[builder]
-        executor = ProcessPoolCampaignExecutor(max_workers=2)
-        try:
-            result = run_campaign(spec, executor=executor, chunk_size=3)
-        finally:
-            executor.close()
-        assert result.to_json() == serial_json[builder]
+class TestSelectionRule:
+    """Groups smaller than MIN_BATCH_UNITS run ``run_unit``; the rest
+    stamp tensors — decided by the input alone."""
 
-    def test_pool_reuses_workers_across_campaigns(self, serial_json):
-        """The persistent pool must survive consecutive campaigns of the
-        same spec (that is the point of pre-warmed workers) and still
-        produce reference bytes each time."""
-        spec = BUILDER_SPECS["bias"]
-        executor = ProcessPoolCampaignExecutor(max_workers=2)
-        try:
-            first = run_campaign(spec, executor=executor)
-            pool_obj = executor._pool
-            assert pool_obj is not None
-            second = run_campaign(spec, executor=executor)
-            assert executor._pool is pool_obj, "pool was rebuilt between runs"
-        finally:
-            executor.close()
-        assert first.to_json() == serial_json["bias"]
-        assert second.to_json() == serial_json["bias"]
-        assert executor._pool is None
+    @staticmethod
+    def _spec(n_seeds: int) -> CampaignSpec:
+        return CampaignSpec(
+            builder="micamp", corners=("tt",), temps_c=(25.0,),
+            seeds=tuple(range(n_seeds)), gain_codes=(5,),
+            measurements=("offset_v", "iq_ma", "gain_1khz_db"),
+        )
+
+    @pytest.mark.parametrize("n_units", [1, 3])
+    def test_small_groups_run_per_unit(self, n_units):
+        spec = self._spec(n_units)
+        result, counts = profiled_run(spec)
+        assert result.to_json() == oracle_json(spec)
+        assert counts.get("batch.units_stamped", 0) == 0
+        assert counts["campaign.units_run"] == n_units
+
+    def test_four_unit_group_stamps(self):
+        assert batchrun.MIN_BATCH_UNITS == 4
+        spec = self._spec(4)
+        result, counts = profiled_run(spec)
+        assert result.to_json() == oracle_json(spec)
+        assert counts["batch.units_stamped"] == 4
+        assert "campaign.units_run" not in counts
+
+
+class TestProgress:
+    def test_raising_progress_stops_the_run_after_one_group(self):
+        """``progress`` fires outside the group's fallback handler: an
+        exception it raises (a serve deadline) propagates instead of
+        re-running the group per unit, and no later group runs."""
+        spec = CampaignSpec(
+            builder="bias", corners=("tt", "ff", "ss", "fs", "sf"),
+            temps_c=tuple(float(t) for t in range(-20, 110, 10)),
+            measurements=("bias_current_ua",),
+        )
+        assert spec.n_units > batchrun.DEFAULT_BATCH_SIZE
+
+        class Stop(Exception):
+            pass
+
+        def progress(done, total):
+            raise Stop(f"{done}/{total}")
+
+        profiler = Profiler()
+        with profiler.activate(), pytest.raises(Stop):
+            run_campaign(spec, progress=progress)
+        counts = profiler.snapshot()["counts"]
+        assert counts["campaign.batch_groups"] == 1
+        assert "campaign.batch_group_fallbacks" not in counts
 
 
 def _ingested_spec() -> CampaignSpec:
@@ -146,29 +193,20 @@ def _ingested_spec() -> CampaignSpec:
     )
 
 
-@pytest.fixture(scope="module")
-def ingested_serial_json():
-    return run_campaign(_ingested_spec(), executor=SerialExecutor()).to_json()
-
-
 class TestIngestedEquivalence:
-    """The ingested builder is flagged non-batchable, so the batched
-    executor must route every unit through its per-unit serial fallback
-    — and all three executors must still export reference bytes."""
+    """The ingested builder is flagged non-batchable, so every unit goes
+    straight to ``run_unit`` — silently: a healthy netlist run is not a
+    degradation and must log no fallback event."""
 
-    def test_batched_falls_back_per_unit(self, ingested_serial_json):
+    def test_batched_falls_back_per_unit(self):
         spec = _ingested_spec()
-        executor = BatchedCampaignExecutor()
-        result = run_campaign(spec, executor=executor)
-        assert result.to_json() == ingested_serial_json
-        assert executor.stats.get("batched_units", 0) == 0
-        assert executor.stats["fallback_units"] == spec.n_units
-
-    def test_pool_byte_identical(self, ingested_serial_json):
-        spec = _ingested_spec()
-        executor = ProcessPoolCampaignExecutor(max_workers=2)
-        try:
-            result = run_campaign(spec, executor=executor, chunk_size=3)
-        finally:
-            executor.close()
-        assert result.to_json() == ingested_serial_json
+        log, profiler = EventLog(), Profiler()
+        with log.activate(), profiler.activate():
+            result = run_campaign(spec)
+        assert result.to_json() == oracle_json(spec)
+        assert log.events(name="campaign.batch_group_fallback") == []
+        assert log.events(name="campaign.unit_fallback") == []
+        counts = profiler.snapshot()["counts"]
+        assert counts.get("batch.units_stamped", 0) == 0
+        assert counts["campaign.units_run"] == spec.n_units
+        assert result.stats["solver_health"]["n_units"] == spec.n_units

@@ -2,7 +2,7 @@
 
 The 60-unit PVT x mismatch campaign (5 corners x 3 temperatures x 4
 seeds at the 40 dB code) is the repo's reference workload — the bench
-times it, the batched executor accelerates it, the README quotes it.
+times it, the tensor path accelerates it, the README quotes it.
 This file pins its *reductions* (sigma, worst-case, percentiles, yield)
 to exact ``repr`` floats: any engine change that moves a bit anywhere in
 build, solve or measure shows up here as a diff against a reviewable
@@ -21,7 +21,7 @@ import pathlib
 
 import pytest
 
-from repro.campaign import CampaignSpec, SerialExecutor, run_campaign
+from repro.campaign import CampaignSpec, run_campaign
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "qualification_reduced.json"
 
@@ -58,7 +58,7 @@ def _reduced(result) -> dict:
 
 @pytest.fixture(scope="module")
 def reduced():
-    return _reduced(run_campaign(SPEC, executor=SerialExecutor()))
+    return _reduced(run_campaign(SPEC))
 
 
 def test_reduced_results_match_golden(reduced):

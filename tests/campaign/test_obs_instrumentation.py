@@ -1,22 +1,15 @@
 """Campaign-layer observability: byte-identity armed, spans, profiles.
 
-The load-bearing contract of the obs PR: arming tracing and profiling
-must not move a single bit of any executor's export.  Spans record
-timing and metadata only; profile snapshots ride in
+The load-bearing contract of the obs layer: arming tracing and
+profiling must not move a single bit of a campaign's export.  Spans
+record timing and metadata only; profile snapshots ride in
 ``CampaignResult.stats``, which ``to_json()`` never serialises.
 """
 
-import os
-
 import pytest
 
-from repro.campaign import (
-    BatchedCampaignExecutor,
-    CampaignSpec,
-    ProcessPoolCampaignExecutor,
-    SerialExecutor,
-    run_campaign,
-)
+from repro.campaign import CampaignSpec, run_campaign, run_chunk
+from repro.campaign.result import CampaignResult
 from repro.faults import FaultPlan, FaultRule
 from repro.obs.events import EventLog
 from repro.obs.profile import Profiler
@@ -31,118 +24,78 @@ SPEC = CampaignSpec(
 
 @pytest.fixture(scope="module")
 def disarmed_json():
-    return run_campaign(SPEC, executor=SerialExecutor()).to_json()
+    return run_campaign(SPEC).to_json()
 
 
 class TestByteIdentityArmed:
-    @pytest.mark.parametrize("make_executor", [
-        SerialExecutor,
-        BatchedCampaignExecutor,
-        lambda: ProcessPoolCampaignExecutor(max_workers=2),
-    ], ids=["serial", "batched", "pool"])
-    def test_armed_export_matches_disarmed(self, make_executor,
-                                           disarmed_json):
-        executor = make_executor()
+    def test_armed_export_matches_disarmed(self, disarmed_json):
         tracer, profiler = Tracer(), Profiler()
-        try:
-            with tracer.activate(), profiler.activate():
-                armed = run_campaign(SPEC, executor=executor)
-        finally:
-            close = getattr(executor, "close", None)
-            if close is not None:
-                close()
+        with tracer.activate(), profiler.activate():
+            armed = run_campaign(SPEC)
         assert armed.to_json() == disarmed_json
         assert tracer.recorded > 0, "tracing armed but no spans recorded"
 
+    def test_armed_oracle_matches_disarmed(self, disarmed_json):
+        """The per-unit oracle path, armed, exports the same bytes."""
+        units = SPEC.expand()
+        with Tracer().activate(), Profiler().activate(), \
+                EventLog().activate():
+            records = run_chunk(SPEC, units)
+        assert CampaignResult.from_units(SPEC, units, records).to_json() \
+            == disarmed_json
+
     def test_stats_sidecar_never_serialised(self):
         with Profiler().activate():
-            result = run_campaign(SPEC, executor=SerialExecutor())
+            result = run_campaign(SPEC)
         assert result.stats is not None
         assert "profile" in result.stats
         assert "stats" not in result.to_json()
 
     def test_disarmed_run_has_no_stats(self):
-        result = run_campaign(SPEC, executor=SerialExecutor())
+        result = run_campaign(SPEC)
         assert result.stats is None
 
 
 class TestSpans:
-    def test_chunk_spans_nest_under_campaign_run(self):
+    def test_batch_group_spans_nest_under_campaign_run(self):
         tracer = Tracer()
         with tracer.activate():
-            run_campaign(SPEC, executor=SerialExecutor())
+            run_campaign(SPEC)
         spans = tracer.spans()
         run = next(s for s in spans if s["name"] == "campaign.run")
-        chunks = [s for s in spans if s["name"] == "campaign.chunk"]
-        assert chunks, "no campaign.chunk spans"
-        assert all(c["parent_id"] == run["span_id"] for c in chunks)
-        assert all(c["trace_id"] == run["trace_id"] for c in chunks)
+        groups = [s for s in spans if s["name"] == "campaign.batch_group"]
+        assert groups, "no campaign.batch_group spans"
+        assert all(g["parent_id"] == run["span_id"] for g in groups)
+        assert all(g["trace_id"] == run["trace_id"] for g in groups)
         assert run["attrs"]["n_units"] == SPEC.n_units
-
-    def test_pool_worker_spans_ship_home_with_parentage(self):
-        tracer = Tracer()
-        pool = ProcessPoolCampaignExecutor(max_workers=2)
-        try:
-            with tracer.activate():
-                run_campaign(SPEC, executor=pool)
-        finally:
-            pool.close()
-        spans = tracer.spans()
-        run = next(s for s in spans if s["name"] == "campaign.run")
-        worker = [s for s in spans if s["name"] == "campaign.pool_chunk"]
-        assert worker, "worker spans never shipped back"
-        assert all(w["trace_id"] == run["trace_id"] for w in worker)
-        assert all(w["parent_id"] == run["span_id"] for w in worker)
-        assert any(w["pid"] != os.getpid() for w in worker), \
-            "expected at least one span recorded in a child process"
-
-    def test_batch_group_spans_recorded(self):
-        tracer = Tracer()
-        with tracer.activate():
-            run_campaign(SPEC, executor=BatchedCampaignExecutor())
-        names = [s["name"] for s in tracer.spans()]
-        assert "campaign.batch_group" in names
 
 
 class TestProfile:
     def test_units_run_counter_matches_spec(self):
         profiler = Profiler()
         with profiler.activate():
-            run_campaign(SPEC, executor=SerialExecutor())
+            run_chunk(SPEC, SPEC.expand())
         counts = profiler.snapshot()["counts"]
         assert counts["campaign.units_run"] == SPEC.n_units
         assert counts["dc.operating_points"] >= SPEC.n_units
 
-    def test_pool_merges_worker_profiles(self):
-        profiler = Profiler()
-        pool = ProcessPoolCampaignExecutor(max_workers=2)
-        try:
-            with profiler.activate():
-                run_campaign(SPEC, executor=pool)
-        finally:
-            pool.close()
-        counts = profiler.snapshot()["counts"]
-        assert counts.get("campaign.units_run") == SPEC.n_units, \
-            "worker profile snapshots never merged home"
-
     def test_result_stats_carries_snapshot(self):
         with Profiler().activate():
-            result = run_campaign(SPEC, executor=BatchedCampaignExecutor())
+            result = run_campaign(SPEC)
         profile = result.stats["profile"]
-        # The batched executor never enters run_unit — its units are
-        # stamped and solved as one tensor, under batch.* counters.
+        # The tensor path never enters run_unit — its units are stamped
+        # and solved as one tensor, under batch.* counters.
         assert profile["counts"]["batch.units_stamped"] == SPEC.n_units
         assert profile["counts"]["campaign.batch_groups"] >= 1
+        assert profile["counts"]["campaign.batched_units"] == SPEC.n_units
+        assert "campaign.units_run" not in profile["counts"]
 
 
 class TestEvents:
-    @pytest.mark.parametrize("make_executor", [
-        SerialExecutor, BatchedCampaignExecutor,
-    ], ids=["serial", "batched"])
-    def test_solver_health_sidecar_covers_every_unit(self, make_executor):
+    def test_solver_health_sidecar_covers_every_unit(self):
         log = EventLog()
         with log.activate():
-            result = run_campaign(SPEC, executor=make_executor())
+            result = run_campaign(SPEC)
         health = result.stats["solver_health"]
         assert health["n_units"] == SPEC.n_units
         assert sum(health["strategies"].values()) == SPEC.n_units
@@ -150,20 +103,14 @@ class TestEvents:
             "healthy campaign reported solver fallbacks"
         assert result.stats["events"]["recorded"] >= SPEC.n_units
 
-    def test_pool_events_ship_home_with_trace_parentage(self):
+    def test_health_events_carry_the_campaign_trace(self):
         tracer, log = Tracer(), EventLog()
-        pool = ProcessPoolCampaignExecutor(max_workers=2)
-        try:
-            with tracer.activate(), log.activate():
-                result = run_campaign(SPEC, executor=pool)
-        finally:
-            pool.close()
+        with tracer.activate(), log.activate():
+            result = run_campaign(SPEC)
         run = next(s for s in tracer.spans() if s["name"] == "campaign.run")
         health = log.events(name="unit.solver_health")
-        assert len(health) == SPEC.n_units, "worker events never shipped back"
+        assert len(health) == SPEC.n_units
         assert all(e["trace_id"] == run["trace_id"] for e in health)
-        assert any(e["pid"] != os.getpid() for e in health), \
-            "expected at least one event recorded in a child process"
         assert result.stats["solver_health"]["n_units"] == SPEC.n_units
 
     def test_batch_group_fallback_emits_and_stays_byte_identical(
@@ -171,8 +118,7 @@ class TestEvents:
         plan = FaultPlan([FaultRule("campaign.batch_group", times=1)])
         log = EventLog()
         with plan.activate(), log.activate():
-            result = run_campaign(SPEC,
-                                  executor=BatchedCampaignExecutor())
+            result = run_campaign(SPEC)
         assert result.to_json() == disarmed_json
         (fallback,) = log.events(name="campaign.batch_group_fallback")
         assert fallback["severity"] == "warn"
@@ -180,27 +126,16 @@ class TestEvents:
         # The units still get health entries via the serial ladder.
         assert result.stats["solver_health"]["n_units"] == SPEC.n_units
 
-    @pytest.mark.parametrize("make_executor", [
-        BatchedCampaignExecutor,
-        lambda: ProcessPoolCampaignExecutor(max_workers=2),
-    ], ids=["batched", "pool"])
-    def test_armed_chaos_export_matches_disarmed(self, make_executor,
-                                                 disarmed_json):
+    def test_armed_chaos_export_matches_disarmed(self, disarmed_json):
         """The acceptance bar: trace+profile+events armed, faults
         firing, and the export still byte-identical to a quiet
         disarmed run."""
-        rules = [FaultRule("campaign.batch_group", probability=0.5),
-                 FaultRule("campaign.pool_chunk", kill=True,
-                           when=lambda ctx: ctx["attempt"] == 0, times=1)]
-        executor = make_executor()
+        plan = FaultPlan([FaultRule("campaign.batch_group")], seed=7)
         tracer, profiler, log = Tracer(), Profiler(), EventLog()
-        plan = FaultPlan(rules, seed=7)
-        try:
-            with plan.activate(), tracer.activate(), profiler.activate(), \
-                    log.activate():
-                armed = run_campaign(SPEC, executor=executor)
-        finally:
-            close = getattr(executor, "close", None)
-            if close is not None:
-                close()
+        with plan.activate(), tracer.activate(), profiler.activate(), \
+                log.activate():
+            armed = run_campaign(SPEC)
         assert armed.to_json() == disarmed_json
+        counts = profiler.snapshot()["counts"]
+        assert counts["campaign.batch_group_fallbacks"] >= 1
+        assert counts["campaign.fallback_units"] == SPEC.n_units

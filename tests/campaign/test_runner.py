@@ -1,21 +1,16 @@
-"""Campaign execution: determinism across executors, legacy equivalence.
+"""Campaign execution: determinism against the oracle, legacy equivalence.
 
 The determinism contract is the load-bearing one: the same spec + seeds
-must produce the same ``CampaignResult`` from the serial and the
-process-pool executor (the spec requires rtol 1e-12; the implementation
-is in fact byte-identical because every unit is a cold self-contained
-computation).
+must produce the same ``CampaignResult`` from ``run_campaign`` and from
+the per-unit oracle ``run_chunk`` — byte-identical, because every unit
+is a cold self-contained computation.
 """
 
 import numpy as np
 import pytest
 
-from repro.campaign import (
-    CampaignSpec,
-    ProcessPoolCampaignExecutor,
-    SerialExecutor,
-    run_campaign,
-)
+from repro.campaign import CampaignSpec, run_campaign, run_chunk
+from repro.campaign.result import CampaignResult
 
 
 @pytest.fixture(scope="module")
@@ -29,28 +24,19 @@ def micamp_spec():
 
 @pytest.fixture(scope="module")
 def serial_result(micamp_spec):
-    return run_campaign(micamp_spec, executor=SerialExecutor())
+    units = micamp_spec.expand()
+    return CampaignResult.from_units(micamp_spec, units,
+                                     run_chunk(micamp_spec, units))
 
 
 class TestDeterminism:
-    def test_parallel_equals_serial(self, micamp_spec, serial_result):
-        parallel = run_campaign(
-            micamp_spec,
-            executor=ProcessPoolCampaignExecutor(max_workers=2),
-            chunk_size=1,
-        )
-        assert parallel.metrics == serial_result.metrics
-        for metric in serial_result.metrics:
-            np.testing.assert_allclose(
-                parallel.metric(metric), serial_result.metric(metric),
-                rtol=1e-12,
-            )
-
-    def test_chunking_does_not_change_values(self, micamp_spec, serial_result):
-        rechunked = run_campaign(micamp_spec, chunk_size=1)
+    def test_run_campaign_equals_per_unit_oracle(self, micamp_spec,
+                                                 serial_result):
+        result = run_campaign(micamp_spec)
+        assert result.metrics == serial_result.metrics
         for metric in serial_result.metrics:
             np.testing.assert_array_equal(
-                rechunked.metric(metric), serial_result.metric(metric)
+                result.metric(metric), serial_result.metric(metric)
             )
 
     def test_rerun_is_reproducible(self, micamp_spec, serial_result):

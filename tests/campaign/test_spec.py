@@ -31,18 +31,6 @@ class TestExpansion:
         u2 = WorkUnit(1, "tt", 85.0, None, 3, 5)
         assert u1.circuit_key() == u2.circuit_key()
 
-    def test_chunked_preserves_order(self):
-        spec = CampaignSpec(corners=("tt",), temps_c=(25.0,),
-                            seeds=tuple(range(7)))
-        chunks = spec.chunked(3)
-        assert [len(c) for c in chunks] == [3, 3, 1]
-        flat = [u.index for c in chunks for u in c]
-        assert flat == list(range(7))
-
-    def test_chunk_size_validated(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            CampaignSpec(corners=("tt",)).chunked(0)
-
 
 class TestValidation:
     def test_corners_canonicalised_lowercase(self):

@@ -1,15 +1,11 @@
 """Property tests: spec expansion, fingerprints and store keys are
-scheduling-invariant.
+order-invariant.
 
-Seeded random specs drive three properties the store and the executors
-both rely on:
+Seeded random specs drive two properties the store relies on:
 
 * permuting the *contents* of an axis permutes unit order but never
   invents, drops or re-keys a unit — the (coords -> store key) mapping
   is a pure function of the coordinates;
-* chunk size is a pure scheduling knob: any chunking concatenates back
-  to the exact expansion, and executors produce byte-identical exports
-  for any chunk size;
 * unit index is positional only — it never leaks into circuit identity
   (``circuit_key``) or store keys, which is what makes incremental
   campaigns and axis-extended reruns cache-compatible.
@@ -19,12 +15,7 @@ import random
 
 import pytest
 
-from repro.campaign import (
-    BatchedCampaignExecutor,
-    CampaignSpec,
-    SerialExecutor,
-    run_campaign,
-)
+from repro.campaign import CampaignSpec
 from repro.store.keys import UnitKeyer, campaign_key
 
 AXES = ("corners", "temps_c", "supplies", "seeds", "gain_codes")
@@ -104,33 +95,3 @@ class TestAxisPermutation:
             # Axis order is part of whole-campaign identity (it changes
             # row order), even though per-unit keys are order-free.
             assert campaign_key(perm) != campaign_key(spec)
-
-
-class TestChunkingProperties:
-    @pytest.mark.parametrize("trial", range(6))
-    def test_chunks_concatenate_to_expansion(self, trial):
-        rng = random.Random(3000 + trial)
-        spec = _random_spec(rng)
-        units = spec.expand()
-        for chunk_size in sorted({1, 2, 3, rng.randint(1, spec.n_units),
-                                  spec.n_units}):
-            chunks = spec.chunked(chunk_size)
-            flat = [u for chunk in chunks for u in chunk]
-            assert flat == units
-            assert all(len(c) <= chunk_size for c in chunks)
-
-    def test_chunk_size_never_changes_exported_bytes(self):
-        spec = CampaignSpec(
-            builder="micamp", corners=("tt", "ss"), temps_c=(25.0, 85.0),
-            seeds=(0, 1), gain_codes=(5,),
-            measurements=("offset_v", "iq_ma"),
-        )
-        reference = run_campaign(spec, executor=SerialExecutor()).to_json()
-        for chunk_size in (1, 3, 5, spec.n_units):
-            for executor in (SerialExecutor(), BatchedCampaignExecutor()):
-                got = run_campaign(spec, executor=executor,
-                                   chunk_size=chunk_size).to_json()
-                assert got == reference, (
-                    f"{executor.name} with chunk_size={chunk_size} "
-                    "changed exported bytes"
-                )

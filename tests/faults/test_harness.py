@@ -131,19 +131,20 @@ class TestEnvGrammar:
     def test_full_spec_round_trip(self):
         plan = plan_from_env(
             "seed=7;store.index:raise=sqlite3.OperationalError:p=0.05;"
-            "jobs.journal_write:times=1:after=3;campaign.pool_chunk:kill;"
+            "jobs.journal_write:times=1:after=3;"
             "serve.job:sleep=0.5")
         assert plan.seed == 7
-        r0, r1, r2, r3 = plan.rules
+        r0, r1, r2 = plan.rules
         assert r0.point == "store.index"
         assert r0.raises is sqlite3.OperationalError
         assert r0.probability == 0.05
         assert (r1.times, r1.after) == (1, 3)
-        assert r2.kill is True
-        assert r3.sleep == 0.5 and r3.raises is None
+        assert r2.sleep == 0.5 and r2.raises is None
 
     def test_unknown_exception_and_option_are_loud(self):
         with pytest.raises(ValueError, match="unknown exception"):
             plan_from_env("p:raise=Nonsense")
         with pytest.raises(ValueError, match="unknown option"):
             plan_from_env("p:frobnicate=1")
+        with pytest.raises(ValueError, match="unknown option"):
+            plan_from_env("p:kill")

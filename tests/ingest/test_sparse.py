@@ -3,7 +3,7 @@
 The sparse path is auto-selected above ``MnaSystem.sparse_threshold``
 nodes and guarded by the scaled-residual acceptance check; below the
 threshold nothing changes (the dense path stays byte-identical, which
-the executor-equivalence matrix already pins).  Here the threshold is
+the oracle-equivalence suite already pins).  Here the threshold is
 forced down so a modest ladder exercises the sparse code, and the
 answers are compared against dense on the same circuit.
 """

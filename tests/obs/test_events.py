@@ -58,17 +58,6 @@ class TestEventLog:
         assert len(log.events(severity="error")) == 2
         assert len(log.events(name="a", severity="error")) == 1
 
-    def test_absorb_preserves_provenance(self):
-        parent, child = EventLog(), EventLog()
-        child.record({"name": "c", "severity": "warn", "t": 1.0,
-                      "trace_id": "t1", "span_id": "s1", "pid": 999,
-                      "fields": {"k": 1}})
-        parent.absorb(child.events())
-        (got,) = parent.events()
-        assert got["pid"] == 999
-        assert got["trace_id"] == "t1"
-        assert parent.severity_counts()["warn"] == 1
-
     def test_export_roundtrip(self, tmp_path):
         log = EventLog()
         log.record(_ev(name="a", k=1))

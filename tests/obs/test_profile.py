@@ -53,19 +53,6 @@ class TestArmed:
         prof_count("a")
         assert list(profiler.snapshot()["counts"]) == ["a", "b"]
 
-    def test_merge_folds_remote_snapshot(self, profiler):
-        prof_count("units", 2)
-        profiler.merge({"counts": {"units": 3, "solves": 1},
-                        "times_s": {"lu": 0.5}})
-        snap = profiler.snapshot()
-        assert snap["counts"] == {"solves": 1, "units": 5}
-        assert snap["times_s"] == {"lu": 0.5}
-
-    def test_merge_tolerates_partial_snapshot(self, profiler):
-        profiler.merge({})
-        profiler.merge({"counts": None, "times_s": None})
-        assert profiler.snapshot() == {"counts": {}, "times_s": {}}
-
     def test_clear_empties_both_tables(self, profiler):
         prof_count("x")
         prof_add("y", 1.0)

@@ -11,7 +11,6 @@ from repro.obs.trace import (
     format_slowest,
     format_tree,
     load_jsonl,
-    seed_context,
     slowest_spans,
     span,
     trace_point,
@@ -110,17 +109,6 @@ class TestArmed:
         child = next(s for s in tracer.spans() if s["name"] == "child")
         assert child["parent_id"] is None
 
-    def test_seed_context_adopts_remote_parent(self, tracer):
-        with span("parent") as parent:
-            ctx = current_context()
-        with seed_context(*ctx):
-            with span("remote"):
-                pass
-        remote = next(s for s in tracer.spans() if s["name"] == "remote")
-        assert remote["trace_id"] == parent.trace_id
-        assert remote["parent_id"] == parent.span_id
-        assert current_context() is None
-
 
 class TestTracer:
     def test_buffer_evicts_oldest(self):
@@ -130,13 +118,6 @@ class TestTracer:
                 trace_point(f"p{i}")
         assert t.recorded == 5
         assert [s["name"] for s in t.spans()] == ["p2", "p3", "p4"]
-
-    def test_absorb_preserves_foreign_ids(self, tracer):
-        foreign = [{"trace_id": "t" * 16, "span_id": "s" * 16,
-                    "parent_id": None, "name": "remote", "t0": 0.0,
-                    "dur_s": 0.1, "attrs": {}, "pid": 1}]
-        tracer.absorb(foreign)
-        assert tracer.spans()[0]["span_id"] == "s" * 16
 
     def test_spans_filter_by_trace_id(self, tracer):
         with span("a"):

@@ -89,20 +89,18 @@ class TestRobustMode:
         assert ev_r.metrics["iq_ma"] != pytest.approx(
             ev_t.metrics["iq_ma"], rel=1e-6)
 
-    def test_serial_and_pool_executors_identical(self, space):
-        from repro.campaign import ProcessPoolCampaignExecutor
+    def test_tensor_and_per_unit_paths_identical(self, space, monkeypatch):
+        from repro.campaign import batchrun
 
-        rb = RobustSettings(corners=("tt", "ss"), temps_c=(25.0,))
+        rb = RobustSettings(corners=("tt", "ss"), temps_c=(25.0, 85.0))
         x = space.default()
-        serial = CandidateEvaluator(space, mic_amp_objective(), CMOS12,
-                                    robust=rb)
-        pool = CandidateEvaluator(
-            space, mic_amp_objective(), CMOS12, robust=rb,
-            executor=ProcessPoolCampaignExecutor(max_workers=2))
-        ev_s = serial.evaluate(x)
-        ev_p = pool.evaluate(x)
-        assert ev_s.metrics == ev_p.metrics  # byte-identical floats
-        assert ev_s.score == ev_p.score
+        tensor = CandidateEvaluator(space, mic_amp_objective(), CMOS12,
+                                    robust=rb).evaluate(x)
+        monkeypatch.setattr(batchrun, "MIN_BATCH_UNITS", rb.n_units + 1)
+        per_unit = CandidateEvaluator(space, mic_amp_objective(), CMOS12,
+                                      robust=rb).evaluate(x)
+        assert tensor.metrics == per_unit.metrics  # byte-identical floats
+        assert tensor.score == per_unit.score
 
     def test_units_per_candidate(self, space):
         rb = RobustSettings(corners=("tt", "ss"), temps_c=(-20.0, 85.0),

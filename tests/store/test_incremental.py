@@ -1,5 +1,5 @@
 """Incremental campaign execution: cached-vs-missing partitioning and
-the byte-identity contract across executors and processes."""
+the byte-identity contract across partial runs and processes."""
 
 import subprocess
 import sys
@@ -7,12 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.campaign import (
-    CampaignSpec,
-    ProcessPoolCampaignExecutor,
-    SerialExecutor,
-    run_campaign,
-)
+from repro.campaign import CampaignSpec, run_campaign
 from repro.store import ResultStore
 
 
@@ -79,30 +74,27 @@ class TestIncrementalExecution:
         res = run_campaign(other, store=ResultStore(root))
         assert res.store_stats["reused_units"] == 0
 
-    def test_pool_executor_only_runs_missing(self, micamp_spec,
-                                             plain_result, tmp_path):
+    def test_only_missing_units_execute(self, micamp_spec, plain_result,
+                                        tmp_path):
         root = tmp_path / "s"
         # seed the store with half the campaign
         half = micamp_spec.expand()[:2]
         run_campaign(micamp_spec, store=ResultStore(root), units=half)
-        mixed = run_campaign(
-            micamp_spec, store=ResultStore(root),
-            executor=ProcessPoolCampaignExecutor(max_workers=2),
-            chunk_size=1,
-        )
+        mixed = run_campaign(micamp_spec, store=ResultStore(root))
         assert mixed.store_stats["reused_units"] == 2
         assert mixed.store_stats["executed_units"] == micamp_spec.n_units - 2
         assert mixed.data.tobytes() == plain_result.data.tobytes()
 
-    def test_serial_and_pool_store_same_bytes(self, micamp_spec, tmp_path):
-        """Acceptance: store-backed runs are deterministic across
-        executors — same keys, same payload bytes."""
+    def test_store_bytes_independent_of_grouping(self, micamp_spec,
+                                                 tmp_path):
+        """Acceptance: store-backed runs are deterministic however the
+        units were grouped — one 4-unit tensor group, or two 2-unit
+        per-unit runs — same keys, same payload bytes."""
         ra, rb = tmp_path / "a", tmp_path / "b"
-        run_campaign(micamp_spec, store=ResultStore(ra),
-                     executor=SerialExecutor())
-        run_campaign(micamp_spec, store=ResultStore(rb),
-                     executor=ProcessPoolCampaignExecutor(max_workers=2),
-                     chunk_size=1)
+        run_campaign(micamp_spec, store=ResultStore(ra))
+        units = micamp_spec.expand()
+        run_campaign(micamp_spec, store=ResultStore(rb), units=units[:2])
+        run_campaign(micamp_spec, store=ResultStore(rb))
         sa, sb = ResultStore(ra), ResultStore(rb)
         keys_a, keys_b = set(sa.keys()), set(sb.keys())
         assert keys_a == keys_b and keys_a
@@ -145,21 +137,16 @@ class TestCrossProcess:
         assert local.to_json() + "\n" == (tmp_path / "cold.json").read_text()
 
 
-class TestChunkingEdgeCases:
-    """Satellite: empty campaigns and oversized chunks must be
-    well-formed on both executors."""
+class TestEdgeCases:
+    """Empty campaigns and unit subsets must be well-formed."""
 
     @pytest.fixture(scope="class")
     def bias_spec(self):
         return CampaignSpec(builder="bias", corners=("tt", "ss"),
                             temps_c=(25.0,), measurements=("bias_current_ua",))
 
-    @pytest.mark.parametrize("make_executor", [
-        SerialExecutor,
-        lambda: ProcessPoolCampaignExecutor(max_workers=2),
-    ])
-    def test_zero_units(self, bias_spec, make_executor):
-        result = run_campaign(bias_spec, executor=make_executor(), units=[])
+    def test_zero_units(self, bias_spec):
+        result = run_campaign(bias_spec, units=[])
         assert len(result) == 0
         assert result.metrics == ()
         assert result.columns == ("corner", "temp_c", "supply", "seed",
@@ -167,27 +154,12 @@ class TestChunkingEdgeCases:
         assert "0 units" in result.summary()
         assert result.to_json()            # exportable
 
-    @pytest.mark.parametrize("make_executor", [
-        SerialExecutor,
-        lambda: ProcessPoolCampaignExecutor(max_workers=2),
-    ])
-    def test_chunk_size_larger_than_campaign(self, bias_spec, make_executor):
-        reference = run_campaign(bias_spec)
-        huge = run_campaign(bias_spec, executor=make_executor(),
-                            chunk_size=10_000)
-        assert len(huge) == bias_spec.n_units
-        assert huge.data.tobytes() == reference.data.tobytes()
-
     def test_zero_units_with_store(self, bias_spec, tmp_path):
         result = run_campaign(bias_spec, store=ResultStore(tmp_path / "s"),
                               units=[])
         assert len(result) == 0
         assert result.store_stats["executed_units"] == 0
         assert result.store_stats["reused_units"] == 0
-
-    def test_bad_chunk_size_still_rejected(self, bias_spec):
-        with pytest.raises(ValueError, match="chunk_size"):
-            run_campaign(bias_spec, chunk_size=0)
 
     def test_explicit_unit_subset(self, bias_spec):
         units = bias_spec.expand()[:1]

@@ -251,8 +251,9 @@ class TestStoreCommands:
 class TestObsCli:
     """`--profile` / `--trace-out` on campaign, and `repro trace`."""
 
-    ARGS = ["campaign", "--builder", "bias", "--corners", "tt",
-            "--temps", "25", "--measure", "bias_current_ua"]
+    # Four units: one structure group, large enough for the tensor path.
+    ARGS = ["campaign", "--builder", "bias", "--corners", "tt,ss",
+            "--temps", "25,85", "--measure", "bias_current_ua"]
 
     def test_campaign_profile_prints_counters(self, capsys):
         assert main(self.ARGS + ["--profile"]) == 0
@@ -276,9 +277,9 @@ class TestObsCli:
         trace_file = tmp_path / "spans.jsonl"
         assert main(self.ARGS + ["--trace-out", str(trace_file)]) == 0
         capsys.readouterr()
-        assert main(["trace", str(trace_file), "--top", "3"]) == 0
+        assert main(["trace", str(trace_file), "--top", "2"]) == 0
         out = capsys.readouterr().out
-        assert "slowest 3 spans by self-time:" in out
+        assert "slowest 2 spans by self-time:" in out
         assert "self" in out and "total" in out and "trace" in out
 
     def test_trace_json_round_trips(self, tmp_path, capsys):
@@ -288,7 +289,7 @@ class TestObsCli:
         assert main(["trace", str(trace_file), "--json"]) == 0
         spans = json.loads(capsys.readouterr().out)
         assert {s["name"] for s in spans} >= {"campaign.run",
-                                              "campaign.chunk"}
+                                              "campaign.batch_group"}
 
     def test_trace_missing_file_exit_2(self, capsys):
         assert main(["trace", "/nonexistent/spans.jsonl"]) == 2

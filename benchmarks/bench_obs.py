@@ -2,16 +2,16 @@
 """Overhead benchmark for the observability layer (``repro.obs``).
 
 The obs contract is that **disarmed** hooks — ``span()`` /
-``trace_point()`` / ``prof_count()`` with no tracer or profiler
-active — cost one module-global load and a falsy check, so production
-runs pay (near) nothing for the instrumentation.  This bench turns that
+``event()`` / ``prof_count()`` with no recorder armed — cost one
+module-global load and a falsy check, so production runs pay (near)
+nothing for the instrumentation.  This bench turns that
 contract into a number and gates it:
 
 * ``micro``    — tight-loop cost of each disarmed hook in ns/call
   (loop overhead included, so the figures are conservative upper
   bounds);
 * ``campaign`` — the bench_campaign batched workload: disarmed
-  best-of CPU time, one armed run (tracer + profiler) to *count* how
+  best-of CPU time, one armed run (the recorder) to *count* how
   many hooks the workload actually fires, and the analytic disarmed
   overhead fraction ``firings x ns_per_hook / disarmed_cpu_s``;
 * ``serve``    — the bench_serve warm regime: a live server answering
@@ -64,12 +64,9 @@ def _ns_per_call(fn, n: int) -> float:
 
 
 def micro_bench(smoke: bool) -> dict:
-    from repro.obs.events import active_event_log, event
-    from repro.obs.profile import active_profiler, prof_count
-    from repro.obs.trace import active_tracer, span, trace_point
+    from repro.obs import active, event, prof_count, span
 
-    assert (active_tracer() is None and active_profiler() is None
-            and active_event_log() is None), \
+    assert active() is None, \
         "micro bench needs the hooks disarmed (unset REPRO_OBS)"
     n = 200_000 if smoke else 2_000_000
 
@@ -80,25 +77,20 @@ def micro_bench(smoke: bool) -> dict:
     out = {
         "n_calls": n,
         "span_ns": _ns_per_call(span_hook, n),
-        "trace_point_ns": _ns_per_call(lambda: trace_point("bench.noop"), n),
         "prof_count_ns": _ns_per_call(lambda: prof_count("bench.noop"), n),
         "event_ns": _ns_per_call(lambda: event("bench.noop"), n),
     }
-    out["worst_ns"] = max(out["span_ns"], out["trace_point_ns"],
-                          out["prof_count_ns"], out["event_ns"])
+    out["worst_ns"] = max(out["span_ns"], out["prof_count_ns"],
+                          out["event_ns"])
     return out
 
 
-def _firings(tracer, profiler, log) -> int:
-    """Hook firings observed by an armed run: spans recorded plus
-    profile counter bumps plus structured events.  Counters accumulated
-    with ``n > 1`` count their full ``n`` — an overestimate, which only
-    makes the analytic overhead bound more conservative."""
-    snap = profiler.snapshot()
-    return (tracer.recorded
-            + sum(snap["counts"].values())
-            + len(snap["times_s"])
-            + log.recorded)
+def _firings(rec) -> int:
+    """Hook firings observed by an armed run: spans and events
+    recorded plus counter bumps.  Counters accumulated with ``n > 1``
+    count their full ``n`` — an overestimate, which only makes the
+    analytic overhead bound more conservative."""
+    return rec.recorded + sum(rec.profile()["counts"].values())
 
 
 # ----------------------------------------------------------------------
@@ -123,9 +115,7 @@ def _campaign_spec(smoke: bool):
 
 def campaign_bench(smoke: bool, worst_ns: float) -> dict:
     from repro.campaign import run_campaign
-    from repro.obs.events import EventLog
-    from repro.obs.profile import Profiler
-    from repro.obs.trace import Tracer
+    from repro.obs import Recorder
 
     spec = _campaign_spec(smoke)
     repeats = 1 if smoke else 3
@@ -137,15 +127,15 @@ def campaign_bench(smoke: bool, worst_ns: float) -> dict:
         disarmed_json = run_campaign(spec).to_json()
         best_cpu = min(best_cpu, time.process_time() - c0)
 
-    tracer, profiler, log = Tracer(), Profiler(), EventLog()
-    with tracer.activate(), profiler.activate(), log.activate():
+    rec = Recorder()
+    with rec.activate():
         c0 = time.process_time()
         armed_json = run_campaign(spec).to_json()
         armed_cpu = time.process_time() - c0
     assert armed_json == disarmed_json, \
-        "tracing/profiling/events armed changed the campaign export bytes"
+        "the armed recorder changed the campaign export bytes"
 
-    firings = _firings(tracer, profiler, log)
+    firings = _firings(rec)
     frac = firings * worst_ns * 1e-9 / best_cpu
     return {
         "n_units": spec.n_units,
@@ -175,9 +165,7 @@ def _serve_payloads(smoke: bool) -> list[dict]:
 
 
 def serve_bench(smoke: bool, worst_ns: float) -> dict:
-    from repro.obs.events import EventLog
-    from repro.obs.profile import Profiler
-    from repro.obs.trace import Tracer
+    from repro.obs import Recorder
     from repro.serve import CharacterizationService, ServeClient, serve_background
     from repro.store import ResultStore
 
@@ -208,17 +196,17 @@ def serve_bench(smoke: bool, worst_ns: float) -> dict:
             warm_pass()
         t_disarmed = time.perf_counter() - t0
 
-        tracer, profiler, log = Tracer(), Profiler(), EventLog()
-        with tracer.activate(), profiler.activate(), log.activate():
+        rec = Recorder()
+        with rec.activate():
             t0 = time.perf_counter()
             for _ in range(passes):
                 warm_pass()
             t_armed = time.perf_counter() - t0
         assert client.result_bytes(client.jobs()[0]["id"]) == warm_baseline, \
-            "tracing/profiling/events armed changed the served bytes"
+            "the armed recorder changed the served bytes"
 
         n_requests = passes * len(payloads)
-        firings = _firings(tracer, profiler, log)
+        firings = _firings(rec)
         frac = firings * worst_ns * 1e-9 / t_disarmed
         return {
             "n_requests": n_requests,
@@ -242,7 +230,6 @@ def run_bench(smoke: bool) -> dict:
     micro = micro_bench(smoke)
     print(f"[bench_obs] disarmed hook cost over {micro['n_calls']} calls: "
           f"span {micro['span_ns']:.0f} ns, "
-          f"trace_point {micro['trace_point_ns']:.0f} ns, "
           f"prof_count {micro['prof_count_ns']:.0f} ns, "
           f"event {micro['event_ns']:.0f} ns")
 

@@ -2,7 +2,9 @@
 
 Every bench regenerates one of the paper's tables or figures; the rows
 are printed to the terminal *and* written to ``benchmarks/out/`` so the
-EXPERIMENTS.md paper-vs-measured record can be assembled from artifacts.
+paper-vs-measured record (which figure or table row each function
+reproduces is mapped in ``docs/paper_mapping.md``) can be assembled
+from artifacts.
 """
 
 from __future__ import annotations

@@ -52,9 +52,7 @@ from repro.campaign.runner import (
 )
 from repro.campaign.spec import CampaignSpec, WorkUnit
 from repro.faults.harness import fault_point
-from repro.obs.events import active_event_log, event
-from repro.obs.profile import prof_count
-from repro.obs.trace import span
+from repro.obs.recorder import active, event, prof_count, span
 from repro.spice.batch import BatchedSystem, circuit_signature, newton_batch
 from repro.spice.dc import OperatingPoint, dc_operating_point
 from repro.spice.elements import VoltageSource
@@ -385,7 +383,7 @@ def _run_group(spec: CampaignSpec, units: list[WorkUnit], builts: list,
     # Health events only after the whole group succeeded — a later
     # measurement exception downgrades the group to run_unit, which
     # emits its own health, and the sidecar must not double-count.
-    if active_event_log() is not None:
+    if active() is not None:
         for u in range(len(units)):
             if converged[u]:
                 emit_unit_health(units[u],

@@ -64,10 +64,10 @@ class CampaignResult:
     #: "executed_units", "store_root"}``; ``None`` for plain runs.
     store_stats: dict | None = None
 
-    #: Observability sidecar (``{"profile": {...}}``) attached by
-    #: ``run_campaign`` when a :mod:`repro.obs.profile` profiler is
-    #: armed; ``None`` otherwise.  Telemetry only — never serialised by
-    #: :meth:`to_json`, so armed and disarmed runs export identical
+    #: Observability sidecar (``{"profile", "solver_health", "events"}``)
+    #: attached by ``run_campaign`` while the :mod:`repro.obs.recorder`
+    #: is armed; ``None`` otherwise.  Telemetry only — never serialised
+    #: by :meth:`to_json`, so armed and disarmed runs export identical
     #: bytes.
     stats: dict | None = None
 

@@ -32,9 +32,7 @@ import numpy as np
 from repro.campaign.builders import BuiltUnit, build_unit_circuit
 from repro.campaign.measurements import MEASUREMENTS
 from repro.campaign.spec import CampaignSpec, WorkUnit
-from repro.obs.events import active_event_log, event
-from repro.obs.profile import active_profiler, prof_count
-from repro.obs.trace import span
+from repro.obs.recorder import active, event, prof_count, span, subtree
 from repro.process.corners import apply_corner
 from repro.process.mismatch import MismatchSampler
 from repro.process.technology import Technology
@@ -98,8 +96,8 @@ def emit_unit_health(unit: WorkUnit, health: dict) -> None:
 
     These info-severity events are the raw material of the campaign's
     solver-health sidecar (``result.stats["solver_health"]``), emitted
-    by the per-unit and the tensor path alike.  Only called while an
-    event log is armed.
+    by the per-unit and the tensor path alike.  Only called while the
+    recorder is armed.
     """
     event("unit.solver_health", "info", corner=unit.corner,
           temp_c=unit.temp_c, supply=unit.supply, seed=unit.seed,
@@ -123,7 +121,7 @@ def run_unit(spec: CampaignSpec, unit: WorkUnit, cache: ChunkCache,
     record: dict[str, float] = {}
     for name in spec.measurements:
         record.update(MEASUREMENTS[name](rt))
-    if active_event_log() is not None:
+    if active() is not None:
         emit_unit_health(unit, op.health())
     return record
 
@@ -237,37 +235,30 @@ def run_campaign(spec: CampaignSpec, store=None,
                 "store_errors": store_errors,
             }
 
-    stats: dict = {}
-    profiler = active_profiler()
-    if profiler is not None:
-        stats["profile"] = profiler.snapshot()
-    log = active_event_log()
-    if log is not None:
-        stats["solver_health"] = solver_health_sidecar(
-            log, trace_id=getattr(run_span, "trace_id", None))
-        stats["events"] = {"recorded": log.recorded,
-                           "dropped": log.dropped,
-                           "by_severity": log.severity_counts()}
-    if stats:
-        result.stats = stats
+    rec = getattr(run_span, "recorder", None)     # None while disarmed
+    if rec is not None:
+        mine = subtree(rec.records(trace_id=run_span.trace_id),
+                       run_span.span_id)
+        result.stats = {
+            "profile": rec.profile([r for r in mine if r["kind"] == "span"]),
+            "solver_health": solver_health_sidecar(mine),
+            "events": rec.event_totals(),
+        }
     return result
 
 
-def solver_health_sidecar(log, trace_id: str | None = None) -> dict:
-    """Aggregate buffered ``unit.solver_health`` events into the
-    per-campaign sidecar dict.
+def solver_health_sidecar(records: list[dict]) -> dict:
+    """Aggregate the ``unit.solver_health`` events among one campaign's
+    records (the ``campaign.run`` span's subtree) into the per-campaign
+    sidecar dict.
 
-    ``trace_id`` scopes the aggregation to one campaign's trace when
-    tracing is armed alongside events (a long-lived serve process logs
-    many campaigns into one ring); without tracing every buffered
-    health event is folded in.  Telemetry only — the dict lives on
+    Scoping by the run span keeps the sidecar to this campaign's units
+    when one ring holds many campaigns (a long-lived serve process, an
+    optimizer job).  Telemetry only — the dict lives on
     ``CampaignResult.stats`` and is never serialised.
     """
-    health_events = log.events(name="unit.solver_health")
-    if trace_id is not None:
-        health_events = [e for e in health_events
-                         if e.get("trace_id") == trace_id]
-    units = [dict(e.get("fields") or {}) for e in health_events]
+    units = [dict(r.get("fields") or {}) for r in records
+             if r["kind"] == "event" and r["name"] == "unit.solver_health"]
     resids = [u["worst_resid"] for u in units
               if isinstance(u.get("worst_resid"), (int, float))]
     strategies: dict[str, int] = {}

@@ -174,18 +174,16 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
           f"({len(spec.corners)} corners x {len(spec.temps_c)} temps x "
           f"{len(spec.supplies)} supplies x {len(spec.seeds)} seeds x "
           f"{len(spec.gain_codes)} codes)")
-    tracer = None
+    from repro.obs import Recorder, active, format_profile
+
+    rec = None
     with contextlib.ExitStack() as stack:
-        if args.profile:
-            from repro.obs.profile import Profiler
-
-            stack.enter_context(Profiler().activate())
-        if args.trace_out is not None:
-            from repro.obs.trace import Tracer
-
-            tracer = Tracer(export_path=args.trace_out)
-            stack.enter_context(tracer.activate())
-            stack.callback(tracer.close)
+        # --profile reads whichever recorder is armed; --trace-out needs
+        # its own, exporting to the named file.
+        if args.trace_out is not None or (args.profile and active() is None):
+            rec = stack.enter_context(
+                Recorder(export_path=args.trace_out).activate())
+            stack.callback(rec.close)
         t0 = time.perf_counter()
         try:
             result = run_campaign(spec, store=store)
@@ -201,11 +199,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"store: {result.store_stats['reused_units']} reused, "
               f"{result.store_stats['executed_units']} executed "
               f"(root {result.store_stats['store_root']})")
-    if tracer is not None:
-        print(f"trace: wrote {tracer.recorded} span(s) to {args.trace_out}")
+    if args.trace_out is not None:
+        print(f"trace: wrote {rec.recorded} record(s) to {args.trace_out}")
     if args.profile and result.stats is not None:
-        from repro.obs.profile import format_profile
-
         print()
         print(format_profile(result.stats["profile"]))
     print()
@@ -276,11 +272,11 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
           f"x {grid} unit(s) each, mode={mode}, seed={seed}")
     import contextlib
 
-    with contextlib.ExitStack() as stack:
-        if args.profile:
-            from repro.obs.profile import Profiler
+    from repro.obs import Recorder, active, format_profile
 
-            stack.enter_context(Profiler().activate())
+    with contextlib.ExitStack() as stack:
+        if args.profile and active() is None:
+            stack.enter_context(Recorder().activate())
         t0 = time.perf_counter()
         result = optimize_mic_amp(
             budget=budget, seed=seed, mode=mode,
@@ -300,8 +296,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
               f"simulated {s['simulated']}")
     if args.profile and result.evaluator_stats is not None \
             and "profile" in result.evaluator_stats:
-        from repro.obs.profile import format_profile
-
         print()
         print(format_profile(result.evaluator_stats["profile"]))
     print()
@@ -471,7 +465,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.obs.trace import format_slowest, format_tree, load_jsonl
+    from repro.obs import format_slowest, format_tree, load_jsonl
 
     if args.url is not None:
         from repro.serve import ServeClient, ServeError
@@ -485,7 +479,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         spans = doc.get("spans", [])
     else:
         try:
-            spans = load_jsonl(args.source)
+            spans = [r for r in load_jsonl(args.source)
+                     if r.get("kind", "span") == "span"]
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -706,10 +701,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="campaign request JSON file (serve-layer schema; "
                          "overrides the axis flags)")
     pc.add_argument("--profile", action="store_true",
-                    help="print the engine profile (Newton iterations, "
-                         "LU calls, store I/O) after the run")
+                    help="print the engine profile (timed phases, Newton "
+                         "iterations, LU calls, store I/O) after the run")
     pc.add_argument("--trace-out", default=None, metavar="FILE",
-                    help="export the run's span trace as JSONL "
+                    help="export the run's spans and events as JSONL "
                          "(inspect with `repro trace FILE`)")
     pc.set_defaults(func=_cmd_campaign)
 
@@ -861,8 +856,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect a span trace (JSONL export or a served job)",
         description="Render the span tree of a trace: from a JSONL file "
                     "written by `repro campaign --trace-out` (or "
-                    "REPRO_OBS=trace:export=FILE), or fetched from a "
-                    "running service's GET /v1/jobs/<id>/trace.",
+                    "REPRO_OBS=1:export=FILE; event records in it are "
+                    "skipped), or fetched from a running service's "
+                    "GET /v1/jobs/<id>/trace.",
     )
     pt.add_argument("source",
                     help="span JSONL file, or a job id when --url is given")

@@ -1,78 +1,53 @@
-"""repro.obs — tracing, metrics, and engine profiling for the stack.
+"""repro.obs — one observability collector plus service metrics.
 
-Three dependency-free components with one cost contract — disarmed,
-every hook is a single module-global ``None`` check (the
-``fault_point`` discipline from :mod:`repro.faults`), so arming state
-can never perturb a byte-identity or determinism gate:
-
-* :mod:`repro.obs.trace` — spans with parent/child nesting, trace-ID
-  propagation across threads, JSONL export,
-  queryable per job via ``GET /v1/jobs/<id>/trace`` and ``repro trace``.
+* :mod:`repro.obs.recorder` — the one :class:`Recorder`: spans with
+  parent/child nesting and trace-ID propagation, structured degradation
+  events with severities and trace correlation, and profiling counters,
+  in one bounded ring with one JSONL export.  Disarmed, every hook
+  (``span``, ``event``, ``prof_count``) is a single module-global
+  ``None`` check (the ``fault_point`` discipline from
+  :mod:`repro.faults`), so arming state can never perturb a
+  byte-identity or determinism gate.  Armed by ``REPRO_OBS`` (parsed at
+  import) or the scoped ``Recorder().activate()`` context manager;
+  queried through ``GET /v1/jobs/<id>/trace``, ``GET /v1/events``,
+  ``repro trace``, ``repro doctor`` and ``--profile``.
 * :mod:`repro.obs.metrics` — fixed-bucket latency histograms, gauges,
   and the Prometheus text exposition behind ``GET /metrics``.
-* :mod:`repro.obs.profile` — per-phase accumulators (Newton iterations,
-  LU factor/solve, sparse-vs-dense decisions, store I/O, cache levels)
-  surfaced through ``CampaignResult.stats`` and ``--profile``.
-* :mod:`repro.obs.events` — structured degradation events (strategy
-  escalations, fallback latches, quarantines, worker replacements) with
-  severities, trace correlation, and ring-buffered retention; surfaced
-  as ``events.*`` counters in ``/v1/metrics`` and triaged by
-  ``repro doctor``.
-
-Arming: ``REPRO_OBS=`` env grammar (parsed at import —
-:mod:`repro.obs.harness`), or scoped ``Tracer.activate()`` /
-``Profiler.activate()`` / ``EventLog.activate()`` context managers.
+* :mod:`repro.obs.doctor` and :mod:`repro.obs.drift` — stack triage and
+  the bench drift watchdog.
 """
 
-from repro.obs.events import (
-    SEVERITIES,
-    EventLog,
-    active_event_log,
-    event,
-    format_events,
-)
-from repro.obs.harness import (
-    OBS_ENV,
-    ObsConfig,
-    arm,
-    arm_from_env,
-    config_from_env,
-    events_enabled,
-    profile_enabled,
-    trace_enabled,
-)
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Histogram,
     parse_prometheus,
     render_prometheus,
 )
-from repro.obs.profile import (
-    Profiler,
-    active_profiler,
-    format_profile,
-    prof_add,
-    prof_count,
-    timed,
-)
-from repro.obs.trace import (
-    Tracer,
-    active_tracer,
+from repro.obs.recorder import (
+    OBS_ENV,
+    SEVERITIES,
+    Recorder,
+    activate,
+    active,
+    arm_from_env,
+    config_from_env,
     current_context,
+    deactivate,
+    event,
+    format_events,
+    format_profile,
+    format_slowest,
     format_tree,
     load_jsonl,
+    prof_count,
     slowest_spans,
     span,
-    trace_point,
 )
 
 __all__ = [
-    "OBS_ENV", "ObsConfig", "arm", "arm_from_env", "config_from_env",
-    "trace_enabled", "profile_enabled", "events_enabled",
     "DEFAULT_BUCKETS", "Histogram", "parse_prometheus", "render_prometheus",
-    "Profiler", "active_profiler", "format_profile", "prof_add",
-    "prof_count", "timed",
-    "Tracer", "active_tracer", "current_context", "format_tree",
-    "load_jsonl", "slowest_spans", "span", "trace_point",
-    "SEVERITIES", "EventLog", "active_event_log", "event", "format_events",
+    "OBS_ENV", "SEVERITIES", "Recorder", "activate", "active",
+    "arm_from_env", "config_from_env", "current_context", "deactivate",
+    "event", "format_events", "format_profile", "format_slowest",
+    "format_tree", "load_jsonl", "prof_count", "slowest_spans", "span",
 ]

@@ -139,11 +139,11 @@ def check_bench(path) -> dict:
 
 
 def check_events(path=None) -> dict:
-    """Triage the recent event log — the active in-process log, or a
-    JSONL export when ``path`` is given: any error-severity events are
-    a *warn* (the error already happened; the doctor's job is to make
+    """Triage the recent events — the active recorder's, or a JSONL
+    export's when ``path`` is given: any error-severity events are a
+    *warn* (the error already happened; the doctor's job is to make
     sure somebody reads it)."""
-    from repro.obs.events import active_event_log, load_jsonl
+    from repro.obs.recorder import active, load_jsonl
 
     if path is not None:
         path = pathlib.Path(path)
@@ -151,18 +151,18 @@ def check_events(path=None) -> dict:
             return _check("events", PASS,
                           f"skipped: no event log at {path}")
         try:
-            events = load_jsonl(path)
+            events = [r for r in load_jsonl(path)
+                      if r.get("kind", "event") == "event"]
         except (OSError, json.JSONDecodeError) as exc:
             return _check("events", WARN, f"unreadable event log: {exc}")
         source = str(path)
     else:
-        log = active_event_log()
-        if log is None:
+        rec = active()
+        if rec is None:
             return _check("events", PASS,
-                          "skipped: event log disarmed "
-                          "(REPRO_OBS=events arms it)")
-        events = log.events()
-        source = "active log"
+                          "skipped: recorder disarmed (REPRO_OBS=1 arms it)")
+        events = rec.events()
+        source = "active recorder"
     errors = [e for e in events if e.get("severity") == "error"]
     if errors:
         names = sorted({e["name"] for e in errors})

@@ -124,12 +124,12 @@ HELP: dict[str, str] = {
     "jobs_done": "jobs finished successfully",
     "jobs_failed": "jobs finished in failure",
     "warm_hits": "campaign submissions answered entirely from the store",
-    "events.armed": "1 when the structured event log is armed",
+    "events.armed": "1 when the observability recorder is armed",
     "events.info": "info-severity events recorded (monotone)",
     "events.warn": "warn-severity events recorded (monotone)",
     "events.error": "error-severity events recorded (monotone)",
     "events.recorded": "structured events recorded in total (monotone)",
-    "events.dropped": "structured events evicted by ring-buffer overflow",
+    "events.dropped": "records (spans or events) evicted by ring-buffer overflow",
 }
 
 

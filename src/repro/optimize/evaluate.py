@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.campaign import CampaignSpec, run_campaign
-from repro.obs.profile import prof_count
+from repro.obs.recorder import prof_count
 from repro.optimize.objective import Objective
 from repro.optimize.space import DesignSpace
 from repro.process.technology import CMOS12, Technology

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.obs.profile import active_profiler
+from repro.obs.recorder import active
 from repro.optimize.evaluate import CandidateEvaluator, Evaluation
 from repro.optimize.pareto import DEFAULT_OBJECTIVES, ParetoFront
 from repro.optimize.space import DesignSpace
@@ -242,9 +242,9 @@ def optimize(
         raise RuntimeError("budget exhausted before any evaluation completed")
     evaluator_stats = (evaluator.stats() if hasattr(evaluator, "stats")
                        else None)
-    profiler = active_profiler()
-    if evaluator_stats is not None and profiler is not None:
-        evaluator_stats["profile"] = profiler.snapshot()
+    rec = active()
+    if evaluator_stats is not None and rec is not None:
+        evaluator_stats["profile"] = rec.profile()
     return OptimizationResult(
         best=state.best,
         space=space,

@@ -2,7 +2,8 @@
 
 Every characterisation bench produces a ``{metric: value}`` dict; a
 :class:`Spec` turns it into a pass/fail report with the paper's measured
-values as the reference column, which is how EXPERIMENTS.md is generated.
+values as the reference column, which is how the ``benchmarks/``
+scripts report paper-vs-measured rows (mapped in ``docs/paper_mapping.md``).
 """
 
 from __future__ import annotations

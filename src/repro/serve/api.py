@@ -18,8 +18,9 @@ Routes (all JSON in, JSON out)::
 Every request's wall time lands in the service's latency histograms
 (``http.request_s`` overall plus one per route class), so ``/metrics``
 serves request p50/p99 without any external middleware.  The trace
-route answers 404 while tracing is disarmed (``REPRO_OBS=trace`` arms
-it) — observability is opt-in and absent by default.
+and events routes answer 404 while the recorder is disarmed
+(``REPRO_OBS=1`` arms it) — observability is opt-in and absent by
+default.
 
 Submissions answer ``202 Accepted`` while the job is queued/running and
 ``200`` when it is already terminal at submit time (a warm store hit —
@@ -217,7 +218,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             if view is None:
                 self.service.metrics.incr("http_errors")
                 return self._error(
-                    404, "event log disarmed (REPRO_OBS=events arms it)")
+                    404, "recorder disarmed (REPRO_OBS=1 arms it)")
             return self._send_json(200, view)
         parts = path.split("/")
         if len(parts) >= 4 and parts[1] == "v1" and parts[2] == "jobs":
@@ -234,7 +235,7 @@ class ServeHandler(BaseHTTPRequestHandler):
                 if trace is None:
                     self.service.metrics.incr("http_errors")
                     return self._error(
-                        404, f"no trace for job {job.id} (tracing disarmed "
+                        404, f"no trace for job {job.id} (recorder disarmed "
                              "or the job never executed in this process)")
                 return self._send_json(200, trace)
         self.service.metrics.incr("http_errors")

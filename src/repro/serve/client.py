@@ -111,7 +111,7 @@ class ServeClient:
 
     def job_trace(self, job_id: str) -> dict:
         """The job's collected spans (``{"trace_id", "spans"}``); raises
-        :class:`ServeError` 404 while tracing is disarmed server-side."""
+        :class:`ServeError` 404 while the recorder is disarmed server-side."""
         return self._get_json(f"/v1/jobs/{job_id}/trace")
 
     def jobs(self) -> list[dict]:

@@ -34,7 +34,7 @@ import uuid
 from dataclasses import dataclass, field
 
 from repro.faults.harness import fault_point
-from repro.obs.events import event
+from repro.obs.recorder import event
 
 #: Job lifecycle states, in order.
 QUEUED = "queued"
@@ -79,8 +79,8 @@ class Job:
     warm: bool = False
     #: Times the job went back to the FIFO after losing its worker.
     requeues: int = 0
-    #: Trace id of the job's execution span when tracing was armed
-    #: (``REPRO_OBS=trace``); ``None`` otherwise.  Telemetry only.
+    #: Trace id of the job's execution span when the recorder was armed
+    #: (``REPRO_OBS=1``); ``None`` otherwise.  Telemetry only.
     trace_id: str | None = None
     result: object = None
     _done_event: threading.Event = field(default_factory=threading.Event,

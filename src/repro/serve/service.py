@@ -58,10 +58,9 @@ import time
 import traceback
 
 from repro.faults.harness import fault_point
-from repro.obs.events import SEVERITIES as EVENT_SEVERITIES
-from repro.obs.events import active_event_log, event
 from repro.obs.metrics import Histogram, render_prometheus
-from repro.obs.trace import active_tracer, span
+from repro.obs.recorder import SEVERITIES as EVENT_SEVERITIES
+from repro.obs.recorder import active, event, span
 from repro.serve import jobs as J
 from repro.serve.validate import (
     SpecValidationError,
@@ -703,17 +702,19 @@ class CharacterizationService:
         }
 
     def _events_section(self) -> dict:
-        """``events.*``-namespaced event-log health: armed state,
-        monotone totals, and the per-severity tallies.  All zeros while
-        disarmed, so the schema is stable either way."""
-        log = active_event_log()
-        section: dict = {"events.armed": log is not None}
-        counts = (log.severity_counts() if log is not None
-                  else {s: 0 for s in EVENT_SEVERITIES})
+        """``events.*``-namespaced recorder health: armed state, the
+        monotone per-severity tallies and their total, and the records
+        (of any kind) evicted from the ring.  All zeros while disarmed,
+        so the schema is stable either way."""
+        rec = active()
+        totals = (rec.event_totals() if rec is not None
+                  else {"recorded": 0, "dropped": 0, "by_severity": {}})
+        section: dict = {"events.armed": rec is not None}
         for severity in EVENT_SEVERITIES:
-            section[f"events.{severity}"] = counts.get(severity, 0)
-        section["events.recorded"] = 0 if log is None else log.recorded
-        section["events.dropped"] = 0 if log is None else log.dropped
+            section[f"events.{severity}"] = \
+                totals["by_severity"].get(severity, 0)
+        section["events.recorded"] = totals["recorded"]
+        section["events.dropped"] = totals["dropped"]
         return section
 
     def metrics_snapshot(self) -> dict:
@@ -758,27 +759,22 @@ class CharacterizationService:
 
     def job_trace(self, job: J.Job) -> dict | None:
         """The spans collected for one job's execution, or ``None`` when
-        tracing is disarmed or the job never ran under a span (warm
+        the recorder is disarmed or the job never ran under a span (warm
         hits, journal-restored records)."""
         trace_id = getattr(job, "trace_id", None)
-        tracer = active_tracer()
-        if trace_id is None or tracer is None:
+        rec = active()
+        if trace_id is None or rec is None:
             return None
-        return {"trace_id": trace_id, "spans": tracer.spans(trace_id)}
+        return {"trace_id": trace_id, "spans": rec.spans(trace_id=trace_id)}
 
     def recent_events(self, limit: int = 100,
                       severity: str | None = None) -> dict | None:
         """The newest ``limit`` structured events (optionally filtered by
-        severity), or ``None`` while the event log is disarmed — the
+        severity), or ``None`` while the recorder is disarmed — the
         ``/v1/events`` route turns that into a 404, mirroring the trace
         route's disarmed behaviour."""
-        log = active_event_log()
-        if log is None:
+        rec = active()
+        if rec is None:
             return None
-        events = log.events(severity=severity)
-        return {
-            "recorded": log.recorded,
-            "dropped": log.dropped,
-            "by_severity": log.severity_counts(),
-            "events": events[-max(0, int(limit)):],
-        }
+        events = rec.events(severity=severity)
+        return {**rec.event_totals(), "events": events[-max(0, int(limit)):]}

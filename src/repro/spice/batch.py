@@ -41,8 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import thermal_voltage
-from repro.obs.events import active_event_log, event
-from repro.obs.profile import prof_count
+from repro.obs.recorder import active, event, prof_count
 from repro.spice.devices.bjt import BjtGroup
 from repro.spice.devices.diode import DiodeGroup
 from repro.spice.devices.mosfet import MosGroup
@@ -568,7 +567,7 @@ def newton_batch(
                       & (max_resid < itol * 100))
         failed |= solve_failed | nonfinite
 
-    if active_event_log() is not None:
+    if active() is not None:
         n_bad = int((~converged).sum())
         if n_bad:
             event("batch.newton_nonconverged", "warn",

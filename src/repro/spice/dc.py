@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.obs.events import active_event_log, event
-from repro.obs.profile import prof_count
+from repro.obs.recorder import active, event, prof_count
 from repro.spice.elements import CurrentSource, Mosfet, VoltageSource
 from repro.spice.mna import MnaSystem
 from repro.spice.netlist import Circuit, is_ground
@@ -307,9 +306,9 @@ def _solver_event(name: str, severity: str, system: MnaSystem,
                   x: np.ndarray, rhs: np.ndarray, diag: dict,
                   **fields) -> None:
     """Emit a solver degradation event with residual + condition
-    forensics.  The expensive fields are only computed while an event
-    log is armed — disarmed, this is one ``None`` check."""
-    if active_event_log() is None:
+    forensics.  The expensive fields are only computed while the recorder
+    is armed — disarmed, this is one ``None`` check."""
+    if active() is None:
         return
     event(name, severity, circuit=system.circuit.name,
           resid_norm=diag.get("resid"),

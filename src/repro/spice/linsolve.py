@@ -41,8 +41,7 @@ import numpy as np
 from scipy import linalg as sla
 from scipy.linalg import lapack as _lapack
 
-from repro.obs.events import event
-from repro.obs.profile import prof_count
+from repro.obs.recorder import event, prof_count
 from repro.spice.netlist import is_ground
 
 #: Frequencies per factorization batch; 64 keeps the stacked matrices of

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constants import BOLTZMANN, kelvin
-from repro.obs.profile import prof_count
+from repro.obs.recorder import prof_count
 from repro.spice.devices.bjt import BjtGroup
 from repro.spice.devices.diode import DiodeGroup
 from repro.spice.devices.mosfet import MosGroup

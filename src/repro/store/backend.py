@@ -52,8 +52,7 @@ import threading
 import time
 
 from repro.faults.harness import fault_point
-from repro.obs.events import event
-from repro.obs.profile import prof_count
+from repro.obs.recorder import event, prof_count
 
 #: Environment variable naming the default store root for the CLI.
 STORE_ENV = "REPRO_STORE"

@@ -10,7 +10,7 @@ ingested deck, the export must equal the one assembled from
 the strictest practical surface: they capture values, key order, row
 order and float repr in one comparison.
 
-Profiler counters prove which path ran: ``batch.units_stamped`` counts
+Recorder counters prove which path ran: ``batch.units_stamped`` counts
 units stamped into a tensor, ``campaign.batch_group_fallbacks`` counts
 tensor groups that fell back to ``run_unit``.
 """
@@ -22,8 +22,7 @@ import pytest
 from repro.campaign import CampaignSpec, run_campaign, run_chunk
 from repro.campaign import batchrun
 from repro.campaign.result import CampaignResult
-from repro.obs.events import EventLog
-from repro.obs.profile import Profiler
+from repro.obs import Recorder
 
 # One spec per registered builder, measurements chosen to exercise every
 # batched implementation (DC reads, branch currents, gain, PSRR/CMRR
@@ -62,10 +61,10 @@ def oracle_json(spec: CampaignSpec) -> str:
 
 
 def profiled_run(spec: CampaignSpec):
-    profiler = Profiler()
-    with profiler.activate():
+    rec = Recorder()
+    with rec.activate():
         result = run_campaign(spec)
-    return result, profiler.snapshot()["counts"]
+    return result, rec.profile()["counts"]
 
 
 @pytest.fixture(scope="module")
@@ -107,13 +106,13 @@ class TestBatchedEquivalence:
         units = spec.expand()
         monkeypatch.setattr(batchrun, "MIN_BATCH_UNITS", 1)
         for batch_size in (1, 2, 64):
-            profiler = Profiler()
-            with profiler.activate():
+            rec = Recorder()
+            with rec.activate():
                 records = batchrun.run_chunk_batched(spec, units,
                                                      batch_size=batch_size)
             result = CampaignResult.from_units(spec, units, records)
             assert result.to_json() == oracle["micamp"]
-            counts = profiler.snapshot()["counts"]
+            counts = rec.profile()["counts"]
             assert counts["batch.units_stamped"] == spec.n_units
             assert counts["campaign.batch_groups"] == \
                 -(-spec.n_units // batch_size)
@@ -166,10 +165,10 @@ class TestProgress:
         def progress(done, total):
             raise Stop(f"{done}/{total}")
 
-        profiler = Profiler()
-        with profiler.activate(), pytest.raises(Stop):
+        rec = Recorder()
+        with rec.activate(), pytest.raises(Stop):
             run_campaign(spec, progress=progress)
-        counts = profiler.snapshot()["counts"]
+        counts = rec.profile()["counts"]
         assert counts["campaign.batch_groups"] == 1
         assert "campaign.batch_group_fallbacks" not in counts
 
@@ -200,13 +199,13 @@ class TestIngestedEquivalence:
 
     def test_batched_falls_back_per_unit(self):
         spec = _ingested_spec()
-        log, profiler = EventLog(), Profiler()
-        with log.activate(), profiler.activate():
+        rec = Recorder()
+        with rec.activate():
             result = run_campaign(spec)
         assert result.to_json() == oracle_json(spec)
-        assert log.events(name="campaign.batch_group_fallback") == []
-        assert log.events(name="campaign.unit_fallback") == []
-        counts = profiler.snapshot()["counts"]
+        assert rec.events(name="campaign.batch_group_fallback") == []
+        assert rec.events(name="campaign.unit_fallback") == []
+        counts = rec.profile()["counts"]
         assert counts.get("batch.units_stamped", 0) == 0
         assert counts["campaign.units_run"] == spec.n_units
         assert result.stats["solver_health"]["n_units"] == spec.n_units

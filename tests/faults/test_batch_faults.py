@@ -15,7 +15,7 @@ import pytest
 from repro.campaign import CampaignSpec, run_chunk, run_chunk_batched
 from repro.campaign.result import CampaignResult
 from repro.faults import FaultPlan, FaultRule
-from repro.obs.profile import Profiler
+from repro.obs import Recorder
 
 SPEC = CampaignSpec(
     builder="micamp", corners=("tt", "ss"), temps_c=(25.0, 85.0),
@@ -30,11 +30,11 @@ def reference():
 
 
 def _chaos_run(plan: FaultPlan, batch_size: int = 64):
-    profiler = Profiler()
-    with plan.activate(), profiler.activate():
+    rec = Recorder()
+    with plan.activate(), rec.activate():
         records = run_chunk_batched(SPEC, SPEC.expand(),
                                     batch_size=batch_size)
-    return records, profiler.snapshot()["counts"]
+    return records, rec.profile()["counts"]
 
 
 def _json(records) -> str:

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro.obs import doctor
+from repro.obs import Recorder, deactivate, doctor, event, span
 from repro.obs.doctor import (
     check_bench,
     check_engine,
@@ -18,7 +18,6 @@ from repro.obs.doctor import (
     format_report,
     run_doctor,
 )
-from repro.obs.events import EventLog, deactivate, event
 from repro.store import ResultStore
 
 
@@ -88,19 +87,20 @@ class TestChecks:
         assert check_bench(_stable_bench(tmp_path))["status"] == "pass"
 
     def test_events_warn_on_errors_in_active_log(self):
-        log = EventLog()
-        with log.activate():
+        rec = Recorder()
+        with rec.activate():
             event("store.quarantine", "error", key="k")
             check = check_events()
         assert check["status"] == "warn"
         assert "store.quarantine" in check["detail"]
 
     def test_events_triage_from_jsonl(self, tmp_path):
-        log = EventLog()
-        with log.activate():
-            event("serve.worker_died", "error", worker="w0")
         path = tmp_path / "events.jsonl"
-        log.export_jsonl(path)
+        rec = Recorder(export_path=path)
+        with rec.activate():
+            with span("serve.job"):     # spans in the export are skipped
+                event("serve.worker_died", "error", worker="w0")
+        rec.close()
         check = check_events(path)
         assert check["status"] == "warn"
         assert "serve.worker_died" in check["detail"]

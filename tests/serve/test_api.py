@@ -87,11 +87,11 @@ class TestEventsRoute:
         assert "disarmed" in str(err.value)
 
     def test_armed_serves_newest_events(self, client):
-        from repro.obs.events import EventLog, deactivate, event
+        from repro.obs import Recorder, deactivate, event
 
-        log = EventLog()
+        rec = Recorder()
         try:
-            with log.activate():
+            with rec.activate():
                 event("serve.test_event", "error", detail="boom")
                 status, body = client._request("GET",
                                                "/v1/events?limit=10")
@@ -106,11 +106,11 @@ class TestEventsRoute:
         assert got["fields"] == {"detail": "boom"}
 
     def test_severity_filter_and_bad_limit(self, client):
-        from repro.obs.events import EventLog, deactivate, event
+        from repro.obs import Recorder, deactivate, event
 
-        log = EventLog()
+        rec = Recorder()
         try:
-            with log.activate():
+            with rec.activate():
                 event("a", "info")
                 event("b", "error")
                 status, body = client._request(

@@ -12,8 +12,8 @@ import threading
 
 import pytest
 
+from repro.obs import Recorder
 from repro.obs.metrics import parse_prometheus
-from repro.obs.trace import Tracer
 from repro.serve.service import CharacterizationService, ServiceMetrics
 from repro.store import ResultStore
 
@@ -122,10 +122,10 @@ class TestMetricsSnapshotSchema:
             assert snap[key] == 0, key
 
     def test_events_section_counts_while_armed(self, service):
-        from repro.obs.events import EventLog, event
+        from repro.obs import event
 
-        log = EventLog()
-        with log.activate():
+        rec = Recorder()
+        with rec.activate():
             event("serve.test_event", "error", detail="x")
             event("serve.test_event", "info")
             snap = service.metrics_snapshot()
@@ -135,6 +135,31 @@ class TestMetricsSnapshotSchema:
         assert snap["events.warn"] == 0
         assert snap["events.recorded"] == 2
         assert snap["events.dropped"] == 0
+
+    def test_events_recorded_counts_events_not_spans(self, service):
+        from repro.obs import event, span
+
+        rec = Recorder()
+        with rec.activate():
+            with span("serve.test_span"):
+                event("serve.test_event", "warn")
+            snap = service.metrics_snapshot()
+        assert rec.recorded == 2
+        assert snap["events.recorded"] == 1
+
+    def test_events_dropped_counts_evicted_records_of_any_kind(self,
+                                                              service):
+        from repro.obs import event, span
+
+        rec = Recorder(buffer=1)
+        with rec.activate():
+            with span("serve.test_span"):
+                pass
+            event("serve.test_event", "info")   # evicts the span
+            event("serve.test_event", "info")   # evicts the first event
+            snap = service.metrics_snapshot()
+        assert snap["events.dropped"] == 2
+        assert snap["events.recorded"] == 2
 
     def test_gauges_and_latency_sections_present(self, service):
         job = service.submit_campaign(PAYLOAD)
@@ -180,7 +205,7 @@ class TestPrometheusEndpoint:
         assert series["repro_journal_enabled"]["samples"][0][1] == 1.0
 
     def test_events_severity_counters_round_trip(self, service):
-        from repro.obs.events import EventLog, event
+        from repro.obs import event
 
         # Disarmed: the series exist and are zero (schema stability).
         series = parse_prometheus(service.prometheus_text())
@@ -190,8 +215,8 @@ class TestPrometheusEndpoint:
             assert series[name]["type"] == "gauge", name
             assert series[name]["samples"][0][1] == 0.0, name
         # Armed: severity tallies land in the exposition.
-        log = EventLog()
-        with log.activate():
+        rec = Recorder()
+        with rec.activate():
             event("serve.test_event", "warn")
             event("serve.test_event", "error")
             series = parse_prometheus(service.prometheus_text())
@@ -214,8 +239,8 @@ class TestJobTrace:
         assert service.job_trace(job) is None
 
     def test_armed_job_exposes_span_tree(self, service):
-        tracer = Tracer()
-        with tracer.activate():
+        rec = Recorder()
+        with rec.activate():
             job = service.submit_campaign(PAYLOAD)
             assert job.wait(timeout=60)
             assert job.trace_id is not None
@@ -226,8 +251,8 @@ class TestJobTrace:
         assert all(s["trace_id"] == job.trace_id for s in trace["spans"])
 
     def test_trace_id_survives_in_view(self, service):
-        tracer = Tracer()
-        with tracer.activate():
+        rec = Recorder()
+        with rec.activate():
             job = service.submit_campaign(PAYLOAD)
             assert job.wait(timeout=60)
         assert job.view()["trace_id"] == job.trace_id

@@ -3,8 +3,8 @@
 Every silent numeric fallback in the DC/AC solvers must leave a
 retrievable trace: a reason string on the operating point
 (``op.latch_reason`` / ``op.health()``), a latch reason on the
-small-signal context (``ctx.latch_reasons()``), and — when the event
-log is armed — a structured event naming the circuit, the residual and
+small-signal context (``ctx.latch_reasons()``), and — when the
+recorder is armed — a structured event naming the circuit, the residual and
 (for non-convergence) a condition estimate.
 """
 
@@ -14,7 +14,7 @@ import pytest
 import repro.spice.dc as dc_mod
 import repro.spice.linsolve as linsolve
 from repro.circuits.micamp import build_mic_amp
-from repro.obs.events import EventLog, deactivate
+from repro.obs import Recorder, deactivate
 from repro.spice import Circuit
 from repro.spice.dc import ConvergenceError, NewtonOptions, dc_operating_point
 from repro.spice.mna import MnaSystem
@@ -48,13 +48,13 @@ class TestHealthSidecar:
         monkeypatch.setattr(MnaSystem, "sparse_threshold", 1)
         monkeypatch.setattr(dc_mod, "_sparse_newton_step",
                             lambda *a, **k: None)
-        log = EventLog()
-        with log.activate():
+        rec = Recorder()
+        with rec.activate():
             op = dc_operating_point(build_mic_amp(tech, gain_code=5).circuit)
         assert op.latch_reason is not None
         assert "sparse step rejected at iteration 1" in op.latch_reason
         assert op.health()["latch_reason"] == op.latch_reason
-        (latch,) = log.events(name="dc.dense_latch")
+        (latch,) = rec.events(name="dc.dense_latch")
         assert latch["severity"] == "warn"
         assert latch["fields"]["reason"] == op.latch_reason
         assert latch["fields"]["iteration"] == 1
@@ -65,18 +65,18 @@ class TestHealthSidecar:
 
 class TestEscalationEvents:
     def test_nonconvergence_emits_forensics(self, tech):
-        log = EventLog()
-        with log.activate():
+        rec = Recorder()
+        with rec.activate():
             with pytest.raises(ConvergenceError):
                 dc_operating_point(_unsolvable(tech),
                                    options=NewtonOptions(max_iterations=40))
-        escalations = log.events(name="dc.strategy_escalation")
+        escalations = rec.events(name="dc.strategy_escalation")
         assert escalations, "strategy ladder climbed without events"
         first = escalations[0]
         assert first["fields"]["from_strategy"] == "newton"
         assert first["fields"]["to_strategy"] == "gmin-stepping"
         assert isinstance(first["fields"]["resid_norm"], float)
-        failures = log.events(name="dc.nonconvergence", severity="error")
+        failures = rec.events(name="dc.nonconvergence", severity="error")
         assert failures, "non-convergence never recorded"
         assert failures[-1]["fields"]["circuit"] == "bad"
         # The cheap 1-norm condition estimate rode along (it may be
@@ -111,14 +111,14 @@ class TestLinsolveLatches:
     def test_sparse_rejection_latches_with_reason(self, tech, monkeypatch):
         op, ctx = self._sparse_ctx(tech, monkeypatch)
         monkeypatch.setattr(linsolve, "SPECTRAL_RESIDUAL_TOL", -1.0)
-        log = EventLog()
+        rec = Recorder()
         freqs = np.logspace(1, 5, 8)
-        with log.activate():
+        with rec.activate():
             fwd, _ = ctx.solve(freqs, rhs=ctx.rhs_ac())
         assert fwd is not None  # dense ladder still served the answer
         reasons = ctx.latch_reasons()
         assert "rejected on scaled residual" in reasons["sparse"]
-        (latch,) = log.events(name="linsolve.sparse_dead_latch")
+        (latch,) = rec.events(name="linsolve.sparse_dead_latch")
         assert latch["fields"]["reason"] == reasons["sparse"]
         assert "resid" in latch["fields"]
         # Health sidecar folds the context latches in.
@@ -133,12 +133,12 @@ class TestLinsolveLatches:
         import scipy.sparse.linalg
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", broken_splu)
-        log = EventLog()
-        with log.activate():
+        rec = Recorder()
+        with rec.activate():
             fwd, _ = ctx.solve(np.logspace(1, 5, 8), rhs=ctx.rhs_ac())
         assert fwd is not None
         assert "splu factorization failed" in ctx.latch_reasons()["sparse"]
-        assert log.events(name="linsolve.sparse_dead_latch")
+        assert rec.events(name="linsolve.sparse_dead_latch")
 
     def test_spectral_rejection_event_carries_residual(
             self, mic_amp_40db, monkeypatch):
@@ -147,11 +147,11 @@ class TestLinsolveLatches:
         b = ctx.rhs_ac()
         assert ctx.spectral() is not None
         monkeypatch.setattr(linsolve, "SPECTRAL_RESIDUAL_TOL", -1.0)
-        log = EventLog()
+        rec = Recorder()
         freqs = np.logspace(1, 6, 24)
-        with log.activate():
+        with rec.activate():
             ctx.solve(freqs, rhs=b)
-        events = log.events(name="linsolve.spectral_rejected")
+        events = rec.events(name="linsolve.spectral_rejected")
         assert events, "spectral rejection never recorded"
         assert events[0]["fields"]["n_freqs"] == 24
         assert events[0]["fields"]["resid"] > 0.0

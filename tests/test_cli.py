@@ -258,6 +258,7 @@ class TestObsCli:
     def test_campaign_profile_prints_counters(self, capsys):
         assert main(self.ARGS + ["--profile"]) == 0
         out = capsys.readouterr().out
+        assert "profile — timed phases:" in out
         assert "profile — counters:" in out
         assert "campaign.batch_groups" in out
 
@@ -291,6 +292,24 @@ class TestObsCli:
         assert {s["name"] for s in spans} >= {"campaign.run",
                                               "campaign.batch_group"}
 
+    def test_one_export_feeds_trace_and_doctor(self, tmp_path, capsys):
+        from repro.obs import Recorder
+
+        export = tmp_path / "obs.jsonl"
+        rec = Recorder(export_path=export)
+        with rec.activate():
+            assert main(self.ARGS) == 0
+        rec.close()
+        capsys.readouterr()
+        assert main(["trace", str(export), "--json"]) == 0
+        spans = json.loads(capsys.readouterr().out)
+        assert {s["kind"] for s in spans} == {"span"}
+        assert "campaign.run" in {s["name"] for s in spans}
+        assert main(["doctor", "--events", str(export)]) == 0
+        out = capsys.readouterr().out
+        assert f"{len(rec.events())} event(s) in {export}" in out
+        assert rec.events()
+
     def test_trace_missing_file_exit_2(self, capsys):
         assert main(["trace", "/nonexistent/spans.jsonl"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -301,8 +320,22 @@ class TestObsCli:
         main(["optimize", "--budget", "4", "--seed", "11",
               "--no-progress", "--profile"])
         out = capsys.readouterr().out
+        assert "profile — timed phases:" in out
         assert "profile — counters:" in out
         assert "optimize.memo_misses" in out
+
+    def test_profile_reuses_an_armed_recorder(self, tmp_path, capsys):
+        """``REPRO_OBS=1:export=...`` plus ``--profile``: the run's
+        records still reach the process-wide export."""
+        from repro.obs import Recorder, load_jsonl
+
+        export = tmp_path / "obs.jsonl"
+        rec = Recorder(export_path=export)
+        with rec.activate():
+            assert main(self.ARGS + ["--profile"]) == 0
+        rec.close()
+        assert "profile — timed phases:" in capsys.readouterr().out
+        assert "campaign.run" in {r["name"] for r in load_jsonl(export)}
 
     def test_campaign_without_flags_stays_silent(self, capsys):
         assert main(self.ARGS) == 0

@@ -2,11 +2,11 @@
 
 Every benchmark that merges an entry into ``BENCH_perf.json`` stamps
 the same machine-identity block — ``platform``, ``cpu_count``,
-``single_cpu``, ``numpy``, ``scipy`` — so trajectory deltas can be
-attributed: a 10.1x -> 8.7x "regression" that coincides with a
-cpu_count change or a numpy upgrade is a hardware/software move, not a
-code one.  ``tools/bench_report.py`` reads the trajectories back and
-prints exactly those deltas.
+``single_cpu``, ``numpy``, ``scipy``, ``blas_threads`` — so trajectory
+deltas can be attributed: a 10.1x -> 8.7x "regression" that coincides
+with a cpu_count change, a numpy upgrade or a BLAS thread-count move is
+a hardware/software move, not a code one.  ``tools/bench_report.py``
+reads the trajectories back and prints exactly those deltas.
 
 Import idiom (the benches run as scripts, so this directory is already
 ``sys.path[0]``)::
@@ -40,4 +40,9 @@ def provenance_block() -> dict:
         block["scipy"] = scipy.__version__
     except ImportError:
         block["scipy"] = None
+    try:
+        from repro.numerics import fingerprint
+        block["blas_threads"] = fingerprint()["blas_threads"]
+    except ImportError:
+        block["blas_threads"] = None
     return block

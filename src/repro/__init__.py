@@ -19,11 +19,18 @@ terminals (2.6 V, 1.2 um CMOS), rebuilt as a Python library:
   sizing methodology and full characterisation (Tables 1 and 2);
 * :mod:`repro.frontend`   — behavioural sigma-delta voice chain (Fig. 1);
 * :mod:`repro.layout`     — area and matching models (Figs. 6/10).
+
+Importing ``repro`` (or any submodule) pins the process's OpenBLAS to
+one thread, so exported bytes do not depend on the BLAS thread count;
+see :mod:`repro.numerics`.
 """
 
+from repro.numerics import pin_blas
 from repro.process.technology import CMOS12, Technology
 from repro.pga.gain_control import GainControl
 from repro.pga.specs import MIC_AMP_SPEC, POWER_BUFFER_SPEC
+
+pin_blas()
 
 __version__ = "1.0.0"
 

@@ -1,20 +1,21 @@
 """``repro doctor`` — one-shot stack self-checks with a triaged verdict.
 
 Each check probes one layer the way an operator would by hand — solve a
-known circuit, read-verify the store, hit ``/healthz``, re-run the
-bench drift watchdog, triage the recent event log — and reports
-``pass`` / ``warn`` / ``fail`` with a one-line detail.  The process
-exit code is the worst status seen: 0 all-pass, 1 any warn, 2 any
-fail — pinned by tests, so scripts and CI can branch on it.
+known circuit, confirm BLAS runs one thread, read-verify the store, hit
+``/healthz``, re-run the bench drift watchdog, triage the recent event
+log — and reports ``pass`` / ``warn`` / ``fail`` with a one-line
+detail.  The process exit code is the worst status seen: 0 all-pass,
+1 any warn, 2 any fail — pinned by tests, so scripts and CI can branch
+on it.
 
 Severity semantics: *fail* means the stack cannot be trusted (the
 sanity solve did not converge, the store holds corrupt or missing
 payloads, the service is unreachable); *warn* means the stack works
-but something deserves a look (bench metrics drifted, error-severity
-events in the log, a solver fallback on the sanity circuit).  Checks
-that have nothing to examine (no store directory, no bench file, no
-event log) pass with a "skipped" detail rather than inventing a
-problem.
+but something deserves a look (bench metrics drifted, BLAS not pinned
+to one thread, error-severity events in the log, a solver fallback on
+the sanity circuit).  Checks that have nothing to examine (no store
+directory, no bench file, no event log) pass with a "skipped" detail
+rather than inventing a problem.
 
 The check functions are module-level and individually importable so
 tests can exercise them against fixtures (and monkeypatch the sanity
@@ -69,6 +70,23 @@ def check_engine() -> dict:
         return _check("engine", WARN,
                       f"{detail}; dense latch: {health['latch_reason']}")
     return _check("engine", PASS, detail)
+
+
+def check_numerics() -> dict:
+    """Every loaded OpenBLAS must run one thread (``import repro`` pins
+    it): a failed pin or a thread count above 1 is a *warn*, since
+    exported bytes then depend on the BLAS thread count."""
+    from repro.numerics import fingerprint
+
+    fp = fingerprint()
+    libs = ", ".join(f"{b['library']}={b['threads']}" for b in fp["blas"])
+    detail = (f"numpy {fp['numpy']}, scipy {fp['scipy']}, BLAS threads: "
+              f"{libs or 'no OpenBLAS found'}")
+    if not fp["pinned"]:
+        return _check("numerics", WARN, "BLAS thread pin failed; " + detail)
+    if any(b["threads"] != 1 for b in fp["blas"]):
+        return _check("numerics", WARN, detail)
+    return _check("numerics", PASS, detail)
 
 
 def check_store(root) -> dict:
@@ -181,7 +199,7 @@ def run_doctor(store=None, url: str | None = None, bench=None,
                events=None) -> tuple[list[dict], int]:
     """Run every applicable check; return ``(checks, exit_code)`` with
     exit 2 on any fail, 1 on any warn, else 0."""
-    checks = [check_engine()]
+    checks = [check_engine(), check_numerics()]
     if store is not None:
         checks.append(check_store(store))
     if url is not None:
@@ -198,7 +216,7 @@ def format_report(checks: list[dict], code: int) -> list[str]:
     lines = ["repro doctor"]
     for c in checks:
         lines.append(f"  [{c['status'].upper():<4}] "
-                     f"{c['name']:<7} {c['detail']}")
+                     f"{c['name']:<8} {c['detail']}")
     verdict = {0: "healthy", 1: "needs attention", 2: "unhealthy"}[code]
     lines.append(f"verdict: {verdict} (exit {code})")
     return lines

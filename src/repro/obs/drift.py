@@ -62,7 +62,8 @@ MIN_BASELINE_POINTS = 3
 #: jitter into a flag.
 REL_STD_FLOOR = 0.02
 
-PROVENANCE_KEYS = ("platform", "cpu_count", "single_cpu", "numpy", "scipy")
+PROVENANCE_KEYS = ("platform", "cpu_count", "single_cpu", "numpy", "scipy",
+                   "blas_threads")
 
 
 def _numeric_keys(points: list[dict]) -> list[str]:

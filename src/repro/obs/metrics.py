@@ -130,6 +130,7 @@ HELP: dict[str, str] = {
     "events.error": "error-severity events recorded (monotone)",
     "events.recorded": "structured events recorded in total (monotone)",
     "events.dropped": "records (spans or events) evicted by ring-buffer overflow",
+    "numerics.blas_threads": "most threads any loaded OpenBLAS runs with (1 when pinned)",
 }
 
 

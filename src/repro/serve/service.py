@@ -58,6 +58,7 @@ import time
 import traceback
 
 from repro.faults.harness import fault_point
+from repro.numerics import fingerprint
 from repro.obs.metrics import Histogram, render_prometheus
 from repro.obs.recorder import SEVERITIES as EVENT_SEVERITIES
 from repro.obs.recorder import active, event, span
@@ -732,6 +733,7 @@ class CharacterizationService:
         snap.update(self._store_section())
         snap.update(self._journal_section())
         snap.update(self._events_section())
+        snap["numerics"] = fingerprint()
         return snap
 
     def prometheus_text(self) -> str:
@@ -751,6 +753,8 @@ class CharacterizationService:
             self.metrics.set_gauge(name,
                                    float(value) if not isinstance(value, bool)
                                    else (1.0 if value else 0.0))
+        self.metrics.set_gauge("numerics.blas_threads",
+                               max(fingerprint()["blas_threads"], default=0))
         return render_prometheus(
             counters=counters,
             gauges=self.metrics.gauges_snapshot(),

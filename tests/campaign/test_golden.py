@@ -8,6 +8,14 @@ to exact ``repr`` floats: any engine change that moves a bit anywhere in
 build, solve or measure shows up here as a diff against a reviewable
 JSON file, not as a silent drift.
 
+The pin is recorded against one numerics fingerprint (numpy, scipy and
+the BLAS build; see ``repro.numerics``) but holds at any host thread
+count: ``import repro`` pins OpenBLAS to one thread, and threaded
+OpenBLAS rounds the small-signal ``zgetrf`` differently — before the
+pin this file failed on multi-core hosts by one ULP in
+``sigma_gain_error_by_code``.  ``test_blas_threads.py`` checks the
+campaign's full export at several thread settings.
+
 Regenerate deliberately with::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/campaign/test_golden.py

@@ -14,6 +14,7 @@ from repro.obs.doctor import (
     check_bench,
     check_engine,
     check_events,
+    check_numerics,
     check_store,
     format_report,
     run_doctor,
@@ -59,6 +60,27 @@ class TestChecks:
         check = check_engine()
         assert check["status"] == "fail"
         assert "ConvergenceError" in check["detail"]
+
+    def test_numerics_passes_when_pinned(self):
+        check = check_numerics()
+        assert check["status"] == "pass"
+        assert "=1" in check["detail"]
+
+    @pytest.mark.parametrize("pinned, threads", [(True, 2), (False, 1)])
+    def test_numerics_warns_off_one_thread(self, monkeypatch, pinned,
+                                           threads):
+        import repro.numerics
+
+        fp = {"numpy": "n", "scipy": "s", "pinned": pinned,
+              "blas": [{"library": "libopenblas.so", "config": None,
+                        "core": None, "threads": threads}],
+              "blas_threads": [threads]}
+        monkeypatch.setattr(repro.numerics, "fingerprint", lambda: fp)
+        check = check_numerics()
+        assert check["status"] == "warn"
+        assert f"libopenblas.so={threads}" in check["detail"]
+        _, code = run_doctor()
+        assert code == 1
 
     def test_store_passes_when_intact(self, tmp_path):
         with ResultStore(tmp_path / "s") as store:

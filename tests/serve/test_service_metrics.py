@@ -3,7 +3,8 @@
 Pins the satellite contracts of the obs PR: the registry is race-free
 under N-thread increment/observe storms with consistent mid-storm
 snapshots; ``/v1/metrics`` carries the namespaced ``store.*`` /
-``journal.*`` sections plus per-route latency quantiles; the
+``journal.*`` sections, the numerics fingerprint and per-route
+latency quantiles; the
 Prometheus exposition parses with monotone cumulative buckets; and the
 trace route answers only while tracing is armed.
 """
@@ -224,6 +225,16 @@ class TestPrometheusEndpoint:
         assert series["repro_events_warn"]["samples"][0][1] == 1.0
         assert series["repro_events_error"]["samples"][0][1] == 1.0
         assert series["repro_events_recorded"]["samples"][0][1] == 2.0
+
+    def test_numerics_fingerprint_and_blas_threads_gauge(self, service):
+        numerics = service.metrics_snapshot()["numerics"]
+        assert numerics["pinned"] is True
+        assert numerics["blas_threads"] == [1]
+        assert {"numpy", "scipy", "blas"} <= set(numerics)
+        series = parse_prometheus(service.prometheus_text())
+        gauge = series["repro_numerics_blas_threads"]
+        assert gauge["type"] == "gauge"
+        assert gauge["samples"][0][1] == 1.0
 
     def test_every_series_has_type(self, service):
         for name, entry in parse_prometheus(

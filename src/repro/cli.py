@@ -770,13 +770,14 @@ def build_parser() -> argparse.ArgumentParser:
     pls.add_argument("--limit", type=int, default=20,
                      help="max rows to print (default: 20)")
     pstat = pstsub.add_parser("stat", help="entry/byte totals per kind")
-    pgc = pstsub.add_parser("gc", help="drop dangling rows + orphan files")
+    pgc = pstsub.add_parser(
+        "gc", help="drop rows and files left by the file-layout store")
     pexp = pstsub.add_parser("export", help="dump entries as one JSON file")
     pexp.add_argument("output", help="output JSON path")
     pexp.add_argument("--kind", default=None, help="filter by kind")
     pver = pstsub.add_parser(
         "verify",
-        help="re-hash every payload; quarantine corrupt/truncated files "
+        help="re-hash every payload; quarantine corrupt/truncated ones "
              "(exit 1 if anything was unhealthy)")
     for sp in (pls, pstat, pgc, pexp, pver):
         sp.add_argument("--store", default=None, metavar="ROOT",

@@ -8,11 +8,19 @@ and scipy's bundled builds) is set to one thread through its own
 where an environment variable would come too late.  The pin is
 process-wide, has no knob and never raises; when it fails, the
 fingerprint says ``pinned: False`` and ``repro doctor`` warns.
+
+:func:`fingerprint_stamp` hashes the fingerprint once per process; the
+result store stamps the short hash into every record's metadata (never
+its key), so a store written under two numerics setups can be told
+apart without invalidating a cache.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
+import hashlib
+import json
 import os
 
 _PREFIXES = ("scipy_openblas_", "openblas_")
@@ -91,3 +99,11 @@ def fingerprint() -> dict:
                                 if lib["threads"] is not None}),
         "pinned": _pinned,
     }
+
+
+@functools.cache
+def fingerprint_stamp() -> tuple[str, str]:
+    """``(short hash, canonical JSON)`` of this process's
+    :func:`fingerprint`, computed once."""
+    text = json.dumps(fingerprint(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12], text

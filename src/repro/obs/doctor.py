@@ -12,10 +12,11 @@ Severity semantics: *fail* means the stack cannot be trusted (the
 sanity solve did not converge, the store holds corrupt or missing
 payloads, the service is unreachable); *warn* means the stack works
 but something deserves a look (bench metrics drifted, BLAS not pinned
-to one thread, error-severity events in the log, a solver fallback on
-the sanity circuit).  Checks that have nothing to examine (no store
-directory, no bench file, no event log) pass with a "skipped" detail
-rather than inventing a problem.
+to one thread, a store mixing numerics fingerprints, error-severity
+events in the log, a solver fallback on the sanity circuit).  Checks
+that have nothing to examine (no store directory, no bench file, no
+event log) pass with a "skipped" detail rather than inventing a
+problem.
 
 The check functions are module-level and individually importable so
 tests can exercise them against fixtures (and monkeypatch the sanity
@@ -91,7 +92,9 @@ def check_numerics() -> dict:
 
 def check_store(root) -> dict:
     """Read-verify every payload in the store at ``root`` against its
-    hash: any quarantined or missing payload is a *fail*."""
+    hash: any quarantined or missing payload is a *fail*.  Entries
+    written under more than one numerics fingerprint are a *warn*,
+    naming the fingerprint fields that differ."""
     root = pathlib.Path(root)
     if not root.exists():
         return _check("store", PASS, f"skipped: no store at {root}")
@@ -100,6 +103,7 @@ def check_store(root) -> dict:
 
         with ResultStore(root) as store:
             stats = store.verify()
+            stamps = store.fingerprints()
     except Exception as exc:
         return _check("store", FAIL,
                       f"verify failed: {type(exc).__name__}: {exc}")
@@ -108,8 +112,17 @@ def check_store(root) -> dict:
             "store", FAIL,
             f"{stats['quarantined']} quarantined, {stats['missing']} "
             f"missing of {stats['checked']} payload(s)")
+    detail = f"{stats['intact']}/{stats['checked']} payload(s) intact"
+    if len(stamps) > 1:
+        fps = list(stamps.values())
+        fields = sorted(k for k in set().union(*fps) if len(
+            {json.dumps(fp.get(k), sort_keys=True) for fp in fps}) > 1)
+        return _check("store", WARN,
+                      f"{detail}, but written under {len(stamps)} numerics "
+                      f"fingerprints ({', '.join(stamps)}) differing in: "
+                      + ", ".join(fields))
     return _check("store", PASS,
-                  f"{stats['intact']}/{stats['checked']} payload(s) intact")
+                  detail + "".join(f", numerics {h}" for h in stamps))
 
 
 def check_serve(url: str) -> dict:

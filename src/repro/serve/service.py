@@ -409,12 +409,13 @@ class CharacterizationService:
         """Answer a fully-cached campaign inline, skipping the queue.
 
         The probe is one batched index query (no payload reads); only a
-        complete hit takes the warm path.  The subsequent merge re-reads
-        through ``get_many`` — if a file vanished between probe and
-        merge (a racing gc), ``run_campaign`` transparently re-executes
-        just those units inline, which is still correct, merely less
-        warm than advertised.  An unavailable store degrades to the
-        cold path instead of failing the submission.
+        complete hit takes the warm path.  Payloads live in their rows,
+        so a probed key has its bytes; the subsequent merge re-reads
+        through ``get_many``, and if a payload turns out corrupt it is
+        quarantined and ``run_campaign`` transparently re-executes just
+        those units inline, which is still correct, merely less warm
+        than advertised.  An unavailable store degrades to the cold
+        path instead of failing the submission.
         """
         store = self._active_store()
         if store is None:

@@ -3,8 +3,8 @@
 Every other cache in the repo dies with its process; this package makes
 simulation results survive it.  Records are addressed by deterministic
 content hashes of everything they depend on (:mod:`repro.store.keys`)
-and kept in an sqlite-indexed, atomically-written on-disk store
-(:mod:`repro.store.backend`) that any number of processes can share.
+and kept in one sqlite database, payloads inline in their rows
+(:mod:`repro.store.backend`), that any number of processes can share.
 
 Two workloads ride on it:
 

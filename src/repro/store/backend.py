@@ -1,20 +1,21 @@
-"""The on-disk result store: an sqlite index over JSON payload objects.
+"""The on-disk result store: one sqlite database holding every record.
 
 Layout under the store root::
 
-    <root>/index.db            sqlite: key -> (kind, payload path, meta)
-    <root>/objects/ab/<key>.json
+    <root>/index.db    sqlite tables:
+                         entries    key -> kind, payload, sha256, meta
+                         quarantine corrupt rows moved aside, with a reason
+                         numerics   short hash -> numerics fingerprint JSON
 
-Payloads are content-addressed by the caller-supplied key (see
-:mod:`repro.store.keys`) and written **atomically**: the JSON is staged
-to a unique temporary file in the same directory and ``os.replace``\\ d
-into place, then the index row is committed.  A crash between the two
-steps leaves an orphan payload (cleaned by :meth:`ResultStore.gc`), a
-concurrent reader either sees the complete entry or a miss — never a
-torn file.  Index writes go through sqlite's own locking (30 s busy
-timeout), so any number of processes can share one store root; two
-writers racing on the same key both write the same bytes, because keys
-are content hashes of everything the value depends on.
+Records are content-addressed by the caller-supplied key (see
+:mod:`repro.store.keys`) and each row holds its record's canonical JSON
+text, so :meth:`ResultStore.put_many` is one ``executemany`` and one
+commit, and :meth:`ResultStore.get_many` reads payloads in the query
+that finds the keys.  sqlite's journaling (default mode and
+``synchronous``) makes a write all-or-nothing, and its locking (30 s
+busy timeout) lets any number of processes share one store root.  Two
+writers racing on a key write the same bytes, because keys are content
+hashes of everything the value depends on.
 
 Floats survive exactly: payload JSON renders them via ``repr`` (the
 shortest round-trip form), so a record read back from the store is
@@ -25,10 +26,11 @@ in ``{"$nf": ...}`` tokens to keep every payload strict JSON.
 
 Two defensive layers keep a damaged store from lying or crashing:
 
-* every index row carries the **SHA-256 of the payload bytes**; reads
-  verify it, and a corrupt or truncated payload is **quarantined**
-  (moved to ``<root>/quarantine/``) and reported as a miss, so the
-  caller transparently recomputes instead of serving garbage;
+* every row carries the **SHA-256 of its payload bytes**; reads verify
+  it, and a corrupt or truncated payload is **quarantined** (the row
+  moves to the ``quarantine`` table in one transaction) and reported as
+  a miss, so the caller transparently recomputes instead of serving
+  garbage;
 * every index access runs under :meth:`ResultStore._index_retry` —
   bounded exponential backoff over transient
   ``sqlite3.OperationalError`` (locked database), so a burst of writers
@@ -37,27 +39,38 @@ Two defensive layers keep a damaged store from lying or crashing:
 Both paths are exercised deterministically through the
 ``store.payload_read`` / ``store.index`` fault points
 (:mod:`repro.faults`) by ``tests/faults/test_store_faults.py``.
+
+Each row's ``meta`` carries ``numerics``, the short hash of the writer's
+numerics fingerprint (:func:`repro.numerics.fingerprint_stamp`), whose
+full JSON the ``numerics`` table keeps once per hash.
+
+Rows written by the earlier file layout (payloads under ``objects/``)
+have no payload: opening such a store sets them aside, so they read as
+misses and get recomputed, and :meth:`ResultStore.gc` is the one-time
+cleanup of them and their files.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import os
 import pathlib
+import shutil
 import sqlite3
 import threading
 import time
 
 from repro.faults.harness import fault_point
+from repro.numerics import fingerprint_stamp
 from repro.obs.recorder import event, prof_count
 
 #: Environment variable naming the default store root for the CLI.
 STORE_ENV = "REPRO_STORE"
 
-_tmp_counter = itertools.count()
+#: Schema version kept in sqlite's ``user_version`` (0 is the file layout).
+_LAYOUT = 1
 
 
 def default_store_root() -> pathlib.Path:
@@ -133,8 +146,7 @@ class ResultStore:
     def __init__(self, root, index_retries: int | None = None,
                  index_backoff_s: float | None = None) -> None:
         self.root = pathlib.Path(root)
-        self.objects = self.root / "objects"
-        self.objects.mkdir(parents=True, exist_ok=True)
+        self.root.mkdir(parents=True, exist_ok=True)
         self.index_retries = (self.INDEX_RETRIES if index_retries is None
                               else index_retries)
         self.index_backoff_s = (self.INDEX_BACKOFF_S if index_backoff_s is None
@@ -151,30 +163,43 @@ class ResultStore:
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = sqlite3.connect(str(self.root / "index.db"), timeout=30.0)
-            with conn:
-                conn.execute(
-                    "CREATE TABLE IF NOT EXISTS entries ("
-                    " key TEXT PRIMARY KEY,"
-                    " kind TEXT NOT NULL,"
-                    " path TEXT NOT NULL,"
-                    " nbytes INTEGER NOT NULL,"
-                    " created_at REAL NOT NULL,"
-                    " meta TEXT NOT NULL DEFAULT '{}',"
-                    " sha256 TEXT NOT NULL DEFAULT '')"
-                )
-                conn.execute(
-                    "CREATE INDEX IF NOT EXISTS entries_kind ON entries(kind)"
-                )
-                # Stores written before payload hashing gain the column
-                # in place; their rows keep an empty hash, which skips
-                # verification (JSON decoding still guards them).
-                cols = {row[1] for row in
-                        conn.execute("PRAGMA table_info(entries)")}
-                if "sha256" not in cols:
-                    conn.execute("ALTER TABLE entries "
-                                 "ADD COLUMN sha256 TEXT NOT NULL DEFAULT ''")
+            # One pragma read per connection once the schema is current.
+            if conn.execute("PRAGMA user_version").fetchone()[0] != _LAYOUT:
+                with conn:
+                    self._bootstrap(conn)
             self._local.conn = conn
         return conn
+
+    @staticmethod
+    def _bootstrap(conn: sqlite3.Connection) -> None:
+        """Create the tables.  A file-layout store's index, whose rows
+        have a payload path but no payload, is set aside whole as
+        ``legacy_entries`` for :meth:`gc`, so its keys read as misses.
+        Idempotent, so racing connections may both run it."""
+        cols = {row[1] for row in conn.execute("PRAGMA table_info(entries)")}
+        if "path" in cols:
+            conn.execute("DROP INDEX IF EXISTS entries_kind")
+            conn.execute("ALTER TABLE entries RENAME TO legacy_entries")
+        conn.execute(
+            "CREATE TABLE IF NOT EXISTS entries ("
+            " key TEXT PRIMARY KEY,"
+            " kind TEXT NOT NULL,"
+            " nbytes INTEGER NOT NULL,"
+            " created_at REAL NOT NULL,"
+            " meta TEXT NOT NULL,"
+            " sha256 TEXT NOT NULL,"
+            " payload TEXT NOT NULL)"
+        )
+        conn.execute("CREATE INDEX IF NOT EXISTS entries_kind ON entries(kind)")
+        conn.execute(
+            "CREATE TABLE IF NOT EXISTS quarantine ("
+            " key TEXT NOT NULL, kind TEXT NOT NULL, payload TEXT NOT NULL,"
+            " sha256 TEXT NOT NULL, reason TEXT NOT NULL,"
+            " quarantined_at REAL NOT NULL)"
+        )
+        conn.execute("CREATE TABLE IF NOT EXISTS numerics ("
+                     " hash TEXT PRIMARY KEY, fingerprint TEXT NOT NULL)")
+        conn.execute(f"PRAGMA user_version = {_LAYOUT}")
 
     # ------------------------------------------------------------------
     # Fault accounting / retry
@@ -241,51 +266,39 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Core operations
     # ------------------------------------------------------------------
-    def _object_path(self, key: str) -> pathlib.Path:
-        return self.objects / key[:2] / f"{key}.json"
-
-    def _stage_payload(self, key: str, record) -> tuple[str, int, str]:
-        """Atomically materialise one payload file; returns its
-        root-relative path, byte size and content hash."""
-        path = self._object_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(_encode(record), allow_nan=False,
-                          separators=(",", ":"))
-        tmp = path.parent / f".{key}.{os.getpid()}.{next(_tmp_counter)}.tmp"
-        tmp.write_text(text)
-        os.replace(tmp, path)
-        sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        return str(path.relative_to(self.root)), len(text), sha
-
     def put(self, key: str, record, kind: str = "record",
             meta: dict | None = None) -> None:
-        """Atomically write ``record`` under ``key`` (idempotent)."""
+        """Write ``record`` under ``key`` (idempotent)."""
         self.put_many([(key, record, kind, meta)])
 
     def put_many(self, items) -> None:
-        """Write many ``(key, record, kind, meta)`` entries with one
-        index transaction.
-
-        Payload files are still written (atomically) one by one, but the
-        N index rows commit together — one journal sync instead of N,
-        which is what keeps the write-back of a large cold campaign from
-        being serialized on per-unit sqlite commits.
-        """
+        """Write many ``(key, record, kind, meta)`` entries in one
+        transaction: one ``executemany`` and one commit (one journal
+        sync) however many records the batch holds.  Every row's
+        ``meta`` is stamped with this process's numerics hash."""
+        stamp, fingerprint = fingerprint_stamp()
         rows = []
         now = time.time()
         for key, record, kind, meta in items:
-            rel, nbytes, sha = self._stage_payload(key, record)
-            rows.append((key, kind, rel, nbytes, now,
-                         json.dumps(meta or {}, sort_keys=True), sha))
+            text = json.dumps(_encode(record), allow_nan=False,
+                              separators=(",", ":"))
+            data = text.encode("utf-8")
+            rows.append((key, kind, len(data), now,
+                         json.dumps({**(meta or {}), "numerics": stamp},
+                                    sort_keys=True),
+                         hashlib.sha256(data).hexdigest(), text))
         if not rows:
             return
         prof_count("store.payload_writes", len(rows))
 
         def _commit():
             with self.conn as conn:
+                conn.execute("INSERT OR IGNORE INTO numerics "
+                             "(hash, fingerprint) VALUES (?, ?)",
+                             (stamp, fingerprint))
                 conn.executemany(
                     "INSERT OR REPLACE INTO entries "
-                    "(key, kind, path, nbytes, created_at, meta, sha256) "
+                    "(key, kind, nbytes, created_at, meta, sha256, payload) "
                     "VALUES (?, ?, ?, ?, ?, ?, ?)", rows,
                 )
         self._index_retry(_commit, "write")
@@ -293,68 +306,52 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Verified payload reads
     # ------------------------------------------------------------------
-    def _drop_row(self, key: str) -> None:
-        def _delete():
+    def _quarantine(self, key: str, data: bytes, reason: str) -> None:
+        """Move a corrupt row into the ``quarantine`` table (keeping the
+        evidence) in one transaction, so the key reads as a miss and the
+        caller recomputes.  A row rewritten since it was read stays."""
+        def _move():
             with self.conn as conn:
-                conn.execute("DELETE FROM entries WHERE key = ?", (key,))
-        self._index_retry(_delete, "write")
+                match = ("FROM entries WHERE key = ? "
+                         "AND CAST(payload AS BLOB) = ?")
+                conn.execute(
+                    "INSERT INTO quarantine (key, kind, payload, sha256, "
+                    "reason, quarantined_at) SELECT key, kind, payload, "
+                    f"sha256, ?, ? {match}", (reason, time.time(), key, data))
+                return conn.execute(f"DELETE {match}", (key, data)).rowcount
+        if self._index_retry(_move, "write"):
+            self._count("quarantined")
+            event("store.quarantine", "error", key=key, reason=reason)
 
-    def _quarantine(self, key: str, rel: str, reason: str) -> None:
-        """Move a corrupt payload out of the object tree (keeping the
-        evidence) and drop its index row, so the key reads as a miss and
-        the caller recomputes."""
-        path = self.root / rel
-        qdir = self.root / "quarantine"
-        qdir.mkdir(exist_ok=True)
-        try:
-            os.replace(path, qdir / path.name)
-        except OSError:
-            path.unlink(missing_ok=True)
-        self._drop_row(key)
-        self._count("quarantined")
-        event("store.quarantine", "error", key=key, path=rel, reason=reason)
+    def _load_payload(self, key: str, data: bytes, sha: str):
+        """Verify one payload; ``None`` means "treat as a miss".
 
-    def _load_payload(self, key: str, rel: str, sha: str):
-        """Read + verify one payload; ``None`` means "treat as a miss".
-
-        A vanished file drops the (dangling) row; an I/O error counts as
-        transiently unreadable and leaves the row for a later attempt; a
-        hash mismatch or truncated/garbled JSON quarantines the file —
-        corruption must never crash the reader *or* silently serve a
-        wrong record.
+        An I/O error counts as transiently unreadable and leaves the row
+        for a later attempt; a hash mismatch or garbled JSON quarantines
+        the row — corruption must never crash the reader *or* silently
+        serve a wrong record.
         """
         prof_count("store.payload_reads")
         try:
             fault_point("store.payload_read", key=key)
-            text = (self.root / rel).read_text()
-        except FileNotFoundError:
-            self._drop_row(key)
-            return None
         except OSError as exc:
             self._count("read_errors")
             event("store.read_error", "warn", key=key,
                   error=f"{type(exc).__name__}: {exc}")
             return None
-        if sha and hashlib.sha256(text.encode("utf-8")).hexdigest() != sha:
-            self._quarantine(key, rel, "sha256 mismatch")
+        if hashlib.sha256(data).hexdigest() != sha:
+            self._quarantine(key, data, "sha256 mismatch")
             return None
         try:
-            return _decode(json.loads(text))
-        except json.JSONDecodeError:
-            self._quarantine(key, rel, "invalid JSON")
+            return _decode(json.loads(data))
+        except ValueError:
+            self._quarantine(key, data, "invalid JSON")
             return None
 
     def get(self, key: str):
-        """The record under ``key``, or ``None``.  Dangling, unreadable
-        and corrupt entries all read as misses (see
-        :meth:`_load_payload`)."""
-        row = self._index_retry(
-            lambda: self.conn.execute(
-                "SELECT path, sha256 FROM entries WHERE key = ?", (key,)
-            ).fetchone(), "read")
-        if row is None:
-            return None
-        return self._load_payload(key, row[0], row[1])
+        """The record under ``key``, or ``None``.  Unreadable and corrupt
+        entries read as misses (see :meth:`_load_payload`)."""
+        return self.get_many([key]).get(key)
 
     def get_many(self, keys) -> dict:
         """``{key: record}`` for every present, intact key (one query
@@ -366,11 +363,13 @@ class ResultStore:
             marks = ",".join("?" * len(batch))
             rows = self._index_retry(
                 lambda b=batch, m=marks: self.conn.execute(
-                    f"SELECT key, path, sha256 FROM entries "
+                    # Bytes, so a non-UTF-8 corruption reaches the hash
+                    # check instead of failing the whole query.
+                    f"SELECT key, CAST(payload AS BLOB), sha256 FROM entries "
                     f"WHERE key IN ({m})", b,
                 ).fetchall(), "read")
-            for key, rel, sha in rows:
-                record = self._load_payload(key, rel, sha)
+            for key, data, sha in rows:
+                record = self._load_payload(key, data, sha)
                 if record is not None:
                     out[key] = record
         return out
@@ -378,33 +377,30 @@ class ResultStore:
     def verify(self) -> dict:
         """Read-verify every payload against its stored hash, moving
         corrupt ones to quarantine.  Returns ``{checked, intact,
-        quarantined, missing}`` (`repro store verify`)."""
-        rows = self._index_retry(
-            lambda: self.conn.execute(
-                "SELECT key, path, sha256 FROM entries").fetchall(), "read")
+        quarantined, missing}``, where ``missing`` counts payloads that
+        could not be read this time (`repro store verify`)."""
+        keys = self.keys()
         before = self.fault_stats().get("quarantined", 0)
-        intact = 0
-        for key, rel, sha in rows:
-            if self._load_payload(key, rel, sha) is not None:
-                intact += 1
+        intact = len(self.get_many(keys))
         quarantined = self.fault_stats().get("quarantined", 0) - before
         return {
-            "checked": len(rows),
+            "checked": len(keys),
             "intact": intact,
             "quarantined": quarantined,
-            "missing": len(rows) - intact - quarantined,
+            "missing": len(keys) - intact - quarantined,
         }
 
     def contains_many(self, keys) -> set:
-        """The subset of ``keys`` present in the index, without reading
+        """The subset of ``keys`` present in the store, without reading
         a single payload (one batched ``IN`` query per 500 keys).
 
         This is the serve layer's warm-hit probe: deciding whether a
         whole campaign can be answered from the store must not cost N
-        point lookups or N payload reads.  An index row whose payload
-        file has since vanished still counts as present here — the
-        follow-up :meth:`get_many` self-heals such rows into misses and
-        the caller re-executes exactly those units.
+        point lookups or N payload reads.  A payload lives in its own
+        row, so a key reported here has its bytes; only a corrupt
+        payload, quarantined by the follow-up :meth:`get_many`, turns it
+        into a miss, and the caller then re-executes exactly those
+        units.
         """
         keys = list(keys)
         prof_count("store.index_probes", len(keys))
@@ -420,11 +416,7 @@ class ResultStore:
         return out
 
     def contains(self, key: str) -> bool:
-        row = self._index_retry(
-            lambda: self.conn.execute(
-                "SELECT 1 FROM entries WHERE key = ?", (key,)
-            ).fetchone(), "read")
-        return row is not None
+        return bool(self.contains_many([key]))
 
     def __contains__(self, key: str) -> bool:
         return self.contains(key)
@@ -469,62 +461,38 @@ class ResultStore:
             "kinds": kinds,
         }
 
-    def gc(self, grace_s: float = 300.0) -> dict:
-        """Restore index/objects consistency.
-
-        Drops index rows whose payload file is gone, deletes payload
-        files (and stale ``.tmp`` staging files) the index does not
-        reference, and prunes empty fan-out directories.  Safe to run
-        concurrently with readers and writers: files younger than
-        ``grace_s`` are left alone — a concurrent ``put`` stages its
-        payload and commits its index row moments apart, and the grace
-        window keeps that in-flight pair out of reach.  Everything
-        older that gc removes is either unreachable or the leftover of
-        an interrupted write.
-        """
-        def _drop_dangling() -> int:
-            removed = 0
-            with self.conn as conn:
-                for (key, rel) in conn.execute(
-                    "SELECT key, path FROM entries"
-                ).fetchall():
-                    if not (self.root / rel).exists():
-                        conn.execute("DELETE FROM entries WHERE key = ?",
-                                     (key,))
-                        removed += 1
-            return removed
-        removed_rows = self._index_retry(_drop_dangling, "write")
-        # File walk first, index snapshot second: a payload replaced and
-        # committed between the two shows up in `indexed` and is kept.
-        candidates = []
-        now = time.time()
-        for path in sorted(self.objects.rglob("*")):
-            if path.is_dir():
-                continue
-            try:
-                if now - path.stat().st_mtime < grace_s:
-                    continue
-            except FileNotFoundError:
-                continue
-            candidates.append(path)
-        indexed = {rel for (rel,) in self._index_retry(
+    def fingerprints(self) -> dict[str, dict]:
+        """``{hash: numerics fingerprint}`` for every numerics hash
+        stamped on a stored entry."""
+        rows = self._index_retry(
             lambda: self.conn.execute(
-                "SELECT path FROM entries").fetchall(), "read")}
+                "SELECT hash, fingerprint FROM numerics WHERE hash IN "
+                "(SELECT json_extract(meta, '$.numerics') FROM entries) "
+                "ORDER BY hash").fetchall(),
+            "read")
+        return {h: json.loads(fp) for h, fp in rows}
+
+    def gc(self) -> dict:
+        """One-time cleanup of a store written by the file layout: drop
+        its payload-less rows (``legacy_entries``) and remove the
+        leftover ``objects/`` and ``quarantine/`` trees.  A no-op on a
+        store the inline layout wrote."""
+        def _drop_legacy() -> int:
+            with self.conn as conn:
+                if not conn.execute("SELECT 1 FROM sqlite_master WHERE "
+                                    "name = 'legacy_entries'").fetchone():
+                    return 0
+                [n] = conn.execute(
+                    "SELECT COUNT(*) FROM legacy_entries").fetchone()
+                conn.execute("DROP TABLE legacy_entries")
+                return n
+        removed_rows = self._index_retry(_drop_legacy, "write")
         removed_files = 0
-        for path in candidates:
-            if str(path.relative_to(self.root)) not in indexed:
-                path.unlink(missing_ok=True)
-                removed_files += 1
-        dir_now = time.time()  # fresh: the unlinks above touched dir mtimes
-        for sub in sorted(self.objects.iterdir()):
-            try:
-                # Same grace rule as for files: a concurrent put mkdirs
-                # its fan-out directory moments before staging into it.
-                if (sub.is_dir() and dir_now - sub.stat().st_mtime >= grace_s
-                        and not any(sub.iterdir())):
-                    sub.rmdir()
-            except OSError:
-                pass  # a writer landed in it between the check and rmdir
+        for tree in (self.root / "objects", self.root / "quarantine"):
+            if tree.is_dir():
+                removed_files += sum(1 for p in tree.rglob("*")
+                                     if not p.is_dir())
+                shutil.rmtree(tree, ignore_errors=True)
         return {
             "removed_rows": removed_rows,
             "removed_files": removed_files,

@@ -1,8 +1,9 @@
 """``repro doctor``: per-check verdicts and the pinned exit codes.
 
 The contract scripts and CI branch on: exit 0 healthy, 1 any warn
-(bench drift flagged, error events in the log), 2 any fail (store
-corruption, a sanity solve that does not converge).
+(bench drift flagged, error events in the log, a store mixing numerics
+fingerprints), 2 any fail (store corruption, a sanity solve that does
+not converge).
 """
 
 import json
@@ -26,6 +27,13 @@ from repro.store import ResultStore
 def disarm_after():
     yield
     deactivate()
+
+
+def _tear(store, key):
+    """Truncate ``key``'s payload in place, as a torn write would."""
+    with store.conn as conn:
+        conn.execute("UPDATE entries SET payload = '{torn' WHERE key = ?",
+                     (key,))
 
 
 def _drifting_bench(tmp_path):
@@ -92,10 +100,31 @@ class TestChecks:
     def test_store_fails_on_corruption(self, tmp_path):
         with ResultStore(tmp_path / "s") as store:
             store.put("k1", {"v": 1})
-            store._object_path("k1").write_text("{torn")
+            _tear(store, "k1")
         check = check_store(tmp_path / "s")
         assert check["status"] == "fail"
         assert "quarantined" in check["detail"]
+
+    def test_store_warns_on_mixed_numerics(self, tmp_path, monkeypatch):
+        from repro import numerics
+
+        real = numerics.fingerprint()
+        with ResultStore(tmp_path / "s") as store:
+            store.put("k1", {"v": 1})
+            monkeypatch.setattr(numerics, "fingerprint",
+                                lambda: {**real, "scipy": "0.0.0"})
+            numerics.fingerprint_stamp.cache_clear()
+            try:
+                store.put("k2", {"v": 2})
+            finally:
+                monkeypatch.undo()
+                numerics.fingerprint_stamp.cache_clear()
+        check = check_store(tmp_path / "s")
+        assert check["status"] == "warn"
+        assert "2 numerics fingerprints" in check["detail"]
+        assert check["detail"].endswith("differing in: scipy")
+        _, code = run_doctor(store=tmp_path / "s")
+        assert code == 1
 
     def test_store_skips_when_absent(self, tmp_path):
         assert check_store(tmp_path / "nope")["status"] == "pass"
@@ -147,7 +176,7 @@ class TestExitCodes:
     def test_corrupted_store_exits_two(self, tmp_path):
         with ResultStore(tmp_path / "s") as store:
             store.put("k1", {"v": 1})
-            store._object_path("k1").write_text("{torn")
+            _tear(store, "k1")
         _, code = run_doctor(store=tmp_path / "s")
         assert code == 2
 
@@ -191,7 +220,7 @@ class TestCli:
 
         with ResultStore(tmp_path / "s") as store:
             store.put("k1", {"v": 1})
-            store._object_path("k1").write_text("{torn")
+            _tear(store, "k1")
         code = main(["doctor", "--store", str(tmp_path / "s")])
         assert code == 2
         assert "verdict: unhealthy" in capsys.readouterr().out

@@ -1,8 +1,9 @@
-"""ResultStore backend: round-trip exactness, atomicity leftovers, gc,
-concurrent sharing, export."""
+"""ResultStore backend: round-trip exactness, legacy-row gc, concurrent
+sharing, export."""
 
 import json
 import math
+import sqlite3
 import struct
 import subprocess
 import sys
@@ -19,6 +20,24 @@ def store(tmp_path):
 
 def bits(x: float) -> bytes:
     return struct.pack("<d", x)
+
+
+def legacy_store(root, keys) -> ResultStore:
+    """A root as the file layout left it: rows with a payload path but
+    no payload."""
+    root.mkdir()
+    conn = sqlite3.connect(str(root / "index.db"))
+    with conn:
+        conn.execute(
+            "CREATE TABLE entries (key TEXT PRIMARY KEY, kind TEXT NOT NULL,"
+            " path TEXT NOT NULL, nbytes INTEGER NOT NULL,"
+            " created_at REAL NOT NULL, meta TEXT NOT NULL DEFAULT '{}',"
+            " sha256 TEXT NOT NULL DEFAULT '')")
+        conn.executemany(
+            "INSERT INTO entries VALUES (?, 'record', ?, 2, 0.0, '{}', '')",
+            [(key, f"objects/{key[:2]}/{key}.json") for key in keys])
+    conn.close()
+    return ResultStore(root)
 
 
 class TestRoundTrip:
@@ -40,9 +59,10 @@ class TestRoundTrip:
     def test_non_finite_survive_strict_json(self, store):
         store.put("nf", {"nan": math.nan, "pinf": math.inf,
                          "ninf": -math.inf, "nested": [math.nan, 1.0]})
-        # payload on disk is strict JSON (no NaN/Infinity literals)
-        path = store._object_path("nf")
-        json.loads(path.read_text(), parse_constant=lambda s: pytest.fail(
+        # the stored payload is strict JSON (no NaN/Infinity literals)
+        [text] = store.conn.execute(
+            "SELECT payload FROM entries WHERE key = 'nf'").fetchone()
+        json.loads(text, parse_constant=lambda s: pytest.fail(
             f"non-strict JSON constant {s} in payload"))
         back = store.get("nf")
         assert math.isnan(back["nan"]) and back["pinf"] == math.inf
@@ -85,73 +105,19 @@ class TestMaintenance:
         assert set(stat["kinds"]) == {"campaign-unit", "design-eval"}
         assert stat["bytes"] > 0
 
-    def test_gc_removes_orphan_payload_and_tmp(self, store):
-        store.put("keep", {"x": 1.0})
-        orphan = store.objects / "zz" / "zz123.json"
-        orphan.parent.mkdir(parents=True)
-        orphan.write_text("{}")
-        stale_tmp = store.objects / "zz" / ".zz9.12345.0.tmp"
-        stale_tmp.write_text("{")
-        summary = store.gc(grace_s=0.0)
-        assert summary["removed_files"] == 2
-        assert not orphan.exists() and not stale_tmp.exists()
-        assert not orphan.parent.exists()          # empty fan-out pruned
-        assert store.get("keep") == {"x": 1.0}
-
-    def test_gc_grace_spares_in_flight_files(self, store):
-        """A concurrent put stages a tmp file moments before committing;
-        default-grace gc must not sweep such fresh files away."""
-        in_flight = store.objects / "aa" / ".aa1.999.0.tmp"
-        in_flight.parent.mkdir(parents=True)
-        in_flight.write_text("{")
-        summary = store.gc()
-        assert summary["removed_files"] == 0
-        assert in_flight.exists()
-
-    def test_gc_grace_window_spares_young_collects_stale(self, store):
-        """The grace window splits orphans by age: an in-flight payload
-        staged moments ago is spared, a stale one from an interrupted
-        write (older than the window) is collected — in one gc pass."""
-        import os
-        import time
-
-        fresh = store.objects / "aa" / "aa_inflight.json"
-        fresh.parent.mkdir(parents=True)
-        fresh.write_text("{}")                     # staged "just now"
-        stale = store.objects / "bb" / "bb_stale.json"
-        stale.parent.mkdir(parents=True)
-        stale.write_text("{}")
-        old = time.time() - 3600.0                 # well past any grace
-        os.utime(stale, times=(old, old))
-
-        summary = store.gc(grace_s=300.0)
-        assert summary["removed_files"] == 1
-        assert fresh.exists() and not stale.exists()
-        # once the window has passed (grace 0), the survivor goes too
-        summary = store.gc(grace_s=0.0)
-        assert summary["removed_files"] == 1
-        assert not fresh.exists()
-
-    def test_gc_grace_spares_indexed_entry_regardless_of_age(self, store):
-        """Age only matters for *unreferenced* files: an indexed payload
-        is kept however old it is."""
-        import os
-        import time
-
-        store.put("old", {"x": 1.0})
-        path = store._object_path("old")
-        old = time.time() - 3600.0
-        os.utime(path, times=(old, old))
-        summary = store.gc(grace_s=0.0)
-        assert summary["removed_files"] == 0
-        assert store.get("old") == {"x": 1.0}
-
-    def test_gc_removes_dangling_row(self, store):
-        store.put("gone", {"x": 1.0})
-        store._object_path("gone").unlink()
+    def test_gc_removes_dangling_row(self, tmp_path):
+        store = legacy_store(tmp_path / "s", ["gone"])
         summary = store.gc()
         assert summary["removed_rows"] == 1
         assert "gone" not in store
+
+    def test_quarantine_spares_a_row_rewritten_since_the_read(self, store):
+        """A reader quarantines the bytes it verified: a concurrent
+        writer's fresh row for the same key stays."""
+        store.put("k", {"x": 1.0})
+        store._quarantine("k", b"{torn", "sha256 mismatch")
+        assert "quarantined" not in store.fault_stats()
+        assert store.get("k") == {"x": 1.0}
 
     def test_reserved_token_key_rejected(self, store):
         with pytest.raises(ValueError, match="reserved"):
@@ -159,11 +125,11 @@ class TestMaintenance:
         with pytest.raises(ValueError, match="reserved"):
             store.put("bad", {"nested": [{"$nf": 1.0}]})
 
-    def test_missing_payload_is_a_miss(self, store):
-        store.put("gone", {"x": 1.0})
-        store._object_path("gone").unlink()
+    def test_missing_payload_is_a_miss(self, tmp_path):
+        store = legacy_store(tmp_path / "s", ["gone"])
         assert store.get("gone") is None
-        assert "gone" not in store                 # row self-healed away
+        assert "gone" not in store                 # a payload-less row
+        assert len(store) == 0                     # is not an entry
 
     def test_export(self, store, tmp_path):
         store.put("a", {"x": math.nan}, kind="campaign-unit",
@@ -257,11 +223,20 @@ class TestContainsMany:
         present = store.contains_many(keys + ["absent"])
         assert present == set(keys)
 
-    def test_vanished_payload_still_counts_as_present(self, store):
-        """contains_many is an index probe by design: a row whose file
-        was lost answers present here and heals to a miss in get_many —
-        the warm path then re-executes exactly the lost units."""
-        store.put("ghost", {"x": 1.0})
-        store._object_path("ghost").unlink()
-        assert store.contains_many(["ghost"]) == {"ghost"}
-        assert store.get_many(["ghost"]) == {}
+
+class TestNumericsStamp:
+    def test_meta_carries_hash_and_table_holds_fingerprint(self, store):
+        from repro.numerics import fingerprint, fingerprint_stamp
+
+        store.put("k", {"x": 1.0}, meta={"builder": "bias"})
+        [(_key, _kind, _n, _t, meta)] = store.entries()
+        stamp, _text = fingerprint_stamp()
+        assert meta == {"builder": "bias", "numerics": stamp}
+        assert store.fingerprints() == {stamp: fingerprint()}
+
+    def test_hash_of_quarantined_entries_is_not_reported(self, store):
+        store.put("k", {"x": 1.0})
+        with store.conn as conn:
+            conn.execute("UPDATE entries SET payload = '{torn'")
+        assert store.get("k") is None
+        assert store.fingerprints() == {}

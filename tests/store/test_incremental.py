@@ -98,9 +98,10 @@ class TestIncrementalExecution:
         sa, sb = ResultStore(ra), ResultStore(rb)
         keys_a, keys_b = set(sa.keys()), set(sb.keys())
         assert keys_a == keys_b and keys_a
+        payload = "SELECT payload, sha256 FROM entries WHERE key = ?"
         for key in keys_a:
-            assert sa._object_path(key).read_bytes() == \
-                sb._object_path(key).read_bytes()
+            assert sa.conn.execute(payload, (key,)).fetchone() == \
+                sb.conn.execute(payload, (key,)).fetchone()
 
 
 class TestCrossProcess:

@@ -29,7 +29,7 @@ Quickstart::
     print(result.worst_by("psrr_1khz_db", by=("corner",), sense="min"))
 
 ``python -m repro campaign --help`` exposes the same engine on the
-command line; ``benchmarks/bench_campaign.py`` tracks its throughput.
+command line; ``perfbench/run.py --workload campaign_cli`` times it.
 """
 
 from repro.campaign.batchrun import run_chunk_batched

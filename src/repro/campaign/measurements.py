@@ -9,7 +9,8 @@ gain probe, PSRR/CMRR injections and noise adjoint solves all ride one
 linearisation/factorization per (corner, temperature, supply, seed,
 code) point instead of each re-solving DC and re-linearising — that
 sharing is where the campaign engine's serial throughput win over the
-legacy hand-rolled loops comes from (see ``benchmarks/bench_campaign.py``).
+legacy hand-rolled loops comes from (``tests/campaign/test_runner.py``
+pins the campaign rows to that loop's numbers).
 
 A measurement may emit several columns (the noise measurement emits the
 1 kHz spot density and the voice-band average); the union of emitted

@@ -509,7 +509,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     from repro.obs.doctor import format_report, run_doctor
 
     checks, code = run_doctor(store=args.store, url=args.url,
-                              bench=args.bench, events=args.events)
+                              events=args.events)
     for line in format_report(checks, code):
         print(line)
     return code
@@ -880,16 +880,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="run stack self-checks and print a pass/warn/fail report",
         description="Probe each layer like an operator would: DC-solve "
                     "the bias sanity circuit, read-verify a result "
-                    "store, hit a running service's /healthz, re-run "
-                    "the bench drift watchdog and triage the event "
-                    "log.  Exit 0 healthy, 1 warnings, 2 failures.",
+                    "store, hit a running service's /healthz and "
+                    "triage the event log.  Exit 0 healthy, 1 warnings, "
+                    "2 failures.",
     )
     pd.add_argument("--store", default=None, metavar="DIR",
                     help="result-store root to read-verify")
     pd.add_argument("--url", default=None, metavar="URL",
                     help="running service base URL (checks /healthz)")
-    pd.add_argument("--bench", default=None, metavar="FILE",
-                    help="BENCH_perf.json for the drift watchdog")
     pd.add_argument("--events", default=None, metavar="FILE",
                     help="event-log JSONL export to triage")
     pd.set_defaults(func=_cmd_doctor)

@@ -5,9 +5,7 @@ The production code is instrumented with **fault points** — bare calls
 like ``fault_point("store.payload_read", key=key)`` at the places where
 the real world fails: payload reads, sqlite transactions, tensor group
 execution, journal writes, job execution.  Disarmed (the default), a
-fault point is a single module-global ``None`` check; the chaos suite
-and ``bench_serve.py --chaos`` confirm the instrumented hot paths keep
-their benchmark floors.
+fault point is a single module-global ``None`` check.
 
 Armed, an active :class:`FaultPlan` matches each firing point against
 its :class:`FaultRule`\\ s.  A rule triggers an *action* — raise an

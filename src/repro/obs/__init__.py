@@ -13,8 +13,7 @@
   ``repro trace``, ``repro doctor`` and ``--profile``.
 * :mod:`repro.obs.metrics` — fixed-bucket latency histograms, gauges,
   and the Prometheus text exposition behind ``GET /metrics``.
-* :mod:`repro.obs.doctor` and :mod:`repro.obs.drift` — stack triage and
-  the bench drift watchdog.
+* :mod:`repro.obs.doctor` — stack triage behind ``repro doctor``.
 """
 
 from repro.obs.metrics import (

@@ -2,21 +2,19 @@
 
 Each check probes one layer the way an operator would by hand — solve a
 known circuit, confirm BLAS runs one thread, read-verify the store, hit
-``/healthz``, re-run the bench drift watchdog, triage the recent event
-log — and reports ``pass`` / ``warn`` / ``fail`` with a one-line
-detail.  The process exit code is the worst status seen: 0 all-pass,
-1 any warn, 2 any fail — pinned by tests, so scripts and CI can branch
-on it.
+``/healthz``, triage the recent event log — and reports ``pass`` /
+``warn`` / ``fail`` with a one-line detail.  The process exit code is
+the worst status seen: 0 all-pass, 1 any warn, 2 any fail — pinned by
+tests, so scripts and CI can branch on it.
 
 Severity semantics: *fail* means the stack cannot be trusted (the
 sanity solve did not converge, the store holds corrupt or missing
 payloads, the service is unreachable); *warn* means the stack works
-but something deserves a look (bench metrics drifted, BLAS not pinned
-to one thread, a store mixing numerics fingerprints, error-severity
-events in the log, a solver fallback on the sanity circuit).  Checks
-that have nothing to examine (no store directory, no bench file, no
-event log) pass with a "skipped" detail rather than inventing a
-problem.
+but something deserves a look (BLAS not pinned to one thread, a store
+mixing numerics fingerprints, error-severity events in the log, a
+solver fallback on the sanity circuit).  Checks that have nothing to
+examine (no store directory, no event log) pass with a "skipped"
+detail rather than inventing a problem.
 
 The check functions are module-level and individually importable so
 tests can exercise them against fixtures (and monkeypatch the sanity
@@ -146,29 +144,6 @@ def check_serve(url: str) -> dict:
     return _check("serve", PASS, detail)
 
 
-def check_bench(path) -> dict:
-    """Run the EWMA drift watchdog over ``BENCH_perf.json``: flagged
-    metrics are a *warn* (perf drift deserves a look, not a page)."""
-    from repro.obs import drift
-
-    path = pathlib.Path(path)
-    if not path.exists():
-        return _check("bench", PASS, f"skipped: no bench file at {path}")
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        return _check("bench", WARN, f"{path} is not valid JSON: {exc}")
-    flags = drift.analyze(payload)
-    if flags:
-        worst = max(flags, key=lambda f: abs(f["z"]))
-        return _check(
-            "bench", WARN,
-            f"{len(flags)} metric(s) drifted; worst "
-            f"{worst['trajectory']}.{worst['metric']} z={worst['z']:+.1f}")
-    n = sum(1 for k in payload if k.endswith("_trajectory"))
-    return _check("bench", PASS, f"no drift across {n} trajectory(ies)")
-
-
 def check_events(path=None) -> dict:
     """Triage the recent events — the active recorder's, or a JSONL
     export's when ``path`` is given: any error-severity events are a
@@ -208,7 +183,7 @@ def check_events(path=None) -> dict:
 # ----------------------------------------------------------------------
 # Orchestration
 # ----------------------------------------------------------------------
-def run_doctor(store=None, url: str | None = None, bench=None,
+def run_doctor(store=None, url: str | None = None,
                events=None) -> tuple[list[dict], int]:
     """Run every applicable check; return ``(checks, exit_code)`` with
     exit 2 on any fail, 1 on any warn, else 0."""
@@ -217,8 +192,6 @@ def run_doctor(store=None, url: str | None = None, bench=None,
         checks.append(check_store(store))
     if url is not None:
         checks.append(check_serve(url))
-    if bench is not None:
-        checks.append(check_bench(bench))
     checks.append(check_events(events))
     statuses = {c["status"] for c in checks}
     code = 2 if FAIL in statuses else (1 if WARN in statuses else 0)
@@ -233,29 +206,3 @@ def format_report(checks: list[dict], code: int) -> list[str]:
     verdict = {0: "healthy", 1: "needs attention", 2: "unhealthy"}[code]
     lines.append(f"verdict: {verdict} (exit {code})")
     return lines
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-    import sys
-
-    parser = argparse.ArgumentParser(
-        prog="repro.obs.doctor", description="stack self-checks")
-    parser.add_argument("--store", default=None,
-                        help="result-store root to read-verify")
-    parser.add_argument("--url", default=None,
-                        help="running service base URL (checks /healthz)")
-    parser.add_argument("--bench", default=None,
-                        help="BENCH_perf.json for the drift watchdog")
-    parser.add_argument("--events", default=None,
-                        help="event-log JSONL export to triage")
-    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
-    checks, code = run_doctor(store=args.store, url=args.url,
-                              bench=args.bench, events=args.events)
-    for line in format_report(checks, code):
-        print(line)
-    return code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

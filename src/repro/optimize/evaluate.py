@@ -17,8 +17,8 @@ Results are memoised in an **evaluation cache keyed on the quantized
 design vector** (:meth:`DesignSpace.key`), so optimizer moves that
 revisit a grid cell — population clustering near convergence, the
 coordinate-descent probes — cost a dict lookup instead of a Newton
-solve.  ``benchmarks/bench_optimize.py`` measures the combined effect
-against a naive per-candidate rebuild loop.
+solve.  ``tests/optimize/test_evaluate.py`` checks the metrics against
+a naive per-candidate rebuild loop to ``rtol=1e-6``.
 
 Passing ``store=`` (a :class:`repro.store.ResultStore`) adds a
 **persistent backend** beneath the in-memory memo: every measured

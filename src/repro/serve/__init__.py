@@ -21,7 +21,7 @@ actually consumed: many clients, repeated requests, one shared cache.
   (``POST /v1/campaigns``, ``POST /v1/optimize``, ``GET /v1/jobs/<id>``
   [+ ``/result`` with pagination], ``GET /v1/metrics``, ``/healthz``).
 * :mod:`repro.serve.client` — a ``urllib`` client driving the lifecycle
-  (``repro client``, ``benchmarks/bench_serve.py``).
+  (``repro client``, ``perfbench/``'s ``serve_mixed`` workload).
 
 Quickstart::
 
@@ -35,8 +35,7 @@ Quickstart::
 
 Served campaign results are byte-identical to a direct
 ``repro campaign --json`` of the same spec; a warm request (every unit
-cached) is answered from the store without touching the engine —
-``benchmarks/bench_serve.py`` enforces the >= 10x warm-over-cold floor.
+cached) is answered from the store without touching the engine.
 """
 
 from repro.serve.api import ServeServer, make_server, serve_background

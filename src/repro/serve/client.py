@@ -1,8 +1,8 @@
 """A tiny stdlib client for the serve API (``urllib``, no deps).
 
 :class:`ServeClient` speaks the whole job lifecycle — submit, poll,
-fetch — and is what ``repro client`` and ``benchmarks/bench_serve.py``
-drive.  Errors come back as :class:`ServeError` carrying the HTTP
+fetch — and is what ``repro client`` and ``perfbench/``'s
+``serve_mixed`` workload drive.  Errors come back as :class:`ServeError` carrying the HTTP
 status and the server's one-line message.
 
 Transient transport failures (connection refused/reset mid-restart — a

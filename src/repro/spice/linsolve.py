@@ -26,9 +26,7 @@ frequency axis into a single batched factorization:
   worst-conditioned frequency, falling back to the batched LU path if
   the check fails.
 * :func:`solve_looped` is the kept per-frequency reference path.  The
-  equivalence tests assert the fast paths agree with it to ``rtol=1e-9``
-  and the perf benchmark (``benchmarks/bench_perf_engine.py``) measures
-  the speedup against it in the same run.
+  equivalence tests assert the fast paths agree with it to ``rtol=1e-9``.
 * :class:`SmallSignalContext` caches the linearized ``G``/``C`` and the
   Schur decomposition of one operating point so AC, noise and PSRR stop
   re-calling ``system.linearize(op.x)`` per metric.  It is created
@@ -152,8 +150,8 @@ def solve_looped(
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Per-frequency reference path (the seed implementation's loop).
 
-    Kept so the equivalence tests and ``bench_perf_engine.py`` can pin
-    the batched path against it; same contract as :func:`solve_stacked`.
+    Kept so the equivalence tests can pin the batched path against it;
+    same contract as :func:`solve_stacked`.
     """
     if rhs is None and adjoint_rhs is None:
         raise ValueError("need at least one of rhs / adjoint_rhs")

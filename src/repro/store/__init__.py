@@ -30,8 +30,7 @@ Quickstart::
     run_campaign(spec, store=store)    # warm: executes 0, same bytes
 
 ``python -m repro store ls|stat|gc|export`` inspects and maintains a
-store; ``benchmarks/bench_store.py`` enforces the >= 10x warm-rerun
-floor.
+store.
 """
 
 from repro.store.backend import (

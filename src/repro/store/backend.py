@@ -21,7 +21,7 @@ Floats survive exactly: payload JSON renders them via ``repr`` (the
 shortest round-trip form), so a record read back from the store is
 bit-identical to the one that was written — the foundation of the
 "warm rerun is byte-identical" contract that
-``benchmarks/bench_store.py`` enforces.  Non-finite values are wrapped
+``tests/store/test_incremental.py`` pins.  Non-finite values are wrapped
 in ``{"$nf": ...}`` tokens to keep every payload strict JSON.
 
 Two defensive layers keep a damaged store from lying or crashing:

@@ -6,12 +6,14 @@ timing and diagnosis only; profiles and solver-health sidecars ride in
 ``CampaignResult.stats``, which ``to_json()`` never serialises.
 """
 
+import time
+
 import pytest
 
 from repro.campaign import CampaignSpec, run_campaign, run_chunk
 from repro.campaign.result import CampaignResult
 from repro.faults import FaultPlan, FaultRule
-from repro.obs import Recorder, span
+from repro.obs import Recorder, active, event, prof_count, span
 
 SPEC = CampaignSpec(
     builder="micamp", corners=("tt", "ss"), temps_c=(25.0,),
@@ -167,3 +169,56 @@ class TestSidecarScoping:
             second = run_campaign(SPEC)
         for result in (first, second):
             assert result.stats["solver_health"]["n_units"] == SPEC.n_units
+
+
+class TestDisarmedOverhead:
+    """Disarmed hooks cost at most 2 % of the 60-unit qualification
+    campaign.  The bound is analytic, because a 2 % budget sits below
+    run-to-run noise: the hook firings an armed run counts (exact for a
+    fixed workload) times the worst disarmed cost per hook, over the
+    disarmed run's CPU time."""
+
+    BUDGET = 0.02
+    QUALIFICATION = CampaignSpec(
+        builder="micamp", corners=("tt", "ff", "ss", "fs", "sf"),
+        temps_c=(-20.0, 25.0, 85.0), seeds=(0, 1, 2, 3), gain_codes=(5,),
+        measurements=("offset_v", "iq_ma", "gain_1khz_db",
+                      "psrr_1khz_db", "cmrr_1khz_db"),
+    )
+
+    @staticmethod
+    def _worst_ns_per_hook(n=2_000_000):
+        """CPU ns per call of each disarmed hook, loop overhead included
+        (a conservative upper bound); the worst of the three."""
+        def span_hook():
+            with span("bench.noop"):
+                pass
+
+        worst = 0.0
+        for hook in (span_hook, lambda: prof_count("bench.noop"),
+                     lambda: event("bench.noop")):
+            c0 = time.process_time()
+            for _ in range(n):
+                hook()
+            worst = max(worst, 1e9 * (time.process_time() - c0) / n)
+        return worst
+
+    def test_disarmed_hooks_within_budget(self):
+        assert active() is None
+        worst_ns = self._worst_ns_per_hook()
+        best_cpu, disarmed_json = float("inf"), None
+        for _ in range(3):
+            c0 = time.process_time()
+            disarmed_json = run_campaign(self.QUALIFICATION).to_json()
+            best_cpu = min(best_cpu, time.process_time() - c0)
+
+        rec = Recorder()
+        with rec.activate():
+            armed_json = run_campaign(self.QUALIFICATION).to_json()
+        assert armed_json == disarmed_json
+        # Counters bumped with n > 1 count their full n: an overestimate.
+        firings = rec.recorded + sum(rec.profile()["counts"].values())
+        frac = firings * worst_ns * 1e-9 / best_cpu
+        assert frac <= self.BUDGET, \
+            f"disarmed hooks cost {frac:.2%} of the campaign " \
+            f"({firings} firings x {worst_ns:.0f} ns / {best_cpu:.3f} s)"

@@ -320,3 +320,57 @@ class TestRestartRecovery:
             assert svc2.result_text(restored) == text1
         finally:
             _drain(svc2)
+
+
+class TestServeUnderStoreChaos:
+    """A live HTTP service on a fresh store, with sqlite transactions
+    and payload reads failing at random under a seeded plan: every
+    served document must still equal a fault-free direct run."""
+
+    #: Seeded schedule: 30 % of ``store.index`` and ``store.payload_read``
+    #: firings fail.  Seed 8 lands faults in both the cold (index
+    #: write-back) and the rerun (warm payload read) windows.
+    SEED, P = 8, 0.3
+    PAYLOADS = [{"builder": "bias", "corners": ["tt"],
+                 "temps_c": [25.0, 85.0],
+                 "measurements": ["bias_current_ua"],
+                 "seeds": [seed]} for seed in range(3)]
+
+    def test_served_bytes_survive_index_and_read_faults(self, tmp_path):
+        import sqlite3
+
+        from repro.serve import ServeClient, serve_background
+        from repro.store.keys import campaign_key
+
+        plan = FaultPlan([
+            FaultRule("store.index", raises=sqlite3.OperationalError,
+                      message="injected: database is locked",
+                      probability=self.P),
+            FaultRule("store.payload_read", raises=OSError,
+                      message="injected: disk I/O error",
+                      probability=self.P),
+        ], seed=self.SEED)
+        svc = CharacterizationService(store=ResultStore(tmp_path / "store"),
+                                      workers=2)
+        server, _thread = serve_background(svc)
+        try:
+            host, port = server.server_address[:2]
+            client = ServeClient(f"http://{host}:{port}")
+            client.wait_until_up()
+            with plan.activate():
+                for _ in ("cold", "rerun"):
+                    for payload in self.PAYLOADS:
+                        view = client.run("campaign", payload, timeout=120)
+                        assert view["state"] == "done", view
+                        client.result_bytes(view["id"])
+            assert plan.triggered() > 0, "the fault schedule never fired"
+
+            by_fp = {job["fingerprint"]: job for job in client.jobs()}
+            for payload in self.PAYLOADS:
+                spec = campaign_spec_from_dict(payload)
+                served = client.result_bytes(
+                    by_fp[campaign_key(spec)]["id"]).decode("utf-8")
+                assert served == run_campaign(spec).to_json() + "\n"
+        finally:
+            server.shutdown()
+            svc.stop()

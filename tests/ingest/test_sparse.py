@@ -8,6 +8,8 @@ forced down so a modest ladder exercises the sparse code, and the
 answers are compared against dense on the same circuit.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -18,13 +20,13 @@ from repro.spice.mna import MnaSystem
 N_NODES = 120
 
 
-def ladder_text(n=N_NODES):
+def ladder_text(n=N_NODES, diode_every=25):
     lines = [".model dcore d (is=1e-14 n=1.5)",
              "vin n0 0 dc 1.0 ac 1.0"]
     for i in range(n):
         lines.append(f"r{i} n{i} n{i + 1} 1k")
         lines.append(f"c{i} n{i + 1} 0 1p")
-        if i % 25 == 0:
+        if i % diode_every == 0:
             lines.append(f"d{i} n{i + 1} 0 dcore")
     return "\n".join(lines) + "\n.end\n"
 
@@ -34,11 +36,20 @@ def ladder():
     return compile_deck(ladder_text(), name="ladder").circuit
 
 
-def solve(circuit, freqs):
+def solve(circuit, freqs, n=N_NODES):
     op = dc_operating_point(circuit)
-    tf = op.small_signal().transfer(freqs, f"n{N_NODES}")
-    x = np.array([op.v(f"n{k}") for k in range(N_NODES + 1)])
+    tf = op.small_signal().transfer(freqs, f"n{n}")
+    x = np.array([op.v(f"n{k}") for k in range(n + 1)])
     return x, tf
+
+
+def assert_same_answers(x_dense, tf_dense, x_sparse, tf_sparse):
+    assert float(np.max(np.abs(x_dense - x_sparse))) < 1e-9
+    # Stimulus-referred: past the ladder's deep attenuation the dense
+    # answer is its own roundoff noise, so pointwise relative error
+    # is meaningless there.
+    scale = float(np.max(np.abs(tf_dense)))
+    assert float(np.max(np.abs(tf_dense - tf_sparse))) / scale < 1e-9
 
 
 class TestSelection:
@@ -70,16 +81,38 @@ class TestEquivalence:
         ladder_s = compile_deck(ladder_text(), name="ladder").circuit
         monkeypatch.setattr(MnaSystem, "sparse_threshold", 10)
         x_sparse, tf_sparse = solve(ladder_s, freqs)
-
-        assert float(np.max(np.abs(x_dense - x_sparse))) < 1e-9
-        # Stimulus-referred: past the ladder's deep attenuation the dense
-        # answer is its own roundoff noise, so pointwise relative error
-        # is meaningless there.
-        scale = float(np.max(np.abs(tf_dense)))
-        assert float(np.max(np.abs(tf_dense - tf_sparse))) / scale < 1e-9
+        assert_same_answers(x_dense, tf_dense, x_sparse, tf_sparse)
 
     def test_sparse_newton_converges_like_dense(self, ladder, monkeypatch):
         monkeypatch.setattr(MnaSystem, "sparse_threshold", 10)
         op = dc_operating_point(ladder)
         assert op.strategy == "newton"
         assert np.isfinite(op.v(f"n{N_NODES}"))
+
+
+class TestSpeedFloor:
+    def test_sparse_is_3x_dense_at_1000_nodes(self, monkeypatch):
+        """The sparse path exists to be faster on large decks: on a
+        1000-node ladder (a diode every 50 rungs), DC plus a 40-point AC
+        sweep at the default threshold must take at most a third of the
+        process CPU of the dense LAPACK path, with the same answers."""
+        n = 1000
+        text = ladder_text(n, diode_every=50)
+        freqs = np.logspace(1, 7, 40)
+
+        def timed():
+            circuit = compile_deck(text, name="ladder").circuit
+            c0 = time.process_time()
+            answers = solve(circuit, freqs, n)
+            return time.process_time() - c0, answers
+
+        assert MnaSystem(compile_deck(text, name="ladder").circuit) \
+            .prefer_sparse
+        t_sparse, (x_sparse, tf_sparse) = timed()
+        monkeypatch.setattr(MnaSystem, "sparse_threshold", 10 ** 9)
+        t_dense, (x_dense, tf_dense) = timed()
+
+        assert_same_answers(x_dense, tf_dense, x_sparse, tf_sparse)
+        assert t_dense / t_sparse >= 3.0, \
+            f"sparse only {t_dense / t_sparse:.1f}x dense " \
+            f"({t_sparse:.3f}s vs {t_dense:.3f}s)"

@@ -1,18 +1,15 @@
 """``repro doctor``: per-check verdicts and the pinned exit codes.
 
 The contract scripts and CI branch on: exit 0 healthy, 1 any warn
-(bench drift flagged, error events in the log, a store mixing numerics
-fingerprints), 2 any fail (store corruption, a sanity solve that does
+(error events in the log, a store mixing numerics fingerprints, BLAS
+off one thread), 2 any fail (store corruption, a sanity solve that does
 not converge).
 """
 
-import json
-
 import pytest
 
-from repro.obs import Recorder, deactivate, doctor, event, span
+from repro.obs import Recorder, deactivate, event, span
 from repro.obs.doctor import (
-    check_bench,
     check_engine,
     check_events,
     check_numerics,
@@ -36,19 +33,13 @@ def _tear(store, key):
                      (key,))
 
 
-def _drifting_bench(tmp_path):
-    points = [{"units_per_s": v, "smoke": False}
-              for v in (100.0, 101.0, 99.0, 100.0, 55.0)]
-    path = tmp_path / "BENCH_perf.json"
-    path.write_text(json.dumps({"campaign_trajectory": points}))
-    return path
-
-
-def _stable_bench(tmp_path):
-    points = [{"units_per_s": v, "smoke": False}
-              for v in (100.0, 101.0, 99.0, 100.0, 100.3)]
-    path = tmp_path / "BENCH_perf.json"
-    path.write_text(json.dumps({"campaign_trajectory": points}))
+def _error_events(tmp_path):
+    """A JSONL export holding one error-severity event: a *warn*."""
+    path = tmp_path / "events.jsonl"
+    rec = Recorder(export_path=path)
+    with rec.activate():
+        event("serve.worker_died", "error", worker="w0")
+    rec.close()
     return path
 
 
@@ -129,14 +120,6 @@ class TestChecks:
     def test_store_skips_when_absent(self, tmp_path):
         assert check_store(tmp_path / "nope")["status"] == "pass"
 
-    def test_bench_warns_on_drift(self, tmp_path):
-        check = check_bench(_drifting_bench(tmp_path))
-        assert check["status"] == "warn"
-        assert "drifted" in check["detail"]
-
-    def test_bench_passes_when_stable(self, tmp_path):
-        assert check_bench(_stable_bench(tmp_path))["status"] == "pass"
-
     def test_events_warn_on_errors_in_active_log(self):
         rec = Recorder()
         with rec.activate():
@@ -164,13 +147,12 @@ class TestExitCodes:
     def test_healthy_tree_exits_zero(self, tmp_path):
         with ResultStore(tmp_path / "s") as store:
             store.put("k1", {"v": 1})
-        checks, code = run_doctor(store=tmp_path / "s",
-                                  bench=_stable_bench(tmp_path))
+        checks, code = run_doctor(store=tmp_path / "s")
         assert code == 0
         assert all(c["status"] == "pass" for c in checks)
 
-    def test_bench_drift_exits_one(self, tmp_path):
-        _, code = run_doctor(bench=_drifting_bench(tmp_path))
+    def test_error_events_exit_one(self, tmp_path):
+        _, code = run_doctor(events=_error_events(tmp_path))
         assert code == 1
 
     def test_corrupted_store_exits_two(self, tmp_path):
@@ -187,11 +169,14 @@ class TestExitCodes:
             dc, "dc_operating_point",
             lambda circuit, **kw: (_ for _ in ()).throw(
                 dc.ConvergenceError("stuck")))
-        _, code = run_doctor(bench=_drifting_bench(tmp_path))
+        _, code = run_doctor(events=_error_events(tmp_path))
         assert code == 2
 
     def test_main_exit_matches_run_doctor(self, tmp_path, capsys):
-        assert doctor.main(["--bench", str(_drifting_bench(tmp_path))]) == 1
+        from repro.cli import main
+
+        events = _error_events(tmp_path)
+        assert main(["doctor", "--events", str(events)]) == 1
         out = capsys.readouterr().out
         assert "repro doctor" in out
         assert "[WARN]" in out
@@ -210,8 +195,7 @@ class TestCli:
 
         with ResultStore(tmp_path / "s") as store:
             store.put("k1", {"v": 1})
-        code = main(["doctor", "--store", str(tmp_path / "s"),
-                     "--bench", str(_stable_bench(tmp_path))])
+        code = main(["doctor", "--store", str(tmp_path / "s")])
         assert code == 0
         assert "verdict: healthy" in capsys.readouterr().out
 

@@ -110,3 +110,74 @@ class TestRobustMode:
         assert robust.units_per_candidate() == 8
         typical = CandidateEvaluator(space, mic_amp_objective(), CMOS12)
         assert typical.units_per_candidate() == 1
+
+
+def naive_evaluate(x, space):
+    """One candidate scored the independent way: rebuild and re-solve per
+    metric family, per-frequency looped AC and noise sweeps, no caching.
+    Returns ``{}`` where the candidate cannot be built or solved."""
+    import math
+
+    from repro.analysis.psrr import measure_psrr
+    from repro.circuits.micamp import build_mic_amp
+    from repro.layout.area import estimate_area_mm2
+    from repro.pga.design import mic_amp_parts_from_params
+    from repro.spice.ac import _ac_analysis_looped
+    from repro.spice.analysis import log_freqs
+    from repro.spice.dc import dc_operating_point
+    from repro.spice.noise import _noise_analysis_looped
+
+    try:
+        sizes, gain = mic_amp_parts_from_params(CMOS12, space.as_dict(x))
+
+        def build():
+            return build_mic_amp(CMOS12, gain_code=5, sizes=sizes, gain=gain)
+
+        d = build()                                   # current study
+        op = dc_operating_point(d.circuit)
+        rec = {"iq_ma": abs(op.i("vdd_src")) * 1e3,
+               "area_mm2": estimate_area_mm2(d.circuit, CMOS12).total_mm2}
+        d = build()                                   # gain study
+        ac = _ac_analysis_looped(dc_operating_point(d.circuit),
+                                 np.array([1e3]))
+        h = abs(ac.vdiff(d.outp, d.outn)[0])
+        rec["gain_1khz_db"] = 20.0 * math.log10(max(h, 1e-30))
+        rec["gain_error_db"] = rec["gain_1khz_db"] - d.gain.gain_db(5)
+        d = build()                                   # PSRR study
+        rec["psrr_1khz_db"] = measure_psrr(
+            d.circuit, "vdd_src", ("vin_p", "vin_n"), d.outp, d.outn,
+        ).ratio_db
+        d = build()                                   # noise study
+        nr = _noise_analysis_looped(dc_operating_point(d.circuit),
+                                    log_freqs(10.0, 100e3, 12),
+                                    d.outp, d.outn)
+        rec["vnin_300hz_nv"] = nr.input_nv_at(300.0)
+        rec["vnin_1khz_nv"] = nr.input_nv_at(1e3)
+        rec["vnin_avg_nv"] = nr.average_input_density(300.0, 3400.0) * 1e9
+        return rec
+    except Exception:
+        return {}
+
+
+class TestNaiveReference:
+    def test_seeded_candidates_match_the_rebuild_loop(self, evaluator, space):
+        """The shared-context campaign evaluation against a rebuild per
+        metric family on the looped sweeps, over the default point and
+        seeded Latin-hypercube candidates (some infeasible)."""
+        from repro.optimize import latin_hypercube
+
+        unit = latin_hypercube(8, space.dim, np.random.default_rng(2026))
+        candidates = [space.default(), *space.from_unit(unit)]
+        n_checked = n_infeasible = 0
+        for x in map(space.quantize, candidates):
+            eng = evaluator.evaluate(x).metrics
+            nai = naive_evaluate(x, space)
+            if not eng or not nai:
+                assert not eng and not nai, "feasibility disagreement"
+                n_infeasible += 1
+                continue
+            for key, ref in nai.items():
+                np.testing.assert_allclose(eng[key], ref, rtol=1e-6,
+                                           err_msg=f"metric {key} diverged")
+                n_checked += 1
+        assert n_checked and n_infeasible

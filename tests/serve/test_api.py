@@ -1,6 +1,7 @@
 """The HTTP shell: routes, status codes, and the client driving them."""
 
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -77,6 +78,90 @@ class TestLifecycleOverHttp:
         else:                       # tiny campaign may already be done
             assert status == 200
         client.wait(view["id"], timeout=60)
+
+
+class TestClosedLoopOverHttp:
+    """Two closed-loop clients over distinct requests, then the same
+    requests warm, then one new request from four clients at once: each
+    unit executes exactly once and every document is the direct run's."""
+
+    PAYLOADS = [dict(PAYLOAD, seeds=[seed]) for seed in range(3)]
+
+    @staticmethod
+    def _in_threads(n, fn):
+        errors = []
+
+        def guarded(i):
+            try:
+                fn(i)
+            except Exception as exc:    # re-raised in the test's thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=guarded, args=(i,))
+                   for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive(), "client thread did not finish"
+        if errors:
+            raise errors[0]
+
+    def _closed_loop(self, client):
+        pending = list(self.PAYLOADS)
+        lock = threading.Lock()
+
+        def loop(_):
+            own = ServeClient(client.base_url)
+            while True:
+                with lock:
+                    if not pending:
+                        return
+                    payload = pending.pop(0)
+                view = own.run("campaign", payload, timeout=60)
+                assert view["state"] == "done", view
+                own.result_bytes(view["id"])
+
+        self._in_threads(2, loop)
+
+    def test_cold_warm_and_coalesced_execute_each_unit_once(self, client):
+        from repro.store.keys import campaign_key
+
+        def counter(name):
+            return client.metrics()["counters"].get(name, 0)
+
+        specs = [campaign_spec_from_dict(p) for p in self.PAYLOADS]
+        self._closed_loop(client)
+        assert counter("units_executed") == sum(s.n_units for s in specs)
+        by_fp = {job["fingerprint"]: job for job in client.jobs()}
+        for spec in specs:
+            served = client.result_bytes(by_fp[campaign_key(spec)]["id"])
+            direct = run_campaign(spec).to_json() + "\n"
+            assert served.decode("utf-8") == direct
+
+        executed = counter("units_executed")
+        self._closed_loop(client)
+        assert counter("units_executed") == executed
+        assert counter("warm_hits") >= len(self.PAYLOADS)
+
+        fresh = dict(PAYLOAD, temps_c=[25.0], seeds=[1001, 1002])
+        k = 4
+        barrier = threading.Barrier(k)
+        views = [None] * k
+
+        def submit(i):
+            own = ServeClient(client.base_url)
+            barrier.wait()
+            view = own.submit("campaign", fresh)
+            if view["state"] not in ("done", "failed"):
+                view = own.wait(view["id"], timeout=60)
+            own.result_bytes(view["id"])
+            views[i] = view
+
+        self._in_threads(k, submit)
+        assert counter("units_executed") - executed == \
+            campaign_spec_from_dict(fresh).n_units
+        assert all(v["state"] == "done" for v in views)
 
 
 class TestEventsRoute:

@@ -38,6 +38,18 @@ class TestCampaignJobs:
         assert service.result_text(job) == direct.to_json() + "\n"
         assert job.result.data.tobytes() == direct.data.tobytes()
 
+    def test_armed_recorder_leaves_served_bytes_unchanged(self, service):
+        from repro.obs import Recorder
+
+        direct = run_campaign(campaign_spec_from_dict(PAYLOAD))
+        with Recorder().activate():
+            cold = service.submit_campaign(PAYLOAD)
+            assert cold.wait(timeout=60) and cold.state == J.DONE
+            warm = service.submit_campaign(PAYLOAD)
+            assert warm.warm
+        for job in (cold, warm):
+            assert service.result_text(job) == direct.to_json() + "\n"
+
     def test_progress_reaches_total(self, service):
         job = service.submit_campaign(PAYLOAD)
         job.wait(timeout=60)

@@ -138,29 +138,3 @@ def measure_cmrr(
 
     return _rejection(ctx, freq, b_diff, b_cm, out_p, out_n)
 
-
-def psrr_monte_carlo(
-    build_fn,
-    n_trials: int,
-    supply_source: str,
-    input_sources: tuple[str, ...],
-    out_p: str,
-    out_n: str,
-    freq: float = 1e3,
-    seed: int = 2026,
-) -> np.ndarray:
-    """PSRR distribution over mismatch: ``build_fn(sampler) -> Circuit``.
-
-    Returns the per-trial PSRR in dB.  The paper's Table 1/2 values
-    should fall near the lower tail (they quote guaranteed minima).
-    """
-    from repro.process.mismatch import MismatchSampler
-
-    rng = np.random.default_rng(seed)
-    values = np.empty(n_trials)
-    for k in range(n_trials):
-        sampler_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
-        circuit = build_fn(sampler_rng)
-        res = measure_psrr(circuit, supply_source, input_sources, out_p, out_n, freq)
-        values[k] = res.ratio_db
-    return values

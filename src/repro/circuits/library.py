@@ -121,10 +121,3 @@ def mirror_compliance_voltage(
     if first_bad == 0:
         return float("nan")
     return float(volts[first_bad - 1])
-
-
-def add_split_supplies(ckt: Circuit, tech: Technology,
-                       vdd_node: str = "vdd", vss_node: str = "vss") -> None:
-    """Add the paper's split +/-1.3 V supplies around analogue ground."""
-    ckt.vsource("vdd_src", vdd_node, "gnd", dc=tech.vdd_nominal)
-    ckt.vsource("vss_src", vss_node, "gnd", dc=tech.vss_nominal)

@@ -37,24 +37,13 @@ INFEASIBLE_OFFSET = 1e9
 
 
 def _violation(limit: SpecLimit, value: float) -> float:
-    """Normalised constraint violation (0 when the row passes)."""
-    if limit.bound is Bound.INFO:
+    """Normalised constraint violation (0 when the row passes): the
+    negative part of the row's margin over the bound's magnitude."""
+    margin = limit.margin(value)
+    if margin is None:  # INFO
         return 0.0
-    if limit.bound is Bound.RANGE:
-        lo, hi = limit.limit
-        scale = max(abs(lo), abs(hi), 1e-30)
-        if value < lo:
-            return (lo - value) / scale
-        if value > hi:
-            return (value - hi) / scale
-        return 0.0
-    lim = float(limit.limit)
-    scale = max(abs(lim), 1e-30)
-    if limit.bound is Bound.MIN:
-        return max(0.0, lim - value) / scale
-    if limit.bound is Bound.MAX:
-        return max(0.0, value - lim) / scale
-    return max(0.0, abs(value) - lim) / scale  # ABS_MAX
+    edges = limit.limit if limit.bound is Bound.RANGE else (limit.limit,)
+    return max(0.0, -margin) / max(*(abs(e) for e in edges), 1e-30)
 
 
 def worst_sense(bound: Bound) -> str:

@@ -1,7 +1,7 @@
 """Full characterisation drivers: one call produces a Table 1/Table 2 row set.
 
-These are the workhorses behind the ``benchmarks/bench_table*.py``
-scripts and the rows mapped in ``docs/paper_mapping.md``: they run
+These are the workhorses behind the ``tests/paper/test_table*.py``
+checks and the rows mapped in ``docs/paper_mapping.md``: they run
 every measurement the paper reports for each block and return plain
 ``{metric: value}`` dicts that the :mod:`repro.pga.specs` tables check.
 """

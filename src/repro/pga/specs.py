@@ -1,9 +1,10 @@
 """Spec tables (the paper's Table 1 and Table 2) and compliance checking.
 
-Every characterisation bench produces a ``{metric: value}`` dict; a
+Every characterisation produces a ``{metric: value}`` dict; a
 :class:`Spec` turns it into a pass/fail report with the paper's measured
-values as the reference column, which is how the ``benchmarks/``
-scripts report paper-vs-measured rows (mapped in ``docs/paper_mapping.md``).
+values as the reference column and each row's margin to its bound, which
+is how the ``tests/paper/`` checks report paper-vs-measured rows (mapped
+in ``docs/paper_mapping.md``).
 """
 
 from __future__ import annotations
@@ -49,17 +50,24 @@ class SpecLimit:
     unit: str
     description: str = ""
 
-    def check(self, value: float) -> bool:
+    def margin(self, value: float) -> float | None:
+        """Signed distance from ``value`` to the bound, in ``unit``:
+        positive inside, negative outside, ``None`` for INFO rows.  A
+        RANGE row measures to its nearer edge."""
         if self.bound is Bound.MIN:
-            return value >= self.limit
+            return value - self.limit
         if self.bound is Bound.MAX:
-            return value <= self.limit
+            return self.limit - value
         if self.bound is Bound.ABS_MAX:
-            return abs(value) <= self.limit
+            return self.limit - abs(value)
         if self.bound is Bound.RANGE:
             lo, hi = self.limit
-            return lo <= value <= hi
-        return True  # INFO
+            return min(value - lo, hi - value)
+        return None  # INFO
+
+    def check(self, value: float) -> bool:
+        margin = self.margin(value)
+        return margin is None or margin >= 0.0
 
 
 @dataclass
@@ -70,6 +78,11 @@ class SpecRow:
     value: float
     passed: bool
 
+    @property
+    def margin(self) -> float | None:
+        """Signed distance to the bound (see :meth:`SpecLimit.margin`)."""
+        return self.limit.margin(self.value)
+
     def format(self) -> str:
         mark = "PASS" if self.passed else ("  --" if self.limit.bound is Bound.INFO else "FAIL")
         if self.limit.bound is Bound.RANGE:
@@ -78,9 +91,10 @@ class SpecRow:
             prefix = {Bound.MIN: ">=", Bound.MAX: "<=", Bound.ABS_MAX: "|x|<=",
                       Bound.INFO: ""}[self.limit.bound]
             lim = f"{prefix}{self.limit.limit:g}"
+        margin = "--" if self.margin is None else f"{self.margin:+.4g}"
         return (
             f"{self.limit.metric:<28s} {self.value:>12.4g} {self.limit.unit:<10s}"
-            f" paper: {lim:<14s} [{mark}]"
+            f" paper: {lim:<14s} margin: {margin:<11s} [{mark}]"
         )
 
 

@@ -12,6 +12,11 @@ import pytest
 
 from repro.circuits.micamp import build_mic_amp
 from repro.circuits.powerbuffer import build_power_buffer
+from repro.pga.characterize import (
+    CharacterizationOptions,
+    characterize_mic_amp,
+    characterize_power_buffer,
+)
 from repro.process import CMOS12
 from repro.spice.analysis import log_freqs
 from repro.spice.dc import dc_operating_point
@@ -49,6 +54,18 @@ def buffer_inverting(tech):
 @pytest.fixture(scope="session")
 def buffer_op(buffer_inverting):
     return dc_operating_point(buffer_inverting.circuit)
+
+
+@pytest.fixture(scope="session")
+def table1(tech):
+    """Quick Table 1 row set: the ``repro table1 --quick`` contract."""
+    return characterize_mic_amp(tech, CharacterizationOptions(quick=True))
+
+
+@pytest.fixture(scope="session")
+def table2(tech):
+    """Quick Table 2 row set: the ``repro table2 --quick`` contract."""
+    return characterize_power_buffer(tech, CharacterizationOptions(quick=True))
 
 
 @pytest.fixture

@@ -1,8 +1,8 @@
-"""Benchmark fixtures.
+"""Paper-check fixtures.
 
-Every bench regenerates one of the paper's tables or figures; the rows
-are printed to the terminal *and* written to ``benchmarks/out/`` so the
-paper-vs-measured record (which figure or table row each function
+Every module here regenerates one of the paper's tables or figures; the
+rows are printed to the terminal *and* written to ``tests/paper/out/``
+so the paper-vs-measured record (which figure or table row each test
 reproduces is mapped in ``docs/paper_mapping.md``) can be assembled
 from artifacts.
 """
@@ -13,14 +13,7 @@ import pathlib
 
 import pytest
 
-from repro.process import CMOS12
-
 OUT_DIR = pathlib.Path(__file__).parent / "out"
-
-
-@pytest.fixture(scope="session")
-def tech():
-    return CMOS12
 
 
 @pytest.fixture(scope="session")
@@ -30,7 +23,7 @@ def report_dir():
 
 
 @pytest.fixture
-def save_report(report_dir, request):
+def save_report(report_dir):
     """Write a named text artifact and echo it to the terminal."""
 
     def _save(name: str, text: str) -> None:

@@ -18,7 +18,7 @@ from repro.spice.dc import dc_operating_point
 from repro.spice.noise import noise_analysis
 
 
-def test_psrr_is_matching_limited(tech, save_report, benchmark):
+def test_psrr_is_matching_limited(tech, save_report):
     """Nominal (perfectly matched) FD PSRR is near-infinite; the paper's
     75 dB is what mismatch leaves over."""
     nominal = build_mic_amp(tech, gain_code=5)
@@ -34,7 +34,7 @@ def test_psrr_is_matching_limited(tech, save_report, benchmark):
                                     ("vin_p", "vin_n"), "outp", "outn").ratio_db)
         return out
 
-    values = benchmark.pedantic(run_mc, rounds=1, iterations=1)
+    values = run_mc()
     lines = ["FD PSRR ablation (1 kHz, 40 dB gain)", "",
              f"perfectly matched:  {res_nom.ratio_db:6.1f} dB",
              f"Monte Carlo (8):    min {min(values):6.1f} dB   "
@@ -46,15 +46,13 @@ def test_psrr_is_matching_limited(tech, save_report, benchmark):
     assert np.median(values) < res_nom.ratio_db
 
 
-def test_dda_second_pair_costs_3db(tech, save_report, benchmark):
+def test_dda_second_pair_costs_3db(tech, save_report):
     """Sec. 3.1: the DDA's feedback pair doubles the input-device noise
     power.  Measured from the adjoint contribution decomposition."""
     design = build_mic_amp(tech, gain_code=5)
     op = dc_operating_point(design.circuit)
     freqs = np.array([20e3])
-    nr = benchmark.pedantic(
-        lambda: noise_analysis(op, freqs, "outp", "outn"),
-        rounds=1, iterations=1)
+    nr = noise_analysis(op, freqs, "outp", "outn")
     pair_a = sum(float(nr.contributions[(t, "thermal")][0]) for t in ("t1", "t2"))
     pair_b = sum(float(nr.contributions[(t, "thermal")][0]) for t in ("t3", "t4"))
     penalty_db = 10 * np.log10((pair_a + pair_b) / pair_a)
@@ -68,7 +66,7 @@ def test_dda_second_pair_costs_3db(tech, save_report, benchmark):
     assert penalty_db == pytest.approx(3.0, abs=0.15)
 
 
-def test_switch_ron_noise_tradeoff(tech, save_report, benchmark):
+def test_switch_ron_noise_tradeoff(tech, save_report):
     """Eq. 5: halving switch Ron buys noise but costs switch area."""
     def sweep_ron():
         out = []
@@ -81,7 +79,7 @@ def test_switch_ron_noise_tradeoff(tech, save_report, benchmark):
             out.append((ron, nr.input_nv()[0], sw.w * 1e6))
         return out
 
-    rows = benchmark.pedantic(sweep_ron, rounds=1, iterations=1)
+    rows = sweep_ron()
     lines = ["Eq. 5 ablation: tap-switch Ron vs input noise (20 kHz floor)",
              "", "Ron [ohm]   noise [nV/rtHz]   switch W [um]"]
     for ron, nv, w in rows:
@@ -93,7 +91,7 @@ def test_switch_ron_noise_tradeoff(tech, save_report, benchmark):
     assert widths == sorted(widths, reverse=True)
 
 
-def test_feedforward_cap_ablation(tech, save_report, benchmark):
+def test_feedforward_cap_ablation(tech, save_report):
     """Without the lead capacitor the low-gain codes peak violently
     (the feedback pole of the noise-sized pair-B gate)."""
     def sweep_cff():
@@ -107,18 +105,9 @@ def test_feedforward_cap_ablation(tech, save_report, benchmark):
             out.append((cff, 20 * np.log10(h.max() / h[0])))
         return out
 
-    rows = benchmark.pedantic(sweep_cff, rounds=1, iterations=1)
+    rows = sweep_cff()
     lines = ["Feed-forward lead capacitor ablation (gain code 0):", ""]
     for cff, peak in rows:
         lines.append(f"  Cff = {cff * 1e12:5.1f} pF   peaking = {peak:6.2f} dB")
     save_report("ablation_feedforward_cap", "\n".join(lines))
     assert rows[0][1] > rows[1][1] + 6.0
-
-
-def test_psrr_benchmark(tech, benchmark):
-    sampler = MismatchSampler(tech, np.random.default_rng(0))
-    design = build_mic_amp(tech, gain_code=5, mismatch=sampler)
-
-    res = benchmark(lambda: measure_psrr(design.circuit, "vdd_src",
-                                         ("vin_p", "vin_n"), "outp", "outn"))
-    assert res.ratio_db > 60.0

@@ -2,13 +2,12 @@
 
 The paper's Sec. 2: "process variations have a large influence on the
 system behaviour if the design approach is chosen incorrectly".  This
-bench runs the Table 1 quick characterisation at the skew corners and
+module runs the Table 1 quick characterisation at the skew corners and
 temperature extremes and checks the design approach held: noise, gain
 accuracy and IQ stay within their bands everywhere.
 """
 
 import numpy as np
-import pytest
 
 from repro.circuits.micamp import build_mic_amp
 from repro.process import iter_pvt
@@ -39,14 +38,14 @@ def _measure(tech, temp_c):
     }
 
 
-def test_corners_and_temperature(tech, save_report, benchmark):
+def test_corners_and_temperature(tech, save_report):
     points = list(iter_pvt(tech))
 
     def run_all():
         return [(p.corner.name, p.temp_c, _measure(p.tech, p.temp_c))
                 for p in points]
 
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    rows = run_all()
     lines = ["Table 1 over corners x temperature", "",
              "corner  T[degC]   IQ[mA]   gain[dB]   avg noise [nV/rtHz] "
              " marginal  hard"]

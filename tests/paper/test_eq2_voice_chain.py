@@ -10,22 +10,11 @@ import numpy as np
 import pytest
 
 from repro.analysis.dynamic_range import eq2_required_noise, snr_from_noise
-from repro.circuits.micamp import build_mic_amp
 from repro.frontend.voice_chain import VoiceChain
-from repro.spice.analysis import log_freqs
-from repro.spice.dc import dc_operating_point
-from repro.spice.noise import noise_analysis
 
 
-@pytest.fixture(scope="module")
-def amp_noise(tech):
-    design = build_mic_amp(tech, gain_code=5)
-    op = dc_operating_point(design.circuit)
-    return noise_analysis(op, log_freqs(10, 100e3, 12), design.outp, design.outn)
-
-
-def test_eq2_arithmetic(save_report, benchmark):
-    noise = benchmark.pedantic(eq2_required_noise, rounds=1, iterations=1)
+def test_eq2_arithmetic(save_report):
+    noise = eq2_required_noise()
     lines = ["Eq. 2: required input noise for 86.5 dB psophometric S/N",
              "",
              "V_noise <= V_modmax / (G_mic sqrt(BW) 10^(S/N/20))",
@@ -35,10 +24,8 @@ def test_eq2_arithmetic(save_report, benchmark):
     assert noise * 1e9 == pytest.approx(5.1, abs=0.05)
 
 
-def test_eq2_amplifier_margin(amp_noise, save_report, benchmark):
-    measured = benchmark.pedantic(
-        lambda: amp_noise.average_input_density(300, 3400),
-        rounds=1, iterations=1)
+def test_eq2_amplifier_margin(mic_amp_noise, save_report):
+    measured = mic_amp_noise.average_input_density(300, 3400)
     snr = snr_from_noise(measured)
     save_report(
         "eq2_amplifier_margin",
@@ -49,14 +36,12 @@ def test_eq2_amplifier_margin(amp_noise, save_report, benchmark):
     assert snr > 84.0
 
 
-def test_fig1_chain_across_gain_codes(amp_noise, save_report, benchmark):
+def test_fig1_chain_across_gain_codes(mic_amp_noise, save_report):
     """One acoustic level per row; software picks the code (hands-free)."""
     chain = VoiceChain()
     lines = ["Fig. 1: voice chain S/N vs gain code (2 mVrms microphone)",
              "", "code  gain[dB]  at-modulator[Vrms]  S/N[dB]  psoph[dB]  clip"]
-    results = benchmark.pedantic(
-        lambda: chain.sweep_codes(2e-3, amp_noise.freqs, amp_noise.input_psd),
-        rounds=1, iterations=1)
+    results = chain.sweep_codes(2e-3, mic_amp_noise.freqs, mic_amp_noise.input_psd)
     for code, res in enumerate(results):
         lines.append(
             f"  {code}     {res.gain_db:4.0f}      {res.signal_at_modulator_rms:8.4f}"
@@ -68,10 +53,3 @@ def test_fig1_chain_across_gain_codes(amp_noise, save_report, benchmark):
     # a quiet microphone wants the top gain codes
     assert int(np.argmax(snrs)) >= 4
     assert max(snrs) > 70.0
-
-
-def test_chain_benchmark(amp_noise, benchmark):
-    chain = VoiceChain()
-    res = benchmark(lambda: chain.run(5, 2e-3, amp_noise.freqs,
-                                      amp_noise.input_psd))
-    assert res.gain_db == 40.0

@@ -28,7 +28,7 @@ def _min_supply(design, temp_c: float) -> float:
     return float(volts[bad[0] - 1]) if bad.size else float(volts[-1])
 
 
-def test_fig2_min_supply_vs_eq1(design, tech, save_report, benchmark):
+def test_fig2_min_supply_vs_eq1(design, tech, save_report):
     lines = ["Fig. 2 / Eq. 1: bias minimum supply vs temperature", "",
              "T [degC]   Eq.1 bound [V]   simulated V_smin [V]"]
 
@@ -42,7 +42,7 @@ def test_fig2_min_supply_vs_eq1(design, tech, save_report, benchmark):
             out.append((temp, bound, _min_supply(design, temp)))
         return out
 
-    rows = benchmark.pedantic(sweep_all, rounds=1, iterations=1)
+    rows = sweep_all()
     for temp, bound, sim in rows:
         lines.append(f"{temp:7.0f}    {bound:10.3f}      {sim:10.3f}")
     lines.append("")
@@ -57,10 +57,9 @@ def test_fig2_min_supply_vs_eq1(design, tech, save_report, benchmark):
     assert rows[0][2] >= rows[2][2] - 0.05
 
 
-def test_fig2_current_vs_temperature(design, save_report, benchmark):
+def test_fig2_current_vs_temperature(design, save_report):
     temps = np.linspace(-20, 85, 8)
-    ops = benchmark.pedantic(
-        lambda: temperature_sweep(design.circuit, temps), rounds=1, iterations=1)
+    ops = temperature_sweep(design.circuit, temps)
     currents = np.array([op.v("iout") / 10e3 for op in ops])
     lines = ["Fig. 2: bias current vs temperature (target: flat-to-rising)",
              ""]
@@ -69,10 +68,3 @@ def test_fig2_current_vs_temperature(design, save_report, benchmark):
     save_report("fig2_bias_current_vs_temp", "\n".join(lines))
     assert currents[-1] > currents[0]
     assert currents[-1] / currents[0] < 1.35
-
-
-def test_bias_solve_benchmark(design, benchmark):
-    from repro.spice.dc import dc_operating_point
-
-    op = benchmark(lambda: dc_operating_point(design.circuit))
-    assert op.v("iout") > 0.1

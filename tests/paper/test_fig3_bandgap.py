@@ -25,10 +25,10 @@ def design(tech, trim):
     return build_bandgap(tech, r2_trim=trim)
 
 
-def test_fig3_tempco_curve(design, trim, save_report, benchmark):
+def test_fig3_tempco_curve(design, trim, save_report):
     temps = np.linspace(-20, 85, 22)
-    ops = benchmark.pedantic(
-        lambda: temperature_sweep(design.circuit, temps), rounds=1, iterations=1)
+    ops = temperature_sweep(design.circuit, temps)
+    assert len(ops) == len(temps)
     vref = np.array([op.v(design.vrefp) - op.v(design.vrefn) for op in ops])
     box_tc = (vref.max() - vref.min()) / vref.mean() / (temps[-1] - temps[0]) * 1e6
     lines = [f"Fig. 3: bandgap vs temperature (R2 trim = {trim:.3f})", "",
@@ -41,9 +41,8 @@ def test_fig3_tempco_curve(design, trim, save_report, benchmark):
     assert box_tc < 40.0
 
 
-def test_fig3_symmetry_and_level(design, save_report, benchmark):
-    op = benchmark.pedantic(
-        lambda: dc_operating_point(design.circuit), rounds=1, iterations=1)
+def test_fig3_symmetry_and_level(design, save_report):
+    op = dc_operating_point(design.circuit)
     vrefp, vrefn = op.v(design.vrefp), op.v(design.vrefn)
     save_report(
         "fig3_bandgap_levels",
@@ -54,14 +53,12 @@ def test_fig3_symmetry_and_level(design, save_report, benchmark):
     assert vrefn == pytest.approx(-0.6, abs=0.06)
 
 
-def test_fig3_noise(design, save_report, benchmark):
+def test_fig3_noise(design, save_report):
     design.circuit.element("vdd_src").ac = 1.0
     try:
         op = dc_operating_point(design.circuit)
         freqs = log_freqs(100, 10e3, 10)
-        nr = benchmark.pedantic(
-            lambda: noise_analysis(op, freqs, design.vrefp, design.vrefn),
-            rounds=1, iterations=1)
+        nr = noise_analysis(op, freqs, design.vrefp, design.vrefn)
         avg_nv = np.sqrt(
             np.trapezoid(nr.output_psd, freqs) / (freqs[-1] - freqs[0])
         ) * 1e9
@@ -77,7 +74,7 @@ def test_fig3_noise(design, save_report, benchmark):
         design.circuit.element("vdd_src").ac = 0.0
 
 
-def test_fig3_min_supply(tech, trim, save_report, benchmark):
+def test_fig3_min_supply(tech, trim, save_report):
     def sweep():
         out = []
         for supply in (2.4, 2.6, 3.0):
@@ -86,16 +83,10 @@ def test_fig3_min_supply(tech, trim, save_report, benchmark):
             out.append((supply, op.v(d.vrefp) - op.v(d.vrefn)))
         return out
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     lines = ["Fig. 3: bandgap vs supply (paper: operates down to 2.6 V)", ""]
     for supply, vref in rows:
         lines.append(f"  V_sup = {supply:.1f} V   vref = {vref * 1e3:7.2f} mV")
     save_report("fig3_bandgap_supply", "\n".join(lines))
     # at 2.6 V the reference is fully alive
     assert rows[1][1] == pytest.approx(1.2, abs=0.1)
-
-
-def test_bandgap_sweep_benchmark(design, benchmark):
-    temps = np.array([-20.0, 25.0, 85.0])
-    result = benchmark(lambda: temperature_sweep(design.circuit, temps))
-    assert len(result) == 3

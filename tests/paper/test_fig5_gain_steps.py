@@ -19,9 +19,8 @@ def gain_measurement(tech):
     return measure_gain_codes(design)
 
 
-def test_fig5_gain_table(gain_measurement, save_report, benchmark):
+def test_fig5_gain_table(gain_measurement, save_report):
     gm = gain_measurement
-    benchmark.pedantic(lambda: gm.step_errors_db, rounds=1, iterations=1)
     lines = ["Fig. 5: programmed gain per code (paper: 10..40 dB, 6 dB steps,",
              "        dA_cl <= 0.05 dB)", "", gm.format(), "",
              f"worst absolute error: {gm.worst_error_db:.4f} dB",
@@ -32,7 +31,7 @@ def test_fig5_gain_table(gain_measurement, save_report, benchmark):
     assert all(s > 0 for s in np.diff(gm.measured_db))
 
 
-def test_fig5_gain_accuracy_monte_carlo(tech, save_report, benchmark):
+def test_fig5_gain_accuracy_monte_carlo(tech, save_report):
     """Matched-string mismatch: the statistical part of dA_cl."""
     def run_mc():
         out = []
@@ -43,7 +42,7 @@ def test_fig5_gain_accuracy_monte_carlo(tech, save_report, benchmark):
             out.append(gm.worst_step_error_db)
         return out
 
-    errors = benchmark.pedantic(run_mc, rounds=1, iterations=1)
+    errors = run_mc()
     lines = ["Fig. 5: Monte Carlo step-accuracy over poly matching",
              "", "trial   worst step error [dB]"]
     for k, e in enumerate(errors):
@@ -52,9 +51,3 @@ def test_fig5_gain_accuracy_monte_carlo(tech, save_report, benchmark):
     lines.append(f"max over trials: {max(errors):.4f} dB")
     save_report("fig5_gain_mc", "\n".join(lines))
     assert max(errors) < 0.2
-
-
-def test_gain_codes_benchmark(tech, benchmark):
-    design = build_mic_amp(tech, gain_code=5)
-    gm = benchmark(lambda: measure_gain_codes(design))
-    assert len(gm.codes) == 6

@@ -7,7 +7,6 @@ gain-accuracy budget.
 """
 
 import numpy as np
-import pytest
 
 from repro.circuits.micamp import build_mic_amp
 from repro.circuits.powerbuffer import build_power_buffer
@@ -24,10 +23,9 @@ from repro.layout.matching import (
 )
 
 
-def test_fig6_mic_amp_area(tech, save_report, benchmark):
+def test_fig6_mic_amp_area(tech, save_report):
     design = build_mic_amp(tech, gain_code=5)
-    bd = benchmark.pedantic(
-        lambda: estimate_area_mm2(design.circuit, tech), rounds=1, iterations=1)
+    bd = estimate_area_mm2(design.circuit, tech)
     inputs = sum(bd.per_device[t] for t in ("t1", "t2", "t3", "t4"))
     loads = sum(bd.per_device[t] for t in ("tl_a", "tl_b"))
     caps = bd.capacitors
@@ -44,10 +42,9 @@ def test_fig6_mic_amp_area(tech, save_report, benchmark):
     assert inputs > 0.3 * bd.raw_um2
 
 
-def test_fig10_buffer_area(tech, save_report, benchmark):
+def test_fig10_buffer_area(tech, save_report):
     design = build_power_buffer(tech, feedback="open", load="none")
-    bd = benchmark.pedantic(
-        lambda: estimate_area_mm2(design.circuit, tech), rounds=1, iterations=1)
+    bd = estimate_area_mm2(design.circuit, tech)
     outputs = sum(bd.per_device[f"m{p}o_{s}"] for p in "pn" for s in "ab")
     lines = ["Fig. 10: power buffer layout area model", "", bd.format(), "",
              f"  output devices: {outputs / 1e3:7.0f}k um^2 "
@@ -57,11 +54,10 @@ def test_fig10_buffer_area(tech, save_report, benchmark):
     assert outputs > 0.2 * bd.mosfets
 
 
-def test_fig6_matching_budget(tech, save_report, benchmark):
+def test_fig6_matching_budget(tech, save_report):
     """Common-centroid input quad vs a naive layout: offset and the
     dynamic-range cost at 40 dB (the introduction's argument)."""
-    quad = benchmark.pedantic(
-        lambda: common_centroid_pattern(2, 4), rounds=1, iterations=1)
+    quad = common_centroid_pattern(2, 4)
     naive = Placement(np.array([[0, 0, 1, 1]]), 2)
     rows = []
     for name, placement in (("common-centroid", quad), ("naive A A B B", naive)):
@@ -84,9 +80,3 @@ def test_fig6_matching_budget(tech, save_report, benchmark):
     save_report("fig6_matching", "\n".join(lines))
     assert rows[0][3] < 0.5          # common centroid: negligible DR loss
     assert rows[1][3] > rows[0][3]   # naive placement pays
-
-
-def test_area_model_benchmark(tech, benchmark):
-    design = build_mic_amp(tech, gain_code=5)
-    bd = benchmark(lambda: estimate_area_mm2(design.circuit, tech))
-    assert bd.total_mm2 > 0.1

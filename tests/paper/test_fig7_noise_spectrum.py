@@ -17,24 +17,13 @@ from repro.spice.noise import noise_analysis
 
 
 @pytest.fixture(scope="module")
-def design(tech):
-    return build_mic_amp(tech, gain_code=5)
-
-
-@pytest.fixture(scope="module")
-def op(design):
-    return dc_operating_point(design.circuit)
-
-
-@pytest.fixture(scope="module")
-def spectrum(design, op):
+def spectrum(mic_amp_40db, mic_amp_op):
     freqs = log_freqs(10.0, 100e3, 16)
-    return noise_analysis(op, freqs, design.outp, design.outn)
+    return noise_analysis(mic_amp_op, freqs, mic_amp_40db.outp, mic_amp_40db.outn)
 
 
-def test_fig7_spectrum(design, op, spectrum, save_report, benchmark):
-    budget = benchmark.pedantic(
-        lambda: MicAmpNoiseBudget.from_design(design, op), rounds=1, iterations=1)
+def test_fig7_spectrum(mic_amp_40db, mic_amp_op, spectrum, save_report):
+    budget = MicAmpNoiseBudget.from_design(mic_amp_40db, mic_amp_op)
     lines = ["Fig. 7: input-referred noise at 40 dB gain, 25 degC", "",
              "f [Hz]      simulated [nV/rtHz]   Eq.3-5 budget [nV/rtHz]"]
     for f in (10, 30, 100, 300, 1e3, 3.4e3, 10e3, 30e3, 100e3):
@@ -51,11 +40,10 @@ def test_fig7_spectrum(design, op, spectrum, save_report, benchmark):
     assert spectrum.input_nv_at(1e3) <= 6.0
     assert avg == pytest.approx(5.1, rel=0.30)
     assert spectrum.input_nv_at(10) > spectrum.input_nv_at(1e3)
+    assert spectrum.output_psd.shape == spectrum.freqs.shape
 
 
-def test_fig7_contribution_budget(design, op, spectrum, save_report, benchmark):
-    benchmark.pedantic(lambda: spectrum.top_contributors(1e3, 12),
-                       rounds=1, iterations=1)
+def test_fig7_contribution_budget(spectrum, save_report):
     g1k = float(np.interp(1e3, spectrum.freqs, spectrum.gain))
     lines = ["Fig. 7 companion: per-device noise budget at 1 kHz",
              "", "device      mechanism   input-referred [nV/rtHz]"]
@@ -69,7 +57,7 @@ def test_fig7_contribution_budget(design, op, spectrum, save_report, benchmark):
     assert any(n in ("t1", "t2", "t3", "t4") for n in names)
 
 
-def test_fig7_noise_vs_gain_code(tech, save_report, benchmark):
+def test_fig7_noise_vs_gain_code(tech, save_report):
     """Eq. 4: 'the close-loop gain setting ... contributes nonconstant
     noise power to the amplifier input'."""
     design = build_mic_amp(tech, gain_code=0)
@@ -86,7 +74,7 @@ def test_fig7_noise_vs_gain_code(tech, save_report, benchmark):
                         nr.input_nv()[0]))
         return out
 
-    rows = benchmark.pedantic(sweep_codes, rounds=1, iterations=1)
+    rows = sweep_codes()
     lines = ["Eq. 4: input noise vs gain setting (10 kHz, thermal floor)",
              "", "gain [dB]   Ra||Rf [ohm]   input noise [nV/rtHz]"]
     for g, r, nv in rows:
@@ -95,9 +83,3 @@ def test_fig7_noise_vs_gain_code(tech, save_report, benchmark):
     noise = [r[2] for r in rows]
     assert noise[0] == max(noise)  # low gain = big Ra||Rf = worst noise
     assert all(a >= b * 0.999 for a, b in zip(noise, noise[1:]))
-
-
-def test_noise_analysis_benchmark(design, op, benchmark):
-    freqs = log_freqs(10.0, 100e3, 16)
-    nr = benchmark(lambda: noise_analysis(op, freqs, design.outp, design.outn))
-    assert nr.output_psd.shape == freqs.shape

@@ -9,7 +9,6 @@ the full range)" the paper lists as the main drawback.
 import math
 
 import numpy as np
-import pytest
 
 from repro.analysis.distortion import measure_static_transfer
 from repro.circuits.powerbuffer import build_power_buffer
@@ -28,12 +27,11 @@ def eq6_eq7_pair_limits(tech, i_tail, w_over_l_n, w_over_l_p):
     return v_a, v_b
 
 
-def test_fig8_input_range(tech, save_report, benchmark):
+def test_fig8_input_range(tech, save_report):
     design = build_power_buffer(tech, feedback="unity", load="none")
     levels = np.linspace(tech.vss_nominal, tech.vdd_nominal, 27)
-    ops = benchmark.pedantic(
-        lambda: source_value_sweep(design.circuit, "vsrc_p", levels, anchor=0.0),
-        rounds=1, iterations=1)
+    ops = source_value_sweep(design.circuit, "vsrc_p", levels, anchor=0.0)
+    assert len(ops) == len(levels)
     outs = np.array([op.v("outp") for op in ops])
     slope = np.gradient(outs, levels)
     sz = design.sizes
@@ -57,7 +55,7 @@ def test_fig8_input_range(tech, save_report, benchmark):
     assert (alive.max() - alive.min()) / tech.supply_total >= 0.85
 
 
-def test_fig8_output_swing_vs_eq8(tech, save_report, benchmark):
+def test_fig8_output_swing_vs_eq8(tech, save_report):
     design = build_power_buffer(tech, feedback="inverting", load="resistive")
     sz = design.sizes
     beta_p = tech.pmos.kp * sz.w_pout / sz.l_pout
@@ -68,9 +66,7 @@ def test_fig8_output_swing_vs_eq8(tech, save_report, benchmark):
     margin_lo = math.sqrt(i_pk / beta_n)
 
     levels = np.linspace(-2.2, 2.2, 23)
-    ops = benchmark.pedantic(
-        lambda: source_value_sweep(design.circuit, "vsrc_p", levels, anchor=0.0),
-        rounds=1, iterations=1)
+    ops = source_value_sweep(design.circuit, "vsrc_p", levels, anchor=0.0)
     outs = np.array([op.v("outp") - op.v("outn") for op in ops])
     lines = ["Eq. 8: output swing bound",
              f"  sqrt(I_P/beta_P) = {margin_hi * 1e3:.0f} mV from vdd",
@@ -86,15 +82,13 @@ def test_fig8_output_swing_vs_eq8(tech, save_report, benchmark):
     assert 0.1 < rail_margin < 0.45
 
 
-def test_fig9_signal_dependent_gain(tech, save_report, benchmark):
+def test_fig9_signal_dependent_gain(tech, save_report):
     """Sec. 4: 'the signal dependent gain (5 % over the full range)'."""
     design = build_power_buffer(tech, feedback="inverting", load="resistive")
-    transfer = benchmark.pedantic(
-        lambda: measure_static_transfer(
-            design.circuit, "vsrc_p", "vsrc_n", "outp", "outn",
-            amplitude=1.8, points=37,
-        ),
-        rounds=1, iterations=1)
+    transfer = measure_static_transfer(
+        design.circuit, "vsrc_p", "vsrc_n", "outp", "outn",
+        amplitude=1.8, points=37,
+    )
     gains = [transfer.gain_at(v) for v in (-0.8, -0.4, 0.0, 0.4, 0.8)]
     droop = (max(gains) - min(gains)) / max(gains)
     lines = ["Fig. 9: incremental gain across the swing (inverting, 50 ohm)",
@@ -104,14 +98,3 @@ def test_fig9_signal_dependent_gain(tech, save_report, benchmark):
     lines.append(f"gain variation over range: {droop * 100:.2f} % (paper: ~5 %)")
     save_report("fig9_gain_droop", "\n".join(lines))
     assert droop < 0.10
-
-
-def test_input_sweep_benchmark(tech, benchmark):
-    design = build_power_buffer(tech, feedback="unity", load="none")
-    levels = np.linspace(-1.0, 1.0, 9)
-
-    def run():
-        return source_value_sweep(design.circuit, "vsrc_p", levels, anchor=0.0)
-
-    ops = benchmark(run)
-    assert len(ops) == 9

@@ -2,7 +2,9 @@
 
 Every row of Table 2, plus the Sec. 4 quiescent-current-control claim
 ("total supply current variations with temperature, process and supply
-... is 15 % over a wide supply voltage range (2.8 V to 5 V)").
+... is 15 % over a wide supply voltage range (2.8 V to 5 V)").  Table 2 is
+checked in both modes: the full characterisation here and the quick one
+(``table2``, the ``repro table2 --quick`` contract).
 """
 
 import pytest
@@ -32,9 +34,8 @@ def measured(tech):
     )
 
 
-def test_table2_reproduction(measured, save_report, benchmark):
-    report = benchmark.pedantic(
-        lambda: POWER_BUFFER_SPEC.check(measured), rounds=1, iterations=1)
+def test_table2_reproduction(measured, save_report):
+    report = POWER_BUFFER_SPEC.check(measured)
     lines = ["Table 2: power buffer amplifier — paper vs measured", ""]
     for metric, (label, paper) in PAPER_TABLE2.items():
         lines.append(f"{label:<24s} paper: {paper:<22s} measured: "
@@ -45,16 +46,13 @@ def test_table2_reproduction(measured, save_report, benchmark):
     assert report.passed, report.format()
 
 
-def test_iq_control_claim(tech, save_report, benchmark):
+def test_iq_control_claim(tech, save_report):
     """The quiescent-control loop's spread over supply/temp/corners."""
-    spread = benchmark.pedantic(
-        lambda: iq_spread_over_conditions(
-            tech,
-            supplies=(2.8, 4.0, 5.0),
-            temps=(-20.0, 25.0, 85.0),
-            corners=("tt", "ff", "ss"),
-        ),
-        rounds=1, iterations=1,
+    spread = iq_spread_over_conditions(
+        tech,
+        supplies=(2.8, 4.0, 5.0),
+        temps=(-20.0, 25.0, 85.0),
+        corners=("tt", "ff", "ss"),
     )
     lines = [
         "Sec. 4 quiescent-current control (paper: +/-15 % over 2.8..5 V):",
@@ -67,10 +65,16 @@ def test_iq_control_claim(tech, save_report, benchmark):
     assert spread["spread_frac"] < 0.40
 
 
-def test_buffer_op_benchmark(tech, benchmark):
-    from repro.circuits.powerbuffer import build_power_buffer
-    from repro.spice.dc import dc_operating_point
+class TestTable2:
+    def test_every_row_passes(self, table2):
+        report = POWER_BUFFER_SPEC.check(table2)
+        assert report.passed, "\n" + report.format()
 
-    design = build_power_buffer(tech, feedback="inverting", load="resistive")
-    op = benchmark(lambda: dc_operating_point(design.circuit))
-    assert abs(op.i("vdd_src")) * 1e3 == pytest.approx(3.25, abs=1.0)
+    def test_iq_close_to_paper(self, table2):
+        assert table2["iq_ma"] == pytest.approx(3.25, rel=0.30)
+
+    def test_hd_ordering(self, table2):
+        """0.3 % HD swing < 0.6 % HD swing, both within a few hundred mV
+        of the rails (the paper's 100/300 mV rows)."""
+        assert table2["vomax_hd03_vpp_diff"] <= table2["vomax_hd06_vpp_diff"]
+        assert table2["vomax_margin_hd06_mv"] < 400.0

@@ -50,6 +50,31 @@ class TestBounds:
         limit = SpecLimit("m", Bound.RANGE, (1.0, 2.0), "x")
         assert not limit.check(1.0 - eps) and not limit.check(2.0 + eps)
 
+    @pytest.mark.parametrize("bound, limit, value, margin", [
+        (Bound.MIN, 75.0, 119.8, 44.8),
+        (Bound.MIN, 75.0, 70.0, -5.0),
+        (Bound.MAX, 2.6, 2.552, 0.048),
+        (Bound.MAX, 2.6, 2.7, -0.1),
+        (Bound.ABS_MAX, 0.05, -0.048, 0.002),
+        (Bound.ABS_MAX, 0.05, 0.06, -0.01),
+        (Bound.RANGE, (2.25, 4.25), 3.0, 0.75),    # nearer edge: low
+        (Bound.RANGE, (2.25, 4.25), 4.0, 0.25),    # nearer edge: high
+        (Bound.RANGE, (2.25, 4.25), 2.0, -0.25),
+        (Bound.RANGE, (2.25, 4.25), 4.5, -0.25),
+        (Bound.INFO, 0.0, 1e9, None),
+    ])
+    def test_margin_is_signed_distance_to_the_bound(self, bound, limit,
+                                                    value, margin):
+        spec = Spec("demo", (SpecLimit("m", bound, limit, "x"),))
+        row = spec.check({"m": value}).rows[0]
+        if margin is None:
+            assert row.margin is None
+            assert "margin: --" in row.format()
+        else:
+            assert row.margin == pytest.approx(margin)
+            assert (row.margin >= 0.0) == row.passed
+            assert f"margin: {row.margin:+.4g}" in row.format()
+
 
 class TestReports:
     def test_passing_report(self):

@@ -19,8 +19,8 @@ Every path is anchored to the serial reference:
   batch cannot carry (structure surprises, plain-Newton non-convergence,
   residual-check rejections, precondition errors) — run the *serial*
   implementation on a per-unit operating point wrapped around the
-  batch's bit-identical solution (or a from-scratch serial solve when
-  the batch has no solution to offer);
+  batch's bit-identical solution (or, for a unit whose lockstep plain
+  Newton failed, the serial ladder entered at gmin stepping);
 * any exception while batch-processing a group (including faults
   injected at ``campaign.batch_group``) falls back to plain
   :func:`~repro.campaign.runner.run_unit` semantics for the whole
@@ -54,7 +54,7 @@ from repro.campaign.spec import CampaignSpec, WorkUnit
 from repro.faults.harness import fault_point
 from repro.obs.recorder import active, event, prof_count, span
 from repro.spice.batch import BatchedSystem, circuit_signature, newton_batch
-from repro.spice.dc import OperatingPoint, dc_operating_point
+from repro.spice.dc import OperatingPoint, PlainFailure, dc_operating_point
 from repro.spice.elements import VoltageSource
 from repro.spice.linsolve import BatchedSmallSignalContext
 from repro.spice.netlist import is_ground
@@ -68,11 +68,14 @@ DEFAULT_BATCH_SIZE = 64
 #: ``run_unit``.  Tensor-path CPU time over ``run_unit`` for healthy
 #: micamp Table-1 groups (2-CPU host, 1 BLAS thread, median of 12
 #: paired runs, byte-equal records): 1 unit 1.40x, 2 units 0.84x,
-#: 3 units 0.66x, 4 units 0.59x, 12 units 0.48x.  The threshold sits
-#: above 3 because the robust optimizer's 3-unit groups are a different
-#: input: many DE candidates fail lockstep Newton and re-run the serial
-#: ladder from scratch, which made those groups 1.22x slower on the
-#: tensor path (median of 12 paired searches).
+#: 3 units 0.66x, 4 units 0.59x, 12 units 0.48x.  The robust
+#: optimizer's 3-unit groups are a different input: many DE candidates
+#: fail lockstep Newton.  While such a unit re-ran the plain stage from
+#: scratch those groups cost 1.22x on the tensor path; entering the
+#: ladder at gmin stepping they cost 1.00x (IQR 0.88-1.09; 12 paired
+#: robust searches, budget 150, seeds 101-112; the same searches took
+#: 1.21x before, on the same host), no clear win, so the threshold
+#: stays above 3.
 MIN_BATCH_UNITS = 4
 
 
@@ -345,7 +348,9 @@ def _run_group(spec: CampaignSpec, units: list[WorkUnit], builts: list,
     # Structure was already grouped by signature in run_chunk_batched;
     # the unit-0 replay guard inside BatchedSystem still applies.
     bs = BatchedSystem(pattern, circuits, temps, check_structure=False)
-    converged, x, iterations = newton_batch(bs, bs.initial_guess(), bs.rhs_dc())
+    diags: list[dict] = [{} for _ in units]
+    converged, x, iterations = newton_batch(bs, bs.initial_guess(), bs.rhs_dc(),
+                                            diags=diags)
     gr = _GroupRun(spec, units, builts, techs, pattern, bs, converged, x,
                    iterations)
 
@@ -354,9 +359,11 @@ def _run_group(spec: CampaignSpec, units: list[WorkUnit], builts: list,
     prof_count("campaign.batched_units", len(live))
     prof_count("campaign.fallback_units", len(units) - len(live))
 
-    # Units the lockstep plain-Newton pass could not converge re-enter
-    # the full serial strategy ladder from scratch (the serial path would
-    # fail its identical plain-Newton stage the same way first).
+    # A unit the lockstep plain-Newton pass could not converge has failed
+    # the serial plain stage exactly (same iterate, same stall rule), so
+    # it enters the serial ladder at gmin stepping with that failure
+    # record; its operating point, iteration count included, is the
+    # per-unit solve's.
     fallback_ops: dict[int, OperatingPoint] = {}
     for u in range(len(units)):
         if converged[u]:
@@ -364,8 +371,11 @@ def _run_group(spec: CampaignSpec, units: list[WorkUnit], builts: list,
         event("campaign.unit_fallback", "warn", corner=units[u].corner,
               temp_c=units[u].temp_c, seed=units[u].seed,
               gain_code=units[u].gain_code,
-              reason="lockstep newton non-convergence; serial strategy ladder")
-        op = dc_operating_point(builts[u].circuit, temp_c=units[u].temp_c)
+              reason=f"lockstep newton {diags[u]['reason']}; serial ladder "
+                     "entered at gmin stepping")
+        op = dc_operating_point(
+            builts[u].circuit, temp_c=units[u].temp_c,
+            plain_failure=PlainFailure(x[u], int(iterations[u]), diags[u]))
         rt = UnitRuntime(spec=spec, unit=units[u], tech=techs[u],
                          built=builts[u], op=op)
         for name in spec.measurements:

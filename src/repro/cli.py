@@ -641,31 +641,35 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduction of the 1995 low-voltage FD PGA paper.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_table1(sub) -> None:
     p1 = sub.add_parser("table1", help="characterise the microphone amplifier")
     p1.add_argument("--quick", action="store_true")
     p1.set_defaults(func=_cmd_table1)
 
+
+def _add_table2(sub) -> None:
     p2 = sub.add_parser("table2", help="characterise the power buffer")
     p2.add_argument("--quick", action="store_true")
     p2.set_defaults(func=_cmd_table2)
 
+
+def _add_noise(sub) -> None:
     pn = sub.add_parser("noise", help="Fig. 7 noise spectrum")
     pn.add_argument("--code", type=int, default=5, choices=range(6))
     pn.set_defaults(func=_cmd_noise)
 
+
+def _add_gains(sub) -> None:
     pg = sub.add_parser("gains", help="Fig. 5 gain table")
     pg.set_defaults(func=_cmd_gains)
 
+
+def _add_opamp(sub) -> None:
     po = sub.add_parser("opamp", help="modulator opamp figures of merit")
     po.set_defaults(func=_cmd_opamp)
 
+
+def _add_campaign(sub) -> None:
     pc = sub.add_parser(
         "campaign",
         help="declarative PVT x mismatch x gain-code characterization sweep",
@@ -708,6 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(inspect with `repro trace FILE`)")
     pc.set_defaults(func=_cmd_campaign)
 
+
+def _add_optimize(sub) -> None:
     po2 = sub.add_parser(
         "optimize",
         help="spec-driven sizing search over the Sec. 3.2 design space",
@@ -756,6 +762,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "overrides --budget/--seed/--mode/--robust)")
     po2.set_defaults(func=_cmd_optimize)
 
+
+def _add_store(sub) -> None:
     pst = sub.add_parser(
         "store",
         help="inspect / maintain a persistent result store",
@@ -785,6 +793,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "~/.cache/repro-store)")
         sp.set_defaults(func=_cmd_store)
 
+
+def _add_serve(sub) -> None:
     psv = sub.add_parser(
         "serve",
         help="run the characterization service (HTTP/JSON API)",
@@ -816,6 +826,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="log every HTTP request")
     psv.set_defaults(func=_cmd_serve)
 
+
+def _add_client(sub) -> None:
     pcl = sub.add_parser(
         "client",
         help="talk to a running `repro serve` endpoint",
@@ -852,6 +864,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="wait timeout in seconds (default: 600)")
         sp.set_defaults(func=_cmd_client)
 
+
+def _add_trace(sub) -> None:
     pt = sub.add_parser(
         "trace",
         help="inspect a span trace (JSONL export or a served job)",
@@ -875,6 +889,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "below the tree")
     pt.set_defaults(func=_cmd_trace)
 
+
+def _add_doctor(sub) -> None:
     pd = sub.add_parser(
         "doctor",
         help="run stack self-checks and print a pass/warn/fail report",
@@ -892,6 +908,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="event-log JSONL export to triage")
     pd.set_defaults(func=_cmd_doctor)
 
+
+def _add_ingest(sub) -> None:
     pi = sub.add_parser(
         "ingest",
         help="compile an external SPICE deck (parse / op / ac)",
@@ -919,17 +937,57 @@ def build_parser() -> argparse.ArgumentParser:
                          "form) and exit")
     pi.set_defaults(func=_cmd_ingest)
 
+
+def _add_export(sub) -> None:
     pe = sub.add_parser("export", help="write a block's SPICE deck")
     pe.add_argument("block", choices=_BLOCKS)
     pe.add_argument("output", help="output file, or - for stdout")
     pe.set_defaults(func=_cmd_export)
 
+#: Subcommand -> the function that adds its parser, in ``--help`` order.
+_COMMANDS = {
+    "table1": _add_table1,
+    "table2": _add_table2,
+    "noise": _add_noise,
+    "gains": _add_gains,
+    "opamp": _add_opamp,
+    "campaign": _add_campaign,
+    "optimize": _add_optimize,
+    "store": _add_store,
+    "serve": _add_serve,
+    "client": _add_client,
+    "trace": _add_trace,
+    "doctor": _add_doctor,
+    "ingest": _add_ingest,
+    "export": _add_export,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``repro`` argument parser.
+
+    ``command`` builds that one subcommand's parser only, which is what
+    :func:`main` does for a known command; ``None`` builds all of them.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduction of the 1995 low-voltage FD PGA paper.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, add in _COMMANDS.items():
+        if command is None or name == command:
+            add(sub)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line the way :func:`main` does.
+
+    A known command builds only its own subparser.  An unknown or
+    missing command, a top-level ``--help`` and arguments the subcommand
+    does not recognise go to the full parser, so every help and error
+    text is the full parser's.
+    """
     # Let "--temps -20,25,85"-style negative comma lists through argparse,
     # which would otherwise read the value as an option string.
     fixed: list[str] = []
@@ -945,7 +1003,15 @@ def main(argv: list[str] | None = None) -> int:
             skip = True
         else:
             fixed.append(arg)
-    args = build_parser().parse_args(fixed)
+    if fixed and fixed[0] in _COMMANDS:
+        args, extras = build_parser(fixed[0]).parse_known_args(fixed)
+        if not extras:
+            return args
+    return build_parser().parse_args(fixed)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     return args.func(args)
 
 

@@ -24,11 +24,12 @@ serial op sequence exactly rather than approximating it:
   ``is_at``/``UT^2``) are evaluated per unit with the *same Python
   scalar calls* the serial compile makes — ``array ** float`` and
   vectorised ``exp`` are not bit-identical to their scalar forms;
-* :func:`newton_batch` replays :func:`repro.spice.dc._newton` in
-  lockstep with per-unit masks: identical solve/jitter/fallback ladder,
-  identical clamp, identical convergence test, and a unit that the
-  plain-Newton pass cannot converge is handed back for the serial
-  strategy ladder untouched.
+* :func:`newton_batch` replays the plain stage of
+  :func:`repro.spice.dc.dc_operating_point` in lockstep with per-unit
+  masks: identical solve/jitter/fallback ladder, identical clamp,
+  identical convergence test, identical stall rule, and a unit that the
+  plain-Newton pass cannot converge is handed back, with its failure
+  record, for the serial gmin -> source-stepping ladder.
 
 Units whose structure does not match the group raise
 :class:`BatchStructureError`; the campaign layer falls back to the
@@ -493,16 +494,24 @@ def newton_batch(
     x0: np.ndarray,
     rhs: np.ndarray,
     options: NewtonOptions | None = None,
+    diags: list[dict] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Masked lockstep replay of :func:`repro.spice.dc._newton` (gmin=0).
+    """Masked lockstep replay of the plain-Newton stage of
+    :func:`repro.spice.dc.dc_operating_point` (``_newton`` at gmin=0
+    with ``options.stall_iterations``).
 
     Returns ``(converged, x, iterations)`` over the unit axis.  A unit
     follows the serial iterate exactly until it either converges (same
     iteration count, bit-identical ``x``) or fails the same way the
     serial loop would (singular even after the 1e-12 jitter, non-finite
-    update, or iteration budget) — failed units keep their serial-
-    faithful ``x`` frozen and are meant to re-enter the serial strategy
-    ladder from scratch.
+    update, ``stall_iterations`` clamped steps in a row, or iteration
+    budget).  Failed units keep their serial-faithful ``x`` frozen and
+    are meant to enter the serial ladder at gmin stepping
+    (:class:`repro.spice.dc.PlainFailure`).
+
+    ``diags``, when given, holds one dict per unit; each receives the
+    forensics the serial ``_newton`` records in its ``diag``: ``resid``
+    and, for a failed unit, ``reason`` and ``clamped_streak``.
     """
     opts = options or NewtonOptions()
     n = system.size
@@ -514,6 +523,9 @@ def newton_batch(
     converged = np.zeros(n_units, dtype=bool)
     failed = np.zeros(n_units, dtype=bool)
     iterations = np.zeros(n_units, dtype=np.int64)
+    streak = np.zeros(n_units, dtype=np.int64)
+    last_resid = np.full(n_units, np.nan)
+    reason = np.full(n_units, None, dtype=object)
 
     for iteration in range(1, opts.max_iterations + 1):
         live = ~(converged | failed)
@@ -560,13 +572,28 @@ def newton_batch(
 
         max_dv = np.abs(dx_nodes).max(axis=1) if nv else np.zeros(n_units)
         max_resid = np.abs(r[:, :nv]).max(axis=1) if nv else np.zeros(n_units)
+        last_resid[upd] = max_resid[upd]
         current_scale = (np.abs(x[:, nv:n]).max(axis=1) if n > nv
                          else np.zeros(n_units))
         itol = opts.abstol + opts.reltol * np.maximum(current_scale, 1e-6)
         converged |= (upd & ~limited & (max_dv < opts.vntol)
                       & (max_resid < itol * 100))
-        failed |= solve_failed | nonfinite
+        streak[upd] = np.where(limited[upd], streak[upd] + 1, 0)
+        stalled = upd & ~converged & (streak >= opts.stall_iterations)
+        reason[solve_failed] = "singular"
+        reason[nonfinite] = "nonfinite"
+        reason[stalled] = "stalled"
+        failed |= solve_failed | nonfinite | stalled
 
+    reason[~(converged | failed)] = "budget"
+    if diags is not None:
+        for u, d in enumerate(diags):
+            if not np.isnan(last_resid[u]):
+                d["resid"] = float(last_resid[u])
+            if reason[u] is not None:
+                d["reason"] = reason[u]
+                if reason[u] == "stalled":
+                    d["clamped_streak"] = int(streak[u])
     if active() is not None:
         n_bad = int((~converged).sum())
         if n_bad:

@@ -5,6 +5,17 @@ stepping and then source stepping.  The paper's circuits (bandgap with a
 degenerate zero-current state, class-AB loops) exercise all three paths;
 builders provide nodesets so the common case converges directly.
 
+A hard start shows itself early: every plain-Newton step stays clamped
+at the step limit.  The plain stage therefore gives up after
+:attr:`NewtonOptions.stall_iterations` consecutive clamped steps instead
+of spending its whole iteration budget.  The ladder behind it
+(:func:`strategy_ladder`) always restarts from the initial guess, never
+from the failed iterate, so the rule changes a result only if a solve
+that would have converged had such a run; the limit is 1.5x the
+longest run measured in a converging solve.  The tensor path
+(:func:`repro.spice.batch.newton_batch`) applies the same rule per unit
+and hands a failed unit straight to the ladder.
+
 Systems above :attr:`repro.spice.mna.MnaSystem.sparse_threshold` nodes
 (large ingested netlists) take a SuperLU sparse linear step instead of
 dense LAPACK, gated per step by the scaled-residual acceptance check and
@@ -14,7 +25,8 @@ the sparse code and stay bit-identical to the historical behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +49,11 @@ class NewtonOptions:
     reltol: float = 1e-6
     abstol: float = 1e-10        # KCL residual tolerance [A]
     vlimit: float = 0.5          # componentwise per-iteration step clamp [V]
+    #: Plain stage only: consecutive clamped iterations after which it
+    #: stops and the gmin -> source-stepping ladder takes over.  1.5x the
+    #: longest clamped run measured in a converging solve (55 steps);
+    #: failing hard starts run 132-150.
+    stall_iterations: int = 83
 
 
 @dataclass
@@ -232,23 +249,36 @@ def _newton(
     gmin: float,
     options: NewtonOptions,
     diag: dict | None = None,
+    stall: int | None = None,
 ) -> tuple[bool, np.ndarray, int]:
     """Damped Newton iteration; returns (converged, x, iterations).
 
+    ``stall``, when given, stops the iteration once that many
+    consecutive steps were clamped at ``options.vlimit``.
+
     ``diag``, when given, is populated with solve forensics: ``resid``
-    (last KCL residual norm seen) and ``latch`` (why the sparse path
-    latched to dense, if it did) — telemetry only, never results.
+    (last KCL residual norm seen), ``latch`` (why the sparse path
+    latched to dense, if it did) and, on failure, ``reason``
+    (``"stalled"``, ``"budget"``, ``"singular"`` or ``"nonfinite"``) and
+    ``clamped_streak`` — telemetry only, never results.
     """
     n = system.size
     x = x0.copy()
     x[system.ground_index] = 0.0
     use_sparse = bool(getattr(system, "prefer_sparse", False))
     last_resid: float | None = None
+    streak = 0
 
-    def done(converged: bool, iteration: int):
-        if diag is not None and last_resid is not None:
-            diag["resid"] = last_resid
-        return converged, x, iteration
+    def done(iteration: int, reason: str | None = None):
+        if diag is not None:
+            if last_resid is not None:
+                diag["resid"] = last_resid
+            if reason is not None:
+                diag["reason"] = reason
+                diag.pop("clamped_streak", None)
+                if reason == "stalled":
+                    diag["clamped_streak"] = streak
+        return reason is None, x, iteration
 
     for iteration in range(1, options.max_iterations + 1):
         prof_count("dc.newton_iterations")
@@ -278,9 +308,9 @@ def _newton(
                 try:
                     dx = np.linalg.solve(a, -r)
                 except np.linalg.LinAlgError:
-                    return done(False, iteration)
+                    return done(iteration, "singular")
         if not np.all(np.isfinite(dx)):
-            return done(False, iteration)
+            return done(iteration, "nonfinite")
 
         # Componentwise clamp on node voltages keeps junctions from
         # overshooting; branch currents are left unclamped (linear rows).
@@ -297,9 +327,12 @@ def _newton(
         current_scale = float(np.max(np.abs(x[nv:n]))) if n > nv else 0.0
         itol = options.abstol + options.reltol * max(current_scale, 1e-6)
         if not limited and max_dv < options.vntol and max_resid < itol * 100:
-            return done(True, iteration)
+            return done(iteration)
+        streak = streak + 1 if limited else 0
+        if stall is not None and streak >= stall:
+            return done(iteration, "stalled")
 
-    return done(False, options.max_iterations)
+    return done(options.max_iterations, "budget")
 
 
 def _solver_event(name: str, severity: str, system: MnaSystem,
@@ -331,20 +364,38 @@ def _initial_guess(system: MnaSystem) -> np.ndarray:
     return x
 
 
+class PlainFailure(NamedTuple):
+    """A plain-Newton stage that already failed elsewhere (the lockstep
+    replay of :func:`repro.spice.batch.newton_batch`): its last iterate,
+    its iteration count and its ``_newton`` ``diag`` record."""
+
+    x: np.ndarray
+    iterations: int
+    diag: dict
+
+
 def dc_operating_point(
     circuit_or_system: Circuit | MnaSystem,
     temp_c: float = 25.0,
     options: NewtonOptions | None = None,
     x0: np.ndarray | None = None,
+    *,
+    plain_failure: PlainFailure | None = None,
 ) -> OperatingPoint:
     """Find the DC operating point, escalating through solver strategies.
 
     Strategy ladder:
 
-    1. plain Newton from the nodeset-seeded initial guess;
-    2. gmin stepping (1e-3 S down to 0, warm-started);
+    1. plain Newton from the nodeset-seeded initial guess (or ``x0``),
+       stopped early after :attr:`NewtonOptions.stall_iterations`
+       consecutive clamped steps;
+    2. gmin stepping (1e-3 S down to 0), restarted from that same start;
     3. source stepping (supplies ramped 0 -> 100 %, with a gmin ladder at
        the final rung).
+
+    Stages 2-3 are :func:`strategy_ladder`.  ``plain_failure`` skips
+    stage 1 for a caller that already ran it and saw it fail; the
+    result, iteration count included, is the one a full solve gives.
     """
     if isinstance(circuit_or_system, Circuit):
         system = circuit_or_system.compile(temp_c=temp_c)
@@ -355,21 +406,53 @@ def dc_operating_point(
     start = x0.copy() if x0 is not None else _initial_guess(system)
 
     prof_count("dc.operating_points")
-    diag: dict = {}
-    converged, x, iters = _newton(system, start, rhs, gmin=0.0, options=opts,
-                                  diag=diag)
-    if converged:
-        prof_count("dc.strategy.newton")
-        return OperatingPoint(system, x, iters, strategy="newton",
-                              worst_resid=diag.get("resid"),
-                              latch_reason=diag.get("latch"))
+    if plain_failure is None:
+        diag: dict = {}
+        converged, x, iters = _newton(system, start, rhs, gmin=0.0,
+                                      options=opts, diag=diag,
+                                      stall=opts.stall_iterations)
+        if converged:
+            prof_count("dc.strategy.newton")
+            return OperatingPoint(system, x, iters, strategy="newton",
+                                  worst_resid=diag.get("resid"),
+                                  latch_reason=diag.get("latch"))
+        plain_failure = PlainFailure(x, iters, diag)
 
-    # --- gmin stepping ---
+    x, iters, diag = plain_failure
     _solver_event("dc.strategy_escalation", "warn", system, x, rhs, diag,
                   from_strategy="newton", to_strategy="gmin-stepping",
-                  iterations=iters)
+                  iterations=iters, **_failure_fields(diag))
+    return strategy_ladder(system, start, opts, iterations=iters, diag=diag)
+
+
+def _failure_fields(diag: dict) -> dict:
+    """The ``reason`` (and ``clamped_streak``) of the last failed stage."""
+    return {k: diag[k] for k in ("reason", "clamped_streak") if k in diag}
+
+
+def strategy_ladder(
+    system: MnaSystem,
+    start: np.ndarray,
+    options: NewtonOptions | None = None,
+    *,
+    iterations: int = 0,
+    diag: dict | None = None,
+) -> OperatingPoint:
+    """Stages 2-3 of the :func:`dc_operating_point` ladder from ``start``.
+
+    Gmin stepping from ``start``, then source stepping from zero; raises
+    :class:`ConvergenceError` when both fail.  ``iterations`` (spent by a
+    failed plain stage) is added to the returned operating point's
+    count, and ``diag`` carries that stage's forensics on.  No stage
+    here applies the stall rule.
+    """
+    opts = options or NewtonOptions()
+    diag = {} if diag is None else diag
+    rhs = system.rhs_dc()
+
+    # --- gmin stepping ---
     x = start.copy()
-    total_iters = iters
+    total_iters = iterations
     ladder = [10.0 ** (-k) for k in range(3, 13)] + [0.0]
     ok = True
     for gmin in ladder:
@@ -389,7 +472,7 @@ def dc_operating_point(
     # --- source stepping ---
     _solver_event("dc.strategy_escalation", "warn", system, x, rhs, diag,
                   from_strategy="gmin-stepping", to_strategy="source-stepping",
-                  iterations=total_iters)
+                  iterations=total_iters, **_failure_fields(diag))
     x = np.zeros(system.size + 1)
     scale = 0.0
     step = 0.1

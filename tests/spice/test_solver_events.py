@@ -76,6 +76,9 @@ class TestEscalationEvents:
         assert first["fields"]["from_strategy"] == "newton"
         assert first["fields"]["to_strategy"] == "gmin-stepping"
         assert isinstance(first["fields"]["resid_norm"], float)
+        # Each escalation says why the stage it leaves failed.
+        assert [e["fields"]["reason"] for e in escalations] == ["budget"] * 2
+        assert all("clamped_streak" not in e["fields"] for e in escalations)
         failures = rec.events(name="dc.nonconvergence", severity="error")
         assert failures, "non-convergence never recorded"
         assert failures[-1]["fields"]["circuit"] == "bad"

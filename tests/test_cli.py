@@ -1,10 +1,51 @@
 """Command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, parse_args
+
+#: One valid command line per (sub)command path.
+SAMPLE_ARGV = {
+    ("table1",): ["table1", "--quick"],
+    ("table2",): ["table2"],
+    ("noise",): ["noise", "--code", "3"],
+    ("gains",): ["gains"],
+    ("opamp",): ["opamp"],
+    ("campaign",): ["campaign", "--temps=-20,25", "--trials", "2",
+                    "--measure", "iq_ma", "--profile"],
+    ("optimize",): ["optimize", "--quick", "--robust", "--seed", "7",
+                    "--temps=-20,85"],
+    ("store",): ["store", "stat"],
+    ("store", "ls"): ["store", "ls", "--kind", "design-eval", "--limit", "3"],
+    ("store", "stat"): ["store", "stat", "--store", "/tmp/s"],
+    ("store", "gc"): ["store", "gc"],
+    ("store", "export"): ["store", "export", "out.json", "--kind", "x"],
+    ("store", "verify"): ["store", "verify"],
+    ("serve",): ["serve", "--port", "0", "--no-store"],
+    ("client",): ["client", "metrics"],
+    ("client", "submit"): ["client", "submit", "spec.json", "--wait",
+                           "--url", "http://x"],
+    ("client", "status"): ["client", "status", "j1"],
+    ("client", "wait"): ["client", "wait", "j1", "--timeout", "5"],
+    ("client", "result"): ["client", "result", "j1", "--offset", "2"],
+    ("client", "metrics"): ["client", "metrics"],
+    ("trace",): ["trace", "t.jsonl", "--top", "3"],
+    ("doctor",): ["doctor", "--events", "e.jsonl"],
+    ("ingest",): ["ingest", "deck.sp", "--op", "--binding", "b.json"],
+    ("export",): ["export", "bias", "-"],
+}
+
+
+def command_paths(parser: argparse.ArgumentParser, prefix: tuple = ()):
+    """Every (sub)command path of ``parser``, e.g. ``("store", "ls")``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield prefix + (name,)
+                yield from command_paths(sub, prefix + (name,))
 
 
 class TestParser:
@@ -25,6 +66,46 @@ class TestParser:
     def test_bad_gain_code_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["noise", "--code", "9"])
+
+
+class TestLazyParser:
+    """``main`` builds only the invoked subcommand's parser; the result
+    must be indistinguishable from the full parser's."""
+
+    def test_sample_for_every_command(self):
+        assert set(command_paths(build_parser())) == set(SAMPLE_ARGV)
+
+    def test_builds_only_the_invoked_command(self):
+        assert {p[0] for p in command_paths(build_parser("store"))} == {"store"}
+
+    @pytest.mark.parametrize("path", sorted(SAMPLE_ARGV), ids=" ".join)
+    def test_same_namespace(self, path):
+        argv = SAMPLE_ARGV[path]
+        assert parse_args(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("path", sorted(SAMPLE_ARGV), ids=" ".join)
+    def test_same_help(self, path, capsys):
+        argv = [*path, "--help"]
+        with pytest.raises(SystemExit) as lazy:
+            parse_args(argv)
+        lazy_out = capsys.readouterr()
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args(argv)
+        assert lazy.value.code == full.value.code == 0
+        assert lazy_out == capsys.readouterr()
+        assert lazy_out.out.startswith(f"usage: repro {' '.join(path)} ")
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"],
+                                      ["gains", "--foo"], ["store"],
+                                      ["noise", "--code", "9"]])
+    def test_errors_and_top_level_help_match_full_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as lazy:
+            parse_args(argv)
+        lazy_out = capsys.readouterr()
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args(argv)
+        assert lazy.value.code == full.value.code
+        assert lazy_out == capsys.readouterr()
 
 
 class TestCommands:

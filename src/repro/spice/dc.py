@@ -1,9 +1,14 @@
 """DC operating point and DC sweeps.
 
 Newton-Raphson with componentwise voltage limiting, falling back to gmin
-stepping and then source stepping.  The paper's circuits (bandgap with a
-degenerate zero-current state, class-AB loops) exercise all three paths;
-builders provide nodesets so the common case converges directly.
+stepping and then source stepping.  The paper's circuits (bias, bandgap,
+mic amp, buffer, modulator op-amp, mirror cells) all converge by plain
+Newton at -20/25/85 degC, with or without their builders' nodesets;
+from an all-zero start only the mic amp at -20 degC needs gmin stepping.
+The later rungs serve the optimizer's sized designs: some need gmin
+stepping, and a few need source stepping (``tests/spice/test_hard_start.py``
+pins one of each).  A singular Jacobian (a node with no DC path) gets
+one retry with a 1e-12 diagonal jitter.
 
 A hard start shows itself early: every plain-Newton step stays clamped
 at the step limit.  The plain stage therefore gives up after
@@ -217,10 +222,8 @@ def _sparse_newton_step(
     factorization, non-finite step or gate rejection returns ``None``
     and the caller finishes the solve on the dense LAPACK path.
     """
-    try:
-        from scipy.sparse.linalg import splu
-    except ImportError:                     # pragma: no cover - scipy baked in
-        return None
+    from scipy.sparse.linalg import splu
+
     from repro.spice.linsolve import SPECTRAL_RESIDUAL_TOL
 
     n = system.size
@@ -303,7 +306,8 @@ def _newton(
                 dx = np.linalg.solve(a, -r)
             except np.linalg.LinAlgError:
                 event("dc.jacobian_singular", "warn",
-                      circuit=system.circuit.name, iteration=iteration)
+                      circuit=system.circuit.name, iteration=iteration,
+                      gmin=gmin)
                 a = a + np.eye(n) * 1e-12
                 try:
                     dx = np.linalg.solve(a, -r)

@@ -1,4 +1,4 @@
-"""Batched small-signal solve layer.
+"""Small-signal solve layer.
 
 Every small-signal analysis in this package reduces to solving
 
@@ -6,16 +6,15 @@ Every small-signal analysis in this package reduces to solving
 
 at many frequencies, often for several right-hand sides at once (the AC
 stimulus, PSRR/CMRR injections) plus the *transposed* system for adjoint
-noise transimpedances.  The seed implementation ran a Python loop with
-one dense LAPACK call per frequency; this module instead stacks the
-frequency axis into a single batched factorization:
+noise transimpedances.  Every dense LU here is one LAPACK kernel pair,
+``zgetrf`` to factor and ``zgetrs`` to solve, called directly because
+the scipy wrappers' per-matrix Python overhead dominates at the paper's
+matrix sizes:
 
-* :func:`solve_stacked` assembles ``A = G[None] + 2j*pi*f[:,None,None]*C``
-  in chunks (bounding peak memory at ``chunk * n^2`` complex entries) and
-  factorizes each chunk with one batched ``scipy.linalg.lu_factor`` call.
-  The same LU then serves every forward RHS column *and* the adjoint
-  solve via ``lu_solve(..., trans=1)`` — one factorization per frequency
-  for AC gain, noise and PSRR together.
+* :func:`solve_stacked` factors each frequency's ``A = G + 2j*pi*f*C``
+  once; the same factors then serve every forward RHS column *and* the
+  adjoint solve (``zgetrs`` with ``trans=1``) — one factorization per
+  frequency for AC gain, noise and PSRR together.
 * :class:`SpectralSolver` pushes the sharing to its limit for dense
   sweeps: writing ``A = G (I + 2j*pi*f*M)`` with ``M = G^{-1} C``, one
   complex Schur decomposition ``M = Q T Q^H`` (unconditionally stable —
@@ -23,10 +22,12 @@ frequency axis into a single batched factorization:
   ``M``) turns every frequency point into an O(n^2) triangular
   substitution, vectorised over the whole frequency axis.  Solutions are
   residual-verified at spread sample points plus the sweep's
-  worst-conditioned frequency, falling back to the batched LU path if
+  worst-conditioned frequency, falling back to :func:`solve_stacked` if
   the check fails.
-* :func:`solve_looped` is the kept per-frequency reference path.  The
-  equivalence tests assert the fast paths agree with it to ``rtol=1e-9``.
+* :func:`solve_looped` is the reference path through the scipy wrappers
+  (``lu_factor``/``lu_solve``, the same LAPACK routines).  The tests pin
+  :func:`solve_stacked` to it bit for bit and the Schur path to
+  ``rtol=1e-9``.
 * :class:`SmallSignalContext` caches the linearized ``G``/``C`` and the
   Schur decomposition of one operating point so AC, noise and PSRR stop
   re-calling ``system.linearize(op.x)`` per metric.  It is created
@@ -42,13 +43,8 @@ from scipy.linalg import lapack as _lapack
 from repro.obs.recorder import event, prof_count
 from repro.spice.netlist import is_ground
 
-#: Frequencies per factorization batch; 64 keeps the stacked matrices of
-#: the paper's circuits (n < 100) under a few MB while amortising the
-#: Python/LAPACK dispatch overhead.
-DEFAULT_CHUNK = 64
-
 #: Minimum sweep length before the Schur fast path pays for its one-time
-#: decomposition; below this the batched LU path wins (PSRR probes solve
+#: decomposition; below this the stacked LU path wins (PSRR probes solve
 #: a single frequency).
 SPECTRAL_MIN_FREQS = 16
 
@@ -57,22 +53,6 @@ SPECTRAL_MIN_FREQS = 16
 #: margin while still rejecting any genuine breakdown long before it
 #: could push the solution outside the 1e-9 equivalence band.
 SPECTRAL_RESIDUAL_TOL = 1e-10
-
-# Lazily probed: older scipy releases reject stacked lu_factor inputs.
-_BATCHED_LU: bool | None = None
-
-
-def _supports_batched_lu() -> bool:
-    global _BATCHED_LU
-    if _BATCHED_LU is None:
-        try:
-            a = np.eye(2, dtype=complex)[None].repeat(2, axis=0)
-            lu, piv = sla.lu_factor(a)
-            sla.lu_solve((lu, piv), np.ones((2, 2, 1), dtype=complex))
-            _BATCHED_LU = True
-        except Exception:
-            _BATCHED_LU = False
-    return _BATCHED_LU
 
 
 def _as_rhs_matrix(rhs: np.ndarray, n: int) -> np.ndarray:
@@ -85,10 +65,15 @@ def _as_rhs_matrix(rhs: np.ndarray, n: int) -> np.ndarray:
     return b.astype(complex, copy=False)
 
 
-def stacked_matrices(g: np.ndarray, c: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """``A_k = G + 2j*pi*f_k*C`` stacked along the first axis."""
-    w = 2j * np.pi * np.asarray(freqs, dtype=float)
-    return g[None, :, :] + w[:, None, None] * c[None, :, :]
+def _getrf(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LU factors and pivots of one complex matrix (``zgetrf``, the
+    routine behind scipy's ``lu_factor``, bit for bit).  A singular
+    matrix (``info > 0``) is kept: its ``zgetrs`` solution goes
+    non-finite, which the callers' checks see."""
+    lu, piv, info = _lapack.zgetrf(a)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of zgetrf")
+    return lu, piv
 
 
 def solve_stacked(
@@ -97,14 +82,13 @@ def solve_stacked(
     freqs: np.ndarray,
     rhs: np.ndarray | None = None,
     adjoint_rhs: np.ndarray | None = None,
-    chunk: int = DEFAULT_CHUNK,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Frequency-stacked solve of ``A x = rhs`` and ``A^T psi = adjoint_rhs``.
+    """Per-frequency LU solve of ``A x = rhs`` and ``A^T psi = adjoint_rhs``.
 
-    One batched LU factorization per frequency chunk serves every forward
-    RHS column and every adjoint column (plain transpose, not conjugate —
-    the adjoint noise method needs ``A^T``, and the LAPACK ``trans=1``
-    solve reuses the factors of ``A`` directly).
+    One ``zgetrf`` factorization per frequency serves every forward RHS
+    column and every adjoint column (plain transpose, not conjugate —
+    the adjoint noise method needs ``A^T``, and the ``trans=1`` solve
+    reuses the factors of ``A`` directly).
 
     Returns ``(fwd, adj)`` with shapes ``(n_freq, n, k_fwd)`` and
     ``(n_freq, n, k_adj)``; an entry is ``None`` when the corresponding
@@ -112,9 +96,6 @@ def solve_stacked(
     """
     if rhs is None and adjoint_rhs is None:
         raise ValueError("need at least one of rhs / adjoint_rhs")
-    if not _supports_batched_lu():
-        return solve_looped(g, c, freqs, rhs, adjoint_rhs)
-
     freqs = np.asarray(freqs, dtype=float)
     n = g.shape[0]
     nf = freqs.size
@@ -123,21 +104,15 @@ def solve_stacked(
     fwd = np.empty((nf, n, bf.shape[1]), dtype=complex) if bf is not None else None
     adj = np.empty((nf, n, ba.shape[1]), dtype=complex) if ba is not None else None
 
-    step = max(1, int(chunk))
-    for start in range(0, nf, step):
-        sl = slice(start, min(start + step, nf))
-        a = stacked_matrices(g, c, freqs[sl])
-        m = a.shape[0]
-        lu, piv = sla.lu_factor(a, check_finite=False)
-        prof_count("linsolve.lu_factor", m)
+    w = 2j * np.pi * freqs
+    for k in range(nf):
+        lu, piv = _getrf(g + w[k] * c)
         if bf is not None:
-            stacked_b = np.broadcast_to(bf, (m, *bf.shape)).copy()
-            fwd[sl] = sla.lu_solve((lu, piv), stacked_b, check_finite=False)
-            prof_count("linsolve.lu_solve", m)
+            fwd[k], _ = _lapack.zgetrs(lu, piv, bf)
         if ba is not None:
-            stacked_b = np.broadcast_to(ba, (m, *ba.shape)).copy()
-            adj[sl] = sla.lu_solve((lu, piv), stacked_b, trans=1, check_finite=False)
-            prof_count("linsolve.lu_solve", m)
+            adj[k], _ = _lapack.zgetrs(lu, piv, ba, trans=1)
+    prof_count("linsolve.lu_factor", nf)
+    prof_count("linsolve.lu_solve", nf * ((bf is not None) + (ba is not None)))
     return fwd, adj
 
 
@@ -148,9 +123,10 @@ def solve_looped(
     rhs: np.ndarray | None = None,
     adjoint_rhs: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Per-frequency reference path (the seed implementation's loop).
+    """Per-frequency reference path through scipy's ``lu_factor`` /
+    ``lu_solve`` (the seed implementation's loop).
 
-    Kept so the equivalence tests can pin the batched path against it;
+    Kept so the equivalence tests can pin the other paths against it;
     same contract as :func:`solve_stacked`.
     """
     if rhs is None and adjoint_rhs is None:
@@ -187,7 +163,7 @@ class SpectralSolver:
     Accuracy: Schur with a unitary ``Q`` is backward stable, and
     :meth:`solve` checks scaled residuals at spread samples plus the
     sweep's worst-conditioned frequency, returning ``None`` so the
-    caller can fall back to the batched LU path on any doubt.
+    caller can fall back to :func:`solve_stacked` on any doubt.
     """
 
     def __init__(self, g: np.ndarray, c: np.ndarray) -> None:
@@ -372,17 +348,16 @@ class SmallSignalContext:
         freqs: np.ndarray,
         rhs: np.ndarray | None = None,
         adjoint_rhs: np.ndarray | None = None,
-        chunk: int = DEFAULT_CHUNK,
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Batched forward/adjoint solve at this operating point.
+        """Forward/adjoint solve at this operating point.
 
         Systems above the sparse node threshold go through a per-
         frequency SuperLU factorization first (one CSC factorization
         serving the forward and the transposed adjoint solves).  Below
         it, dense sweeps go through the cached Schur fast path and short
-        probes use the batched LU path; any rejected fast path falls
+        probes use :func:`solve_stacked`; any rejected fast path falls
         back down this ladder.  All paths agree with the looped
-        reference to well under 1e-9.
+        reference to well under 1e-9 (:func:`solve_stacked` bit for bit).
         """
         freqs = np.asarray(freqs, dtype=float)
         if getattr(self.system, "prefer_sparse", False):
@@ -405,7 +380,7 @@ class SmallSignalContext:
                       n_freqs=int(freqs.size),
                       resid=solver.last_rejected_residual)
         prof_count("linsolve.path.stacked")
-        return solve_stacked(self.g, self.c, freqs, rhs, adjoint_rhs, chunk)
+        return solve_stacked(self.g, self.c, freqs, rhs, adjoint_rhs)
 
     def _solve_sparse(
         self,
@@ -426,12 +401,9 @@ class SmallSignalContext:
         """
         if self._sparse_dead:
             return None
-        try:
-            from scipy import sparse
-            from scipy.sparse.linalg import splu
-        except ImportError:                 # pragma: no cover - scipy baked in
-            self._latch_sparse_dead("scipy.sparse unavailable")
-            return None
+        from scipy import sparse
+        from scipy.sparse.linalg import splu
+
         if self._sparse_gc is None:
             self._sparse_gc = (sparse.csc_matrix(self.g), sparse.csc_matrix(self.c))
         sg, sc = self._sparse_gc
@@ -536,13 +508,12 @@ class BatchedSmallSignalContext:
     the unit-axis analogue of the serial path's per-unit LU reuse.
 
     Bitwise contract: the matrix assembly replays
-    :func:`stacked_matrices`' scalar ops per unit and the per-unit
-    ``getrf``/``getrs`` calls are the same LAPACK routines behind the
-    serial path's ``lu_factor``/``lu_solve``, so a batched column
-    equals the serial solution byte for byte.  :meth:`solve_checked` additionally verifies
-    a scaled residual per unit (mirroring :class:`SpectralSolver`'s
-    acceptance test); callers loop rejected units back through the
-    serial per-unit path.
+    :func:`solve_stacked`'s scalar ops per unit and factors and solves
+    each unit with the same ``zgetrf``/``zgetrs`` kernel, so a batched
+    column equals the serial solution byte for byte.
+    :meth:`solve_checked` additionally verifies a scaled residual per
+    unit (mirroring :class:`SpectralSolver`'s acceptance test); callers
+    loop rejected units back through the serial per-unit path.
     """
 
     def __init__(self, g: np.ndarray, c: np.ndarray) -> None:
@@ -558,25 +529,11 @@ class BatchedSmallSignalContext:
     def _factor(self, freq: float):
         ent = self._factors.get(freq)
         if ent is None:
-            # Same scalar sequence as stacked_matrices: w = 2j*pi*f,
+            # Same scalar sequence as solve_stacked: w = 2j*pi*f,
             # then A = G + w*C elementwise.
             w = 2j * np.pi * float(freq)
             a = self.g + w * self.c
-            # Per-unit ``getrf``: the exact LAPACK routine behind
-            # scipy's lu_factor (bitwise-identical LU and pivots),
-            # called directly because the scipy wrapper's per-matrix
-            # Python overhead dominates stacked factorization cost.
-            # A singular unit (info > 0) is kept — its getrs solution
-            # goes non-finite and solve_checked rejects it, same as
-            # the scipy path.
-            factors = []
-            for u in range(self.n_units):
-                lu, piv, info = _lapack.zgetrf(a[u])
-                if info < 0:
-                    raise ValueError(
-                        f"illegal value in argument {-info} of zgetrf (unit {u})"
-                    )
-                factors.append((lu, piv))
+            factors = [_getrf(a[u]) for u in range(self.n_units)]
             prof_count("batch.zgetrf", self.n_units)
             ent = (a, factors)
             self._factors[freq] = ent

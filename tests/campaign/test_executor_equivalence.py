@@ -173,6 +173,29 @@ class TestProgress:
         assert "campaign.batch_group_fallbacks" not in counts
 
 
+class TestSmallSignalRejection:
+    """A unit whose batched 1 kHz solve fails the scaled-residual check
+    is re-measured through the serial per-unit path; the export does not
+    move.  Forced by shutting the gate for every unit."""
+
+    def test_rejected_units_are_remeasured_serially(self, oracle, monkeypatch):
+        import repro.spice.linsolve as linsolve
+
+        spec = BUILDER_SPECS["powerbuffer"]
+        monkeypatch.setattr(linsolve, "SPECTRAL_RESIDUAL_TOL", -1.0)
+        rec = Recorder()
+        with rec.activate():
+            result = run_campaign(spec)
+        assert result.to_json() == oracle["powerbuffer"]
+        assert rec.profile()["counts"]["batch.units_stamped"] == spec.n_units
+        fallbacks = [e["fields"] for e in rec.events(name="campaign.unit_fallback")]
+        assert len(fallbacks) == 3 * spec.n_units
+        assert {f["measurement"] for f in fallbacks} == {
+            "gain_1khz_db", "psrr_1khz_db", "cmrr_1khz_db"}
+        assert {f["reason"] for f in fallbacks} == {
+            "batched small-signal residual rejection"}
+
+
 def _ingested_spec() -> CampaignSpec:
     """An external-deck campaign (the `ingested` builder is the one
     registered builder with no batched implementation)."""

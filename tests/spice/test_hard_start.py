@@ -8,13 +8,17 @@ point is the one gmin stepping alone finds.  On the tensor path a unit
 that fails lockstep Newton enters that ladder directly, without
 re-running the plain stage.
 
-The two hard starts are those of the CI search
+The two hard starts (``HARD_STARTS``) are those of the CI search
 ``repro optimize --quick --seed 2026`` (tt, 25 degC), taken from its
 evaluator cache.  Before the stall rule each took 150 plain iterations
 (210 and 211 in all).  The converging design is the one with the
 longest clamped run measured in a converging solve (55 steps, a
 ``perfbench`` ``optimize_de`` seed-2 search): the limit must stay above
 it, or the rule would change that design's operating point.
+
+A few designs also exhaust gmin stepping and need source stepping;
+``SOURCE_STEPPING`` is search 8 of the ``perfbench`` ``optimize_de``
+seed-2 stream (tt, 25 degC, gain code 5).
 """
 
 import pytest
@@ -42,6 +46,12 @@ HARD_STARTS = [
      "i_pair": 0.0011508798746743135, "l_input": 7.890803975686148e-06,
      "l_load": 2.5298221281347044e-05, "r_total": 25298.221281347043},
 ]
+SOURCE_STEPPING = {
+    "split_input_thermal": 0.43500000000000005, "split_load_thermal": 0.045,
+    "split_network": 0.14, "split_switches": 0.015,
+    "split_flicker": 0.32499999999999996, "i_pair": 0.0003990524629937758,
+    "l_input": 6.563284871848658e-06, "l_load": 3.656705516919003e-05,
+    "r_total": 26490.48971860727}
 LONGEST_CONVERGING = {
     "split_input_thermal": 0.29500000000000004, "split_load_thermal": 0.03,
     "split_network": 0.315, "split_switches": 0.065,
@@ -100,6 +110,26 @@ class TestSerialHardStart:
         assert esc["fields"]["reason"] == "stalled"
         assert esc["fields"]["clamped_streak"] == STALL
         assert esc["fields"]["iterations"] == STALL
+
+
+class TestSourceStepping:
+    """The one measured design that needs the last rung: plain Newton
+    stalls, gmin stepping runs out of budget, source stepping converges."""
+
+    def test_source_stepping_converges(self):
+        system = _system(SOURCE_STEPPING)
+        rec = Recorder()
+        with rec.activate():
+            op = dc_operating_point(system)
+        assert op.strategy == "source-stepping" and op.iterations == 254
+        first, second = rec.events(name="dc.strategy_escalation")
+        assert (first["fields"]["to_strategy"], first["fields"]["reason"]) == (
+            "gmin-stepping", "stalled")
+        assert (second["fields"]["from_strategy"], second["fields"]["to_strategy"],
+                second["fields"]["reason"]) == (
+            "gmin-stepping", "source-stepping", "budget")
+        assert rec.profile()["counts"]["dc.strategy.source-stepping"] == 1
+        assert not rec.events(name="dc.nonconvergence")
 
 
 class TestLongestConvergingRun:

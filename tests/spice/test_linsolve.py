@@ -1,8 +1,9 @@
-"""Batched small-signal engine: equivalence against the looped reference.
+"""Small-signal engine: equivalence against the looped reference.
 
-The batched frequency-stacked path must bit-match (rtol=1e-9) the kept
-per-frequency reference path on the real paper circuits — any deviation
-means the shared factorization or the vectorised PSD bookkeeping broke.
+The stacked LU path must equal the kept per-frequency reference path bit
+for bit, and the Schur path and the analyses built on them must match it
+to rtol=1e-9, on the real paper circuits — any deviation means the
+shared factorization or the vectorised PSD bookkeeping broke.
 """
 
 import numpy as np
@@ -45,15 +46,22 @@ class TestSolveStacked:
             np.testing.assert_allclose(fwd[k, :, 0], np.linalg.solve(a, rhs), rtol=1e-9)
             np.testing.assert_allclose(psi[k], np.linalg.solve(a.T, adj), rtol=1e-9)
 
-    def test_chunking_is_invisible(self):
-        g, c = self._random_system()
-        freqs = np.logspace(0, 6, 17)
-        rhs = np.ones(7)
-        a1, _ = solve_stacked(g, c, freqs, rhs=rhs, chunk=3)
-        a2, _ = solve_stacked(g, c, freqs, rhs=rhs, chunk=64)
-        a3, _ = solve_looped(g, c, freqs, rhs=rhs)
-        np.testing.assert_allclose(a1, a2, rtol=1e-12)
-        np.testing.assert_allclose(a1, a3, rtol=1e-9)
+    @pytest.mark.parametrize("n_freqs", [1, 49])
+    @pytest.mark.parametrize("which", ["micamp", "buffer"])
+    def test_bitwise_equal_to_looped(self, which, n_freqs, request):
+        """``zgetrf``/``zgetrs`` called directly give the scipy wrappers'
+        bytes, forward and adjoint, on the paper circuits."""
+        design = request.getfixturevalue(
+            "mic_amp_40db" if which == "micamp" else "buffer_inverting")
+        op = request.getfixturevalue("mic_amp_op" if which == "micamp" else "buffer_op")
+        ctx = op.small_signal()
+        freqs = np.logspace(1, 6, n_freqs)
+        rhs = ctx.rhs_ac()
+        adj = ctx.output_selector(design.outp, design.outn)
+        fwd, psi = solve_stacked(ctx.g, ctx.c, freqs, rhs=rhs, adjoint_rhs=adj)
+        fwd_ref, psi_ref = solve_looped(ctx.g, ctx.c, freqs, rhs=rhs, adjoint_rhs=adj)
+        assert fwd.tobytes() == fwd_ref.tobytes()
+        assert psi.tobytes() == psi_ref.tobytes()
 
     def test_requires_some_rhs(self):
         g, c = self._random_system()
@@ -99,8 +107,8 @@ class TestSpectralSolver:
 
 class TestSpectralFallback:
     """The residual check -> LU fallback path: an ill-conditioned sweep
-    must be *rejected* by the Schur fast path and silently served by the
-    batched LU path, matching the looped reference."""
+    must be *rejected* by the Schur fast path and silently served by
+    ``solve_stacked``, matching the looped reference."""
 
     def _ill_conditioned(self, n=12, seed=0):
         """A Hilbert-matrix G (condition number ~1e16): the Schur basis is
@@ -123,7 +131,7 @@ class TestSpectralFallback:
 
     def test_fallback_result_matches_looped_reference(self):
         """What the caller actually receives after the rejection: the
-        batched-LU answer, equivalent to the per-frequency loop."""
+        stacked-LU answer, equivalent to the per-frequency loop."""
         g, c, rhs = self._ill_conditioned()
         freqs = np.logspace(1, 6, 24)
         adj = np.eye(12)[:, :2]
@@ -141,7 +149,7 @@ class TestSpectralFallback:
     def test_context_falls_back_when_residual_gate_trips(
             self, mic_amp_40db, mic_amp_op, monkeypatch):
         """End-to-end wiring on a real circuit: force the gate shut and
-        assert SmallSignalContext.solve silently serves the batched-LU
+        assert SmallSignalContext.solve silently serves the stacked-LU
         answer (identical to the looped reference) for a dense sweep
         that would otherwise ride the Schur path."""
         import repro.spice.linsolve as linsolve

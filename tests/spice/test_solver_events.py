@@ -16,6 +16,7 @@ import repro.spice.linsolve as linsolve
 from repro.circuits.micamp import build_mic_amp
 from repro.obs import Recorder, deactivate
 from repro.spice import Circuit
+from repro.spice.batch import BatchedSystem, newton_batch
 from repro.spice.dc import ConvergenceError, NewtonOptions, dc_operating_point
 from repro.spice.mna import MnaSystem
 
@@ -163,3 +164,72 @@ class TestLinsolveLatches:
         ctx = mic_amp_op.small_signal()
         ctx.solve(np.logspace(1, 5, 8), rhs=ctx.rhs_ac())
         assert ctx.latch_reasons() == {}
+
+
+def _floating(v1_dc: float = 1.0) -> Circuit:
+    """A divider with a capacitor-only node ``f``: no DC path, so the DC
+    Jacobian and ``G`` are exactly singular, while ``G + jwC`` is not."""
+    ckt = Circuit("floating")
+    ckt.vsource("v1", "a", "gnd", dc=v1_dc, ac=1.0)
+    ckt.resistor("r1", "a", "b", 1e3)
+    ckt.resistor("r2", "b", "gnd", 1e3)
+    ckt.capacitor("c1", "b", "f", 1e-12)
+    ckt.capacitor("c2", "f", "gnd", 1e-12)
+    return ckt
+
+
+class TestFloatingNode:
+    """The two guards only a node with no DC path reaches: the
+    singular-Jacobian jitter (serial and tensor Newton) and the spectral
+    dead latch."""
+
+    def test_jitter_rung_converges_serial_newton(self):
+        system = _floating().compile()
+        rec = Recorder()
+        with rec.activate():
+            converged, x, iters = dc_mod._newton(
+                system, dc_mod._initial_guess(system), system.rhs_dc(),
+                0.0, NewtonOptions())
+        assert converged and iters == 2
+        assert x[system.node("b")] == pytest.approx(0.5)
+        singular = rec.events(name="dc.jacobian_singular")
+        assert [e["fields"]["iteration"] for e in singular] == [1, 2]
+        assert all(e["fields"]["gmin"] == 0.0 for e in singular)
+        assert all(e["fields"]["circuit"] == "floating" for e in singular)
+        op = dc_operating_point(system)
+        assert (op.strategy, op.iterations) == ("newton", 2)
+
+    def test_jitter_rung_in_tensor_newton_gives_serial_bytes(self):
+        circuits = [_floating(1.0), _floating(2.0)]
+        pattern = circuits[0].compile()
+        bs = BatchedSystem(pattern, circuits, [25.0, 25.0])
+        converged, x, iterations = newton_batch(bs, bs.initial_guess(), bs.rhs_dc())
+        assert converged.all()
+        for u, circ in enumerate(circuits):
+            op = dc_operating_point(circ)
+            assert iterations[u] == op.iterations, f"unit {u}"
+            assert x[u].tobytes() == op.x.tobytes(), f"unit {u}"
+        assert list(iterations) == [2, 3]  # the 2 V unit takes a clamped step
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_spectral_dead_latch_serves_the_lu_path(self):
+        op = dc_operating_point(_floating())
+        ctx = op.small_signal()
+        freqs = np.logspace(1, 6, linsolve.SPECTRAL_MIN_FREQS)
+        with pytest.raises(np.linalg.LinAlgError, match="G\\^-1 C is not finite"):
+            linsolve.SpectralSolver(ctx.g, ctx.c)
+        rec = Recorder()
+        with rec.activate():
+            fwd, _ = ctx.solve(freqs, rhs=ctx.rhs_ac())
+            again, _ = ctx.solve(freqs, rhs=ctx.rhs_ac())
+        ref, _ = linsolve.solve_looped(ctx.g, ctx.c, freqs, rhs=ctx.rhs_ac())
+        assert fwd.tobytes() == ref.tobytes() == again.tobytes()
+        reason = "eigendecomposition failed: LinAlgError: G^-1 C is not finite"
+        assert ctx.latch_reasons() == {"spectral": reason}
+        assert op.health()["small_signal_latches"] == {"spectral": reason}
+        # The latch is permanent: the second sweep never retries.
+        (latch,) = rec.events(name="linsolve.spectral_dead_latch")
+        assert latch["fields"] == {"circuit": "floating", "reason": reason}
+        counts = rec.profile()["counts"]
+        assert counts["linsolve.path.stacked"] == 2
+        assert "linsolve.path.spectral" not in counts

@@ -1,7 +1,7 @@
 """A small, self-contained analog circuit simulator (MNA).
 
 This package is the substrate that replaces SPICE for the reproduction:
-modified nodal analysis with a Newton DC solver (gmin and source stepping),
+modified nodal analysis with a Newton DC solver (adaptive gmin stepping),
 small-signal AC analysis, trapezoidal transient analysis and adjoint-method
 noise analysis with per-device contribution reporting.
 

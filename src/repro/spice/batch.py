@@ -25,11 +25,13 @@ serial op sequence exactly rather than approximating it:
   scalar calls* the serial compile makes — ``array ** float`` and
   vectorised ``exp`` are not bit-identical to their scalar forms;
 * :func:`newton_batch` replays the plain stage of
-  :func:`repro.spice.dc.dc_operating_point` in lockstep with per-unit
-  masks: identical solve/jitter/fallback ladder, identical clamp,
-  identical convergence test, identical stall rule, and a unit that the
-  plain-Newton pass cannot converge is handed back, with its failure
-  record, for the serial gmin -> source-stepping ladder.
+  :func:`repro.spice.dc.dc_operating_point` in lockstep: identical
+  solve/jitter/fallback ladder, identical clamp, identical convergence
+  test, identical stall rule.  It assembles and solves only the live
+  units, from a view (:meth:`BatchedSystem.take`) taken whenever a unit
+  converges or fails; each unit's rows are the ones a full-group
+  assembly gives.  A unit that the plain-Newton pass cannot converge is
+  handed back, with its failure record, for the serial gmin ladder.
 
 Units whose structure does not match the group raise
 :class:`BatchStructureError`; the campaign layer falls back to the
@@ -38,6 +40,8 @@ never change results — only speed.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -145,6 +149,7 @@ class _StackedMosGroup(MosGroup):
         self.isat = 2.0 * self.n_slope * self.beta * np.array(
             [u ** 2 for u in ut]
         )[:, None]
+        self._hoist_constants()
 
     def gate_capacitances(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         cgso = np.array([[mdl.cgso for mdl in mdls] for mdls in self.models])
@@ -193,6 +198,19 @@ class _StackedDiodeGroup(DiodeGroup):
         self.af = np.array([[mdl.af for mdl in mdls] for mdls in self.models])
         self.gmin = np.array([[mdl.gmin for mdl in mdls] for mdls in self.models])
         self.ut = np.array([thermal_voltage(t) for t in temps])[:, None]
+
+
+def _take_units(group, units: np.ndarray):
+    """A stacked device group restricted to ``units``: every 2-D array
+    attribute is a per-unit parameter row (the 1-D ones are the shared
+    node indices), so slicing those rows is the whole restriction."""
+    if group is None:
+        return None
+    view = copy.copy(group)
+    for name, value in vars(group).items():
+        if isinstance(value, np.ndarray) and value.ndim == 2:
+            setattr(view, name, value[units])
+    return view
 
 
 def _device_lists(circuit: Circuit) -> tuple[list, list, list]:
@@ -334,6 +352,25 @@ class BatchedSystem:
         self._jac_off = np.arange(n_units) * dim * dim
         prof_count("batch.systems_built")
         prof_count("batch.units_stamped", n_units)
+
+    def take(self, units: np.ndarray) -> BatchedSystem:
+        """An assembly view of the units ``units`` (ascending indices).
+
+        The view shares the pattern and slices every per-unit row it
+        assembles from: ``g_t`` and each stacked device group's
+        parameters.  Its :meth:`assemble` rows are bit-identical to the
+        same units' rows of a full assembly; the per-unit source, model
+        and ``c_t`` data are not sliced, so use the view for nothing else.
+        """
+        view = copy.copy(self)
+        view.n_units = units.size
+        view.g_t = self.g_t[units]
+        view.mos_group = _take_units(self.mos_group, units)
+        view.bjt_group = _take_units(self.bjt_group, units)
+        view.diode_group = _take_units(self.diode_group, units)
+        view._resid_off = self._resid_off[:units.size]
+        view._jac_off = self._jac_off[:units.size]
+        return view
 
     def _stamp_mos_capacitances(self) -> None:
         # Mirrors MnaSystem._stamp_mos_capacitances: same k-major pair
@@ -496,9 +533,11 @@ def newton_batch(
     options: NewtonOptions | None = None,
     diags: list[dict] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Masked lockstep replay of the plain-Newton stage of
+    """Lockstep replay of the plain-Newton stage of
     :func:`repro.spice.dc.dc_operating_point` (``_newton`` at gmin=0
-    with ``options.stall_iterations``).
+    with ``options.stall_iterations``).  Each iteration assembles and
+    solves only the live units, from a :meth:`BatchedSystem.take` view
+    rebuilt whenever a unit converges or fails.
 
     Returns ``(converged, x, iterations)`` over the unit axis.  A unit
     follows the serial iterate exactly until it either converges (same
@@ -521,71 +560,70 @@ def newton_batch(
     x[:, system.ground_index] = 0.0
 
     converged = np.zeros(n_units, dtype=bool)
-    failed = np.zeros(n_units, dtype=bool)
     iterations = np.zeros(n_units, dtype=np.int64)
     streak = np.zeros(n_units, dtype=np.int64)
     last_resid = np.full(n_units, np.nan)
     reason = np.full(n_units, None, dtype=object)
 
+    li = np.arange(n_units)                     # the live units
+    view, rhs_v = system, rhs
     for iteration in range(1, opts.max_iterations + 1):
-        live = ~(converged | failed)
-        if not live.any():
+        if not li.size:
             break
-        jac, resid, _ = system.assemble(x, rhs)
+        xv = x[li]
+        jac, resid, _ = view.assemble(xv, rhs_v)
         a = jac[:, :n, :n]
         r = resid[:, :n]
-        iterations[live] = iteration
+        iterations[li] = iteration
         prof_count("batch.newton_iterations")
-        prof_count("batch.newton_unit_solves", int(live.sum()))
+        prof_count("batch.assembled_units", int(li.size))
 
-        dx = np.zeros((n_units, n))
-        solve_failed = np.zeros(n_units, dtype=bool)
-        li = np.flatnonzero(live)
+        solve_failed = np.zeros(li.size, dtype=bool)
         try:
-            if li.size == n_units:
-                # Fast path: no fancy-index copies while every unit is
-                # live (the common case).  Values are identical — the
-                # solve gufunc factors each matrix independently.
-                dx = np.linalg.solve(a, -r[:, :, None])[:, :, 0]
-            else:
-                dx[li] = np.linalg.solve(a[li], -r[li][:, :, None])[:, :, 0]
+            dx = np.linalg.solve(a, -r[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             # One unit's singular matrix poisons the whole gufunc call;
             # redo the live units with the serial solve + jitter ladder.
-            for u in li:
+            dx = np.zeros((li.size, n))
+            for k in range(li.size):
                 try:
-                    dx[u] = np.linalg.solve(a[u], -r[u])
+                    dx[k] = np.linalg.solve(a[k], -r[k])
                 except np.linalg.LinAlgError:
-                    au = a[u] + np.eye(n) * 1e-12
+                    ak = a[k] + np.eye(n) * 1e-12
                     try:
-                        dx[u] = np.linalg.solve(au, -r[u])
+                        dx[k] = np.linalg.solve(ak, -r[k])
                     except np.linalg.LinAlgError:
-                        solve_failed[u] = True
+                        solve_failed[k] = True
 
-        nonfinite = live & ~np.isfinite(dx).all(axis=1)
-        upd = live & ~solve_failed & ~nonfinite
+        nonfinite = ~np.isfinite(dx).all(axis=1)
+        upd = ~solve_failed & ~nonfinite
 
         dx_nodes = np.clip(dx[:, :nv], -opts.vlimit, opts.vlimit)
         limited = (dx_nodes != dx[:, :nv]).any(axis=1)
-        x[upd, :nv] += dx_nodes[upd]
-        x[upd, nv:n] += dx[upd, nv:n]
+        xv[upd, :nv] += dx_nodes[upd]
+        xv[upd, nv:n] += dx[upd, nv:n]
+        x[li] = xv
 
-        max_dv = np.abs(dx_nodes).max(axis=1) if nv else np.zeros(n_units)
-        max_resid = np.abs(r[:, :nv]).max(axis=1) if nv else np.zeros(n_units)
-        last_resid[upd] = max_resid[upd]
-        current_scale = (np.abs(x[:, nv:n]).max(axis=1) if n > nv
-                         else np.zeros(n_units))
+        max_dv = np.abs(dx_nodes).max(axis=1) if nv else np.zeros(li.size)
+        max_resid = np.abs(r[:, :nv]).max(axis=1) if nv else np.zeros(li.size)
+        last_resid[li[upd]] = max_resid[upd]
+        current_scale = (np.abs(xv[:, nv:n]).max(axis=1) if n > nv
+                         else np.zeros(li.size))
         itol = opts.abstol + opts.reltol * np.maximum(current_scale, 1e-6)
-        converged |= (upd & ~limited & (max_dv < opts.vntol)
-                      & (max_resid < itol * 100))
-        streak[upd] = np.where(limited[upd], streak[upd] + 1, 0)
-        stalled = upd & ~converged & (streak >= opts.stall_iterations)
-        reason[solve_failed] = "singular"
-        reason[nonfinite] = "nonfinite"
-        reason[stalled] = "stalled"
-        failed |= solve_failed | nonfinite | stalled
+        conv = upd & ~limited & (max_dv < opts.vntol) & (max_resid < itol * 100)
+        st = np.where(limited, streak[li] + 1, 0)
+        streak[li[upd]] = st[upd]
+        stalled = upd & ~conv & (st >= opts.stall_iterations)
+        reason[li[solve_failed]] = "singular"
+        reason[li[nonfinite]] = "nonfinite"
+        reason[li[stalled]] = "stalled"
+        converged[li] = conv
+        done = conv | solve_failed | nonfinite | stalled
+        if done.any():
+            li = li[~done]
+            view, rhs_v = system.take(li), rhs[li]
 
-    reason[~(converged | failed)] = "budget"
+    reason[li] = "budget"
     if diags is not None:
         for u, d in enumerate(diags):
             if not np.isnan(last_resid[u]):

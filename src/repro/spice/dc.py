@@ -1,14 +1,14 @@
 """DC operating point and DC sweeps.
 
-Newton-Raphson with componentwise voltage limiting, falling back to gmin
-stepping and then source stepping.  The paper's circuits (bias, bandgap,
-mic amp, buffer, modulator op-amp, mirror cells) all converge by plain
-Newton at -20/25/85 degC, with or without their builders' nodesets;
-from an all-zero start only the mic amp at -20 degC needs gmin stepping.
-The later rungs serve the optimizer's sized designs: some need gmin
-stepping, and a few need source stepping (``tests/spice/test_hard_start.py``
-pins one of each).  A singular Jacobian (a node with no DC path) gets
-one retry with a 1e-12 diagonal jitter.
+Newton-Raphson with componentwise voltage limiting, falling back to
+adaptive gmin stepping.  The paper's circuits (bias, bandgap, mic amp,
+buffer, modulator op-amp, mirror cells) all converge by plain Newton at
+-20/25/85 degC, with or without their builders' nodesets; from an
+all-zero start only the mic amp at -20 degC needs gmin stepping.  The
+ladder serves the optimizer's sized designs, about 6 % of whose solves
+need it (``tests/spice/test_hard_start.py`` pins three).  A singular
+Jacobian (a node with no DC path) gets one retry with a 1e-12 diagonal
+jitter.
 
 A hard start shows itself early: every plain-Newton step stays clamped
 at the step limit.  The plain stage therefore gives up after
@@ -17,9 +17,12 @@ of spending its whole iteration budget.  The ladder behind it
 (:func:`strategy_ladder`) always restarts from the initial guess, never
 from the failed iterate, so the rule changes a result only if a solve
 that would have converged had such a run; the limit is 1.5x the
-longest run measured in a converging solve.  The tensor path
-(:func:`repro.spice.batch.newton_batch`) applies the same rule per unit
-and hands a failed unit straight to the ladder.
+longest run measured in a converging solve.  The ladder grows its gmin
+step after each converged rung and shrinks it after a failed one, so a
+typical hard start takes four rungs (1e-3, 1e-5, 1e-9 S, then 0)
+where a fixed ladder of decades takes eleven.  The tensor
+path (:func:`repro.spice.batch.newton_batch`) applies the stall rule per
+unit and hands a failed unit straight to the ladder.
 
 Systems above :attr:`repro.spice.mna.MnaSystem.sparse_threshold` nodes
 (large ingested netlists) take a SuperLU sparse linear step instead of
@@ -30,6 +33,7 @@ the sparse code and stay bit-identical to the historical behaviour.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,6 +43,16 @@ from repro.obs.recorder import active, event, prof_count
 from repro.spice.elements import CurrentSource, Mosfet, VoltageSource
 from repro.spice.mna import MnaSystem
 from repro.spice.netlist import Circuit, is_ground
+
+
+#: Adaptive gmin ladder (:func:`strategy_ladder`): the first rung's
+#: gmin [S], the first step factor, its bounds, and the gmin below which
+#: the next rung is gmin = 0.
+GMIN_START = 1e-3
+GMIN_FACTOR = 100.0
+GMIN_FACTOR_MAX = 1e6
+GMIN_FACTOR_MIN = 1.5
+GMIN_FLOOR = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -55,7 +69,7 @@ class NewtonOptions:
     abstol: float = 1e-10        # KCL residual tolerance [A]
     vlimit: float = 0.5          # componentwise per-iteration step clamp [V]
     #: Plain stage only: consecutive clamped iterations after which it
-    #: stops and the gmin -> source-stepping ladder takes over.  1.5x the
+    #: stops and the gmin-stepping ladder takes over.  1.5x the
     #: longest clamped run measured in a converging solve (55 steps);
     #: failing hard starts run 132-150.
     stall_iterations: int = 83
@@ -161,6 +175,7 @@ class OperatingPoint:
             raise KeyError(f"no MOSFET named {name!r}")
         k = grp.names.index(name)
         ev = grp.evaluate(self.x)
+        vdsat = ev.vdsat[k]
         return MosOpInfo(
             name=name,
             ids=float(ev.ids[k]),
@@ -168,12 +183,12 @@ class OperatingPoint:
             vds=float(ev.vds[k]),
             vsb=float(ev.vsb[k]),
             veff=float(ev.veff[k]),
-            vdsat=float(ev.vdsat[k]),
+            vdsat=float(vdsat),
             vth=float(ev.vth[k]),
             gm=float(ev.gm[k]),
             gds=float(ev.gds[k]),
             gmb=float(ev.gmb[k]),
-            saturated=bool(ev.vds[k] > ev.vdsat[k]),
+            saturated=bool(ev.vds[k] > vdsat),
         )
 
     def all_mos_op(self) -> dict[str, MosOpInfo]:
@@ -393,11 +408,10 @@ def dc_operating_point(
     1. plain Newton from the nodeset-seeded initial guess (or ``x0``),
        stopped early after :attr:`NewtonOptions.stall_iterations`
        consecutive clamped steps;
-    2. gmin stepping (1e-3 S down to 0), restarted from that same start;
-    3. source stepping (supplies ramped 0 -> 100 %, with a gmin ladder at
-       the final rung).
+    2. adaptive gmin stepping (1e-3 S, then steps of 100x up to 1e6x
+       down to 0), restarted from that same start.
 
-    Stages 2-3 are :func:`strategy_ladder`.  ``plain_failure`` skips
+    Stage 2 is :func:`strategy_ladder`.  ``plain_failure`` skips
     stage 1 for a caller that already ran it and saw it fail; the
     result, iteration count included, is the one a full solve gives.
     """
@@ -442,82 +456,58 @@ def strategy_ladder(
     iterations: int = 0,
     diag: dict | None = None,
 ) -> OperatingPoint:
-    """Stages 2-3 of the :func:`dc_operating_point` ladder from ``start``.
+    """Stage 2 of the :func:`dc_operating_point` ladder: adaptive gmin
+    stepping from ``start``.
 
-    Gmin stepping from ``start``, then source stepping from zero; raises
-    :class:`ConvergenceError` when both fail.  ``iterations`` (spent by a
-    failed plain stage) is added to the returned operating point's
-    count, and ``diag`` carries that stage's forensics on.  No stage
-    here applies the stall rule.
+    The first rung solves with :data:`GMIN_START` siemens from every
+    node to ground.  Each later rung restarts Newton from the last
+    converged solution, with its gmin divided by a step factor.  The
+    factor starts at :data:`GMIN_FACTOR` and is squared after each
+    converged rung (up to :data:`GMIN_FACTOR_MAX`), so a clean run takes
+    four rungs: 1e-3, 1e-5, 1e-9 S, then 0.  A failed rung is retried
+    from the last solution with the square root of the step that failed,
+    and the factor restarts from there.  Below :data:`GMIN_FLOOR` the
+    next rung is gmin = 0, and its solution is the operating point.
+    Raises :class:`ConvergenceError` when the first rung fails or the
+    step drops below :data:`GMIN_FACTOR_MIN`.
+
+    ``iterations`` (spent by a failed plain stage) is added to the
+    returned operating point's count, and ``diag`` carries that stage's
+    forensics on.  No rung applies the stall rule.
     """
     opts = options or NewtonOptions()
     diag = {} if diag is None else diag
     rhs = system.rhs_dc()
-
-    # --- gmin stepping ---
-    x = start.copy()
+    x, solved = start.copy(), None
     total_iters = iterations
-    ladder = [10.0 ** (-k) for k in range(3, 13)] + [0.0]
-    ok = True
-    for gmin in ladder:
+    gmin, factor = GMIN_START, GMIN_FACTOR
+    while True:
+        prof_count("dc.gmin_rungs")
         converged, x_next, iters = _newton(system, x, rhs, gmin=gmin,
                                            options=opts, diag=diag)
         total_iters += iters
-        if not converged:
-            ok = False
-            break
-        x = x_next
-    if ok:
-        prof_count("dc.strategy.gmin-stepping")
-        return OperatingPoint(system, x, total_iters, strategy="gmin-stepping",
-                              worst_resid=diag.get("resid"),
-                              latch_reason=diag.get("latch"))
-
-    # --- source stepping ---
-    _solver_event("dc.strategy_escalation", "warn", system, x, rhs, diag,
-                  from_strategy="gmin-stepping", to_strategy="source-stepping",
-                  iterations=total_iters, **_failure_fields(diag))
-    x = np.zeros(system.size + 1)
-    scale = 0.0
-    step = 0.1
-    total_iters = 0
-    while scale < 1.0:
-        target = min(1.0, scale + step)
-        converged, x_next, iters = _newton(
-            system, x, system.rhs_dc(scale=target), gmin=1e-9, options=opts,
-            diag=diag,
-        )
-        total_iters += iters
         if converged:
-            x = x_next
-            scale = target
-            step = min(step * 2.0, 0.25)
+            x, solved = x_next, gmin
+            if gmin == 0.0:
+                break
+            step, factor = factor, min(factor * factor, GMIN_FACTOR_MAX)
         else:
-            step /= 2.0
-            if step < 1e-4:
-                _solver_event("dc.nonconvergence", "error", system, x,
-                              system.rhs_dc(scale=target), diag,
-                              stage="source-stepping", scale=scale,
-                              iterations=total_iters)
+            if solved is not None:
+                step = factor = math.sqrt(step)
+            if solved is None or step < GMIN_FACTOR_MIN:
+                _solver_event("dc.nonconvergence", "error", system, x, rhs,
+                              diag, stage="gmin-stepping", gmin=gmin,
+                              iterations=total_iters,
+                              **_failure_fields(diag))
                 raise ConvergenceError(
-                    f"source stepping stalled at {scale:.4f} of full supplies "
-                    f"for circuit {system.circuit.name!r}"
+                    f"gmin stepping stalled at gmin={gmin:g} S for circuit "
+                    f"{system.circuit.name!r}"
                 )
-    # Remove the convergence gmin at full excitation.
-    for gmin in (1e-10, 1e-12, 0.0):
-        converged, x_next, iters = _newton(system, x, rhs, gmin=gmin,
-                                           options=opts, diag=diag)
-        total_iters += iters
-        if converged:
-            x = x_next
-    if not converged:
-        _solver_event("dc.nonconvergence", "error", system, x, rhs, diag,
-                      stage="gmin-removal", iterations=total_iters)
-        raise ConvergenceError(
-            f"no DC operating point found for circuit {system.circuit.name!r}"
-        )
-    prof_count("dc.strategy.source-stepping")
-    return OperatingPoint(system, x, total_iters, strategy="source-stepping",
+        gmin = solved / step
+        if gmin < GMIN_FLOOR:
+            gmin = 0.0
+    prof_count("dc.strategy.gmin-stepping")
+    return OperatingPoint(system, x, total_iters, strategy="gmin-stepping",
                           worst_resid=diag.get("resid"),
                           latch_reason=diag.get("latch"))
 

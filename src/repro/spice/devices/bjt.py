@@ -59,7 +59,7 @@ def _limited_exp(x: np.ndarray, x_max: float = 80.0) -> tuple[np.ndarray, np.nda
     """exp(x) with linear extension above ``x_max`` (returns value, slope).
 
     The linear extension keeps Newton iterations finite when a junction is
-    momentarily driven far forward during source stepping.
+    momentarily driven far forward by a Newton step.
     """
     capped = np.minimum(x, x_max)
     e = np.exp(capped)

@@ -30,7 +30,7 @@ Noise (evaluated at the operating point):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,20 +94,17 @@ class MosModel:
         return self.kp * t_ratio**self.bex
 
 
-def _softlog(x: np.ndarray) -> np.ndarray:
-    """Numerically stable ln(1 + exp(x))."""
-    out = np.where(x > 0.0, x, 0.0)
-    return out + np.log1p(np.exp(-np.abs(x)))
+def _softlog_sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Numerically stable ln(1 + exp(x)) and logistic function of ``x``.
 
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    Both share one ``exp(-|x|)``, which never overflows: for ``x >= 0``
+    it is ``exp(-x)`` and otherwise ``exp(x)``, the two stable forms of
+    the logistic function.
+    """
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    softlog = np.where(x > 0.0, x, 0.0) + np.log1p(e)
+    return softlog, np.where(x >= 0.0, 1.0 / d, e / d)
 
 
 @dataclass
@@ -115,12 +112,13 @@ class MosEval:
     """Vectorised large-signal evaluation result for a group of MOSFETs.
 
     All arrays are per-device.  ``ids`` is the current into the *effective*
-    drain; ``into_drain`` already folds in polarity and source/drain swap so
-    the MNA layer can stamp it directly at the physical drain node.
+    drain; ``into_drain`` already folds in polarity and source/drain swap.
+    ``into_drain`` and ``vdsat`` are computed on read: Newton never reads
+    them.
     """
 
+    group: MosGroup = field(repr=False)
     ids: np.ndarray          # effective-frame channel current [A]
-    into_drain: np.ndarray   # current into the physical drain terminal [A]
     gm: np.ndarray           # d ids / d vgs_eff [S]
     gds: np.ndarray          # d ids / d vds_eff (incl. CLM) [S]
     gds_channel: np.ndarray  # physical channel conductance (triode part) [S]
@@ -130,8 +128,17 @@ class MosEval:
     vds: np.ndarray          # effective-frame VDS (>= 0) [V]
     vsb: np.ndarray          # effective-frame VSB [V]
     veff: np.ndarray         # VGS - VTH in the effective frame [V]
-    vdsat: np.ndarray        # saturation voltage estimate [V]
     vth: np.ndarray          # threshold incl. body effect [V]
+
+    @property
+    def into_drain(self) -> np.ndarray:
+        """Current into the physical drain terminal [A]."""
+        return self.group.sign * np.where(self.swapped, -self.ids, self.ids)
+
+    @property
+    def vdsat(self) -> np.ndarray:
+        """Saturation voltage estimate [V]."""
+        return np.maximum(self.veff, 0.0) / self.group.n_slope + 4.0 * self.group.ut
 
 
 class MosGroup:
@@ -173,6 +180,17 @@ class MosGroup:
         self.beta = self.kp * (w / l) * m
         self.ut = thermal_voltage(temp_c)
         self.isat = 2.0 * self.n_slope * self.beta * self.ut**2
+        self._hoist_constants()
+
+    def _hoist_constants(self) -> None:
+        """Voltage-independent terms of :meth:`evaluate`, computed once."""
+        self.sqrt_phi = np.sqrt(self.phi)
+        # Level-1 body effect with a floor that keeps sqrt() real.  Bulks
+        # are tied to rails or sources in every paper circuit, so the
+        # floor only guards transient excursions.
+        self.vsb_floor = -self.phi + 1e-3
+        self.n_ut = self.n_slope * self.ut
+        self.two_n_ut = 2.0 * self.n_ut
 
     def __len__(self) -> int:
         return len(self.names)
@@ -195,56 +213,36 @@ class MosGroup:
         # Source/drain swap keeps the effective VDS non-negative; the MOS
         # channel is symmetric so this is exact, and it keeps F(x_r) from
         # overflowing for reverse-biased devices.
-        vds_raw = sign * (vd - vs)
-        swapped = vds_raw < 0.0
-        eff_d = np.where(swapped, self.s, self.d)
-        eff_s = np.where(swapped, self.d, self.s)
-        if volts.ndim == 1:
-            ved = volts[eff_d]
-            ves = volts[eff_s]
-        else:
-            # Per-row gather: eff_d is (N, n_dev) when volts is (N, dim).
-            ved = np.take_along_axis(volts, eff_d, axis=-1)
-            ves = np.take_along_axis(volts, eff_s, axis=-1)
+        swapped = sign * (vd - vs) < 0.0
+        ved = np.where(swapped, vs, vd)
+        ves = np.where(swapped, vd, vs)
 
         vgs = sign * (vg - ves)
         vds = sign * (ved - ves)
         vsb = sign * (ves - vb)
 
-        # Level-1 body effect with a floor that keeps sqrt() real.  Bulks
-        # are tied to rails or sources in every paper circuit, so the floor
-        # only guards transient excursions.
-        vsb_c = np.maximum(vsb, -self.phi + 1e-3)
-        sqrt_term = np.sqrt(self.phi + vsb_c)
-        vth = self.vth0 + self.gamma * (sqrt_term - np.sqrt(self.phi))
+        sqrt_term = np.sqrt(self.phi + np.maximum(vsb, self.vsb_floor))
+        vth = self.vth0 + self.gamma * (sqrt_term - self.sqrt_phi)
         dvth_dvsb = self.gamma / (2.0 * sqrt_term)
 
         veff = vgs - vth
-        n_ut = self.n_slope * self.ut
-        xf = veff / (2.0 * n_ut)
-        xr = (veff - self.n_slope * vds) / (2.0 * n_ut)
-        ff = _softlog(xf)
-        fr = _softlog(xr)
-        sf = _sigmoid(xf)
-        sr = _sigmoid(xr)
+        ff, sf = _softlog_sigmoid(veff / self.two_n_ut)
+        fr, sr = _softlog_sigmoid((veff - self.n_slope * vds) / self.two_n_ut)
 
         clm = 1.0 + self.lam * vds
         i0 = self.isat * (ff * ff - fr * fr)
         ids = i0 * clm
 
-        gm = self.isat * (ff * sf - fr * sr) / n_ut * clm
+        gm = self.isat * (ff * sf - fr * sr) / self.n_ut * clm
         gds_channel = self.isat * fr * sr / self.ut * clm
         gds = gds_channel + i0 * self.lam + self.gmin
         # d ids / d vbs = +gm * dvth/dvsb (raising the bulk toward the
         # source lowers VTH and raises the current).
         gmb = gm * dvth_dvsb
 
-        into_drain = sign * np.where(swapped, -ids, ids)
-        vdsat = np.maximum(veff, 0.0) / self.n_slope + 4.0 * self.ut
-
         return MosEval(
+            group=self,
             ids=ids,
-            into_drain=into_drain,
             gm=gm,
             gds=gds,
             gds_channel=gds_channel,
@@ -254,7 +252,6 @@ class MosGroup:
             vds=vds,
             vsb=vsb,
             veff=veff,
-            vdsat=vdsat,
             vth=vth,
         )
 

@@ -493,7 +493,7 @@ class MnaSystem:
         """DC excitation vector (extended); cached, treat as read-only.
 
         The cache key snapshots every source's DC value, so mutating a
-        source (gain switching, sweeps, source stepping via ``scale``)
+        source (gain switching, sweeps) or a different ``scale``
         invalidates automatically on the next call.
         """
         key = (

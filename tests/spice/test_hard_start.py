@@ -1,4 +1,4 @@
-"""Hard-start DC solves: the plain stage's stall rule and the ladder.
+"""Hard-start DC solves: the plain stage's stall rule and the gmin ladder.
 
 A hard start spends its plain-Newton stage clamped at the step limit
 every iteration.  The plain stage stops after
@@ -16,18 +16,25 @@ longest clamped run measured in a converging solve (55 steps, a
 ``perfbench`` ``optimize_de`` seed-2 search): the limit must stay above
 it, or the rule would change that design's operating point.
 
-A few designs also exhaust gmin stepping and need source stepping;
-``SOURCE_STEPPING`` is search 8 of the ``perfbench`` ``optimize_de``
-seed-2 stream (tt, 25 degC, gain code 5).
+The gmin ladder is adaptive (``dc.strategy_ladder``); ``_decade_ladder``
+below is the fixed ladder it replaced (1e-3 ... 1e-12 S, then 0), kept
+as the reference.  ``LADDER_RESCUE`` is search 8 of the ``perfbench``
+``optimize_de`` seed-2 stream (tt, 25 degC, gain code 5): the decade
+ladder runs out of budget on it, so it used to need source stepping
+(254 iterations); the adaptive ladder solves it.
 """
 
+import numpy as np
 import pytest
 
 import repro.spice.dc as dc_mod
 from repro.campaign import CampaignSpec, run_campaign, run_chunk
 from repro.campaign.result import CampaignResult
 from repro.campaign.runner import ChunkCache
+from repro.cli import main
 from repro.obs import Recorder, deactivate
+from repro.optimize import mic_amp_design_space
+from repro.spice.batch import BatchedSystem, newton_batch
 from repro.spice.dc import (
     NewtonOptions,
     _initial_guess,
@@ -46,7 +53,7 @@ HARD_STARTS = [
      "i_pair": 0.0011508798746743135, "l_input": 7.890803975686148e-06,
      "l_load": 2.5298221281347044e-05, "r_total": 25298.221281347043},
 ]
-SOURCE_STEPPING = {
+LADDER_RESCUE = {
     "split_input_thermal": 0.43500000000000005, "split_load_thermal": 0.045,
     "split_network": 0.14, "split_switches": 0.015,
     "split_flicker": 0.32499999999999996, "i_pair": 0.0003990524629937758,
@@ -74,10 +81,28 @@ def _spec(params: dict, corners=("tt",), temps=(25.0,)) -> CampaignSpec:
                         measurements=MEASUREMENTS, builder_kwargs=params)
 
 
-def _system(params: dict):
+def _circuit(params: dict):
     spec = _spec(params)
     (unit,) = spec.expand()
-    return ChunkCache(spec).built(unit).circuit.compile(temp_c=unit.temp_c)
+    return ChunkCache(spec).built(unit).circuit
+
+
+def _system(params: dict):
+    return _circuit(params).compile(temp_c=25.0)
+
+
+def _decade_ladder(system, start):
+    """The fixed 11-decade gmin ladder the adaptive one replaced:
+    ``(converged, x, iterations)``."""
+    rhs, x, total = system.rhs_dc(), start.copy(), 0
+    for gmin in [10.0 ** (-k) for k in range(3, 13)] + [0.0]:
+        converged, x_next, iters = _newton(system, x, rhs, gmin,
+                                           NewtonOptions())
+        total += iters
+        if not converged:
+            return False, x, total
+        x = x_next
+    return True, x, total
 
 
 @pytest.mark.parametrize("params", HARD_STARTS, ids=["a", "b"])
@@ -112,24 +137,77 @@ class TestSerialHardStart:
         assert esc["fields"]["iterations"] == STALL
 
 
-class TestSourceStepping:
-    """The one measured design that needs the last rung: plain Newton
-    stalls, gmin stepping runs out of budget, source stepping converges."""
+class TestAdaptiveLadder:
+    @pytest.mark.parametrize("params, iterations",
+                             zip(HARD_STARTS, [(30, 60), (30, 61)]),
+                             ids=["a", "b"])
+    def test_lands_on_the_decade_ladders_point(self, params, iterations):
+        """Ladder iterations (adaptive, decades) are pinned exactly."""
+        system = _system(params)
+        start = _initial_guess(system)
+        rec = Recorder()
+        with rec.activate():
+            op = strategy_ladder(system, start)
+        converged, x_ref, ref_iters = _decade_ladder(system, start)
+        assert converged
+        assert np.max(np.abs(op.x - x_ref)) <= 1e-14
+        # Four rungs (1e-3, 1e-5, 1e-9 S, then 0) instead of eleven.
+        assert rec.profile()["counts"]["dc.gmin_rungs"] == 4
+        assert (op.iterations, ref_iters) == iterations
 
-    def test_source_stepping_converges(self):
-        system = _system(SOURCE_STEPPING)
+    def test_failed_rung_is_retried_with_a_shorter_step(self, monkeypatch):
+        """A 10-iteration budget makes the 1e-5 -> 1e-9 S step fail; the
+        ladder retries from the 1e-5 S solution with the square root of
+        that step and still lands on the decade ladder's point."""
+        rungs: list = []
+        real_newton = dc_mod._newton
+
+        def newton(system, x0, rhs, gmin, options, **kwargs):
+            result = real_newton(system, x0, rhs, gmin, options, **kwargs)
+            rungs.append((gmin, result[0]))
+            return result
+
+        system = _system(HARD_STARTS[0])
+        start = _initial_guess(system)
+        _, x_ref, _ = _decade_ladder(system, start)
+        monkeypatch.setattr(dc_mod, "_newton", newton)
+        op = strategy_ladder(system, start, NewtonOptions(max_iterations=10))
+        assert [(float(f"{g:.3g}"), ok) for g, ok in rungs] == [
+            (1e-3, True), (1e-5, True), (1e-9, False), (1e-7, True),
+            (1e-9, True), (0.0, True)]
+        assert np.max(np.abs(op.x - x_ref)) <= 1e-14
+
+    def test_rescues_the_design_the_decades_fail(self):
+        """The one measured design that used to need source stepping:
+        plain Newton stalls, the decade ladder runs out of budget, and
+        the adaptive ladder converges in four rungs."""
+        system = _system(LADDER_RESCUE)
+        converged, _, _ = _decade_ladder(system, _initial_guess(system))
+        assert not converged
         rec = Recorder()
         with rec.activate():
             op = dc_operating_point(system)
-        assert op.strategy == "source-stepping" and op.iterations == 254
-        first, second = rec.events(name="dc.strategy_escalation")
-        assert (first["fields"]["to_strategy"], first["fields"]["reason"]) == (
+        assert op.strategy == "gmin-stepping" and op.iterations == 119
+        counts = rec.profile()["counts"]
+        assert counts["dc.gmin_rungs"] == 4
+        (esc,) = rec.events(name="dc.strategy_escalation")
+        assert (esc["fields"]["to_strategy"], esc["fields"]["reason"]) == (
             "gmin-stepping", "stalled")
-        assert (second["fields"]["from_strategy"], second["fields"]["to_strategy"],
-                second["fields"]["reason"]) == (
-            "gmin-stepping", "source-stepping", "budget")
-        assert rec.profile()["counts"]["dc.strategy.source-stepping"] == 1
         assert not rec.events(name="dc.nonconvergence")
+
+    @pytest.mark.parametrize("robust, iterations", [([], 371), (["--robust"], 751)],
+                             ids=["typical", "robust"])
+    def test_ci_search_newton_iterations(self, robust, iterations):
+        """An exact count, not a timing: a longer ladder fails it.  Each
+        search meets the two ``HARD_STARTS`` (once per search)."""
+        rec = Recorder()
+        with rec.activate():
+            main(["optimize", "--quick", "--seed", "2026", "--no-progress"]
+                 + robust)
+        counts = rec.profile()["counts"]
+        assert counts["dc.strategy.gmin-stepping"] == 2
+        assert counts["dc.gmin_rungs"] == 8
+        assert counts["dc.newton_iterations"] == iterations
 
 
 class TestLongestConvergingRun:
@@ -195,3 +273,40 @@ class TestTensorFallback:
         assert batched_health == serial_health
         assert len(serial_health) == 1
         assert serial_health[0]["strategy"] == "gmin-stepping"
+
+
+class TestLockstepCompaction:
+    """A hard unit among three converging ones: once units finish,
+    lockstep Newton assembles only the live ones, and every unit still
+    gets the per-unit ``_newton`` result."""
+
+    def test_group_matches_per_unit_newton(self):
+        space = mic_amp_design_space()
+        designs = [HARD_STARTS[0], LONGEST_CONVERGING,
+                   space.as_dict(space.default()),
+                   space.as_dict(space.from_unit(np.full(space.dim, 0.3)))]
+        circuits = [_circuit(p) for p in designs]
+        temps = [25.0] * len(circuits)
+        bs = BatchedSystem(circuits[0].compile(temp_c=25.0), circuits, temps)
+        diags = [{} for _ in circuits]
+        rec = Recorder()
+        with rec.activate():
+            converged, x, iterations = newton_batch(
+                bs, bs.initial_guess(), bs.rhs_dc(), diags=diags)
+        assert converged.tolist() == [False, True, True, True]
+        for u, circ in enumerate(circuits):
+            system = circ.compile(temp_c=25.0)
+            diag: dict = {}
+            ok, x_ref, iters = _newton(system, _initial_guess(system),
+                                       system.rhs_dc(), 0.0, NewtonOptions(),
+                                       diag=diag, stall=STALL)
+            assert ok == converged[u]
+            assert iterations[u] == iters
+            assert x[u].tobytes() == x_ref.tobytes()
+            assert diags[u] == diag
+        # Every assembled unit-iteration was a live one: 83 + 97 + 6 + 7
+        # of them, where a full-group lockstep assembles 4 x 97.
+        assert iterations.tolist() == [STALL, 97, 6, 7]
+        counts = rec.profile()["counts"]
+        assert counts["batch.newton_iterations"] == 97
+        assert counts["batch.assembled_units"] == int(iterations.sum())

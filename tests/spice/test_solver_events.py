@@ -77,12 +77,15 @@ class TestEscalationEvents:
         assert first["fields"]["from_strategy"] == "newton"
         assert first["fields"]["to_strategy"] == "gmin-stepping"
         assert isinstance(first["fields"]["resid_norm"], float)
-        # Each escalation says why the stage it leaves failed.
-        assert [e["fields"]["reason"] for e in escalations] == ["budget"] * 2
+        # Each escalation says why the stage it leaves failed, and so
+        # does the failure of the last stage, gmin stepping.
+        assert [e["fields"]["reason"] for e in escalations] == ["budget"]
         assert all("clamped_streak" not in e["fields"] for e in escalations)
         failures = rec.events(name="dc.nonconvergence", severity="error")
         assert failures, "non-convergence never recorded"
         assert failures[-1]["fields"]["circuit"] == "bad"
+        assert failures[-1]["fields"]["stage"] == "gmin-stepping"
+        assert failures[-1]["fields"]["reason"] == "budget"
         # The cheap 1-norm condition estimate rode along (it may be
         # None only if LAPACK refused the factorization).
         assert "cond1_est" in failures[-1]["fields"]

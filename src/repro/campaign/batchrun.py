@@ -57,6 +57,7 @@ from repro.spice.batch import BatchedSystem, circuit_signature, newton_batch
 from repro.spice.dc import OperatingPoint, PlainFailure, dc_operating_point
 from repro.spice.elements import VoltageSource
 from repro.spice.linsolve import BatchedSmallSignalContext
+from repro.spice.mna import ac_rhs
 from repro.spice.netlist import is_ground
 
 #: Units per tensor group.  Large enough to amortise the Python-side
@@ -132,32 +133,11 @@ class _GroupRun:
         return float(self.x[u, self.pattern.branch(element_name)])
 
     def unit_rhs_ac(self, u: int, overrides: dict) -> np.ndarray:
-        """Replay ``MnaSystem.rhs_ac()[:n]`` for unit ``u``.
-
-        ``overrides`` maps source names to ``(ac, phase)`` the way the
-        PSRR/CMRR drivers temporarily mutate sources; ``phase=None``
-        keeps the source's configured phase (the drivers only zero the
-        amplitude in that case).
-        """
-        p = self.pattern
-        b = np.zeros(p.size + 1, dtype=complex)
-        for src, j in zip(self.bs._unit_vsources[u], p._vs_branch_idx):
-            ac, ph = overrides.get(src.name, (src.ac, src.ac_phase))
-            if ph is None:
-                ph = src.ac_phase
-            if ac != 0.0:
-                b[j] += ac * np.exp(1j * ph)
-        for src, a, c in zip(self.bs._unit_isources[u], p._is_np_idx,
-                             p._is_nn_idx):
-            ac, ph = overrides.get(src.name, (src.ac, src.ac_phase))
-            if ph is None:
-                ph = src.ac_phase
-            if ac != 0.0:
-                phasor = ac * np.exp(1j * ph)
-                b[a] -= phasor
-                b[c] += phasor
-        b[p.ground_index] = 0.0
-        return b[: p.size]
+        """``MnaSystem.rhs_ac()[:n]`` of unit ``u`` with the PSRR/CMRR
+        ``overrides`` of :func:`repro.spice.mna.ac_rhs` applied."""
+        els = self.bs.unit_elements[u]
+        return ac_rhs(self.pattern, els.vsources, els.isources,
+                      overrides)[: self.pattern.size]
 
     def probe_cols(self, fwd: np.ndarray, u: int, out_p: str,
                    out_n: str | None) -> np.ndarray:

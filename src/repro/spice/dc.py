@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.obs.recorder import active, event, prof_count
-from repro.spice.elements import CurrentSource, Mosfet, VoltageSource
+from repro.spice.elements import CurrentSource, VoltageSource
 from repro.spice.mna import MnaSystem
 from repro.spice.netlist import Circuit, is_ground
 
@@ -173,45 +173,23 @@ class OperatingPoint:
         grp = self.system.mos_group
         if grp is None or name not in grp.names:
             raise KeyError(f"no MOSFET named {name!r}")
-        k = grp.names.index(name)
         ev = grp.evaluate(self.x)
-        vdsat = ev.vdsat[k]
-        return MosOpInfo(
-            name=name,
-            ids=float(ev.ids[k]),
-            vgs=float(ev.vgs[k]),
-            vds=float(ev.vds[k]),
-            vsb=float(ev.vsb[k]),
-            veff=float(ev.veff[k]),
-            vdsat=float(vdsat),
-            vth=float(ev.vth[k]),
-            gm=float(ev.gm[k]),
-            gds=float(ev.gds[k]),
-            gmb=float(ev.gmb[k]),
-            saturated=bool(ev.vds[k] > vdsat),
-        )
+        return _mos_info(name, ev, ev.vdsat, grp.names.index(name))
 
     def all_mos_op(self) -> dict[str, MosOpInfo]:
         grp = self.system.mos_group
         if grp is None:
             return {}
-        return {name: self.mos_op(name) for name in grp.names}
+        ev = grp.evaluate(self.x)
+        vdsat = ev.vdsat
+        return {name: _mos_info(name, ev, vdsat, k)
+                for k, name in enumerate(grp.names)}
 
     def bjt_op(self, name: str) -> BjtOpInfo:
         grp = self.system.bjt_group
         if grp is None or name not in grp.names:
             raise KeyError(f"no BJT named {name!r}")
-        k = grp.names.index(name)
-        ev = grp.evaluate(self.x)
-        return BjtOpInfo(
-            name=name,
-            ic=float(ev.ic[k]),
-            ib=float(ev.ib[k]),
-            vbe=float(ev.vbe[k]),
-            gm=float(ev.gm[k]),
-            gpi=float(ev.gpi[k]),
-            go=float(ev.go[k]),
-        )
+        return _bjt_info(name, grp.evaluate(self.x), grp.names.index(name))
 
     def supply_current(self, source_name: str) -> float:
         """Magnitude of the current delivered by a supply source [A]."""
@@ -223,6 +201,37 @@ class OperatingPoint:
             name for name, op in self.all_mos_op().items()
             if not op.saturated and abs(op.ids) > 1e-9
         ]
+
+
+def _mos_info(name: str, ev, vdsat: np.ndarray, k: int) -> MosOpInfo:
+    """Device ``k``'s record from one group evaluation ``ev``."""
+    return MosOpInfo(
+        name=name,
+        ids=float(ev.ids[k]),
+        vgs=float(ev.vgs[k]),
+        vds=float(ev.vds[k]),
+        vsb=float(ev.vsb[k]),
+        veff=float(ev.veff[k]),
+        vdsat=float(vdsat[k]),
+        vth=float(ev.vth[k]),
+        gm=float(ev.gm[k]),
+        gds=float(ev.gds[k]),
+        gmb=float(ev.gmb[k]),
+        saturated=bool(ev.vds[k] > vdsat[k]),
+    )
+
+
+def _bjt_info(name: str, ev, k: int) -> BjtOpInfo:
+    """Device ``k``'s record from one group evaluation ``ev``."""
+    return BjtOpInfo(
+        name=name,
+        ic=float(ev.ic[k]),
+        ib=float(ev.ib[k]),
+        vbe=float(ev.vbe[k]),
+        gm=float(ev.gm[k]),
+        gpi=float(ev.gpi[k]),
+        go=float(ev.go[k]),
+    )
 
 
 def _sparse_newton_step(
@@ -367,20 +376,28 @@ def _solver_event(name: str, severity: str, system: MnaSystem,
           cond1_est=system.cond1_estimate(x, rhs), **fields)
 
 
-def _initial_guess(system: MnaSystem) -> np.ndarray:
-    """Start vector: zeros, overridden by nodesets and grounded sources."""
+def start_vector(system: MnaSystem, vsources: list[VoltageSource],
+                 nodesets: dict[str, float]) -> np.ndarray:
+    """Newton start for one circuit's sources and nodesets, indexed
+    through ``system``: zeros, overridden by grounded sources and
+    nodesets."""
     x = np.zeros(system.size + 1)
     # Nodes tied to ground through a DC voltage source start at the source
     # value; this makes supplies "appear" immediately.
-    for src in system.vsources:
+    for src in vsources:
         if is_ground(src.nn) and not is_ground(src.np):
             x[system.node(src.np)] = src.dc
         elif is_ground(src.np) and not is_ground(src.nn):
             x[system.node(src.nn)] = -src.dc
-    for node, volts in system.circuit.nodesets.items():
+    for node, volts in nodesets.items():
         if not is_ground(node):
             x[system.node(node)] = volts
     return x
+
+
+def _initial_guess(system: MnaSystem) -> np.ndarray:
+    """Start vector: zeros, overridden by nodesets and grounded sources."""
+    return start_vector(system, system.vsources, system.circuit.nodesets)
 
 
 class PlainFailure(NamedTuple):

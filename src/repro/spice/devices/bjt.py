@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constants import BOLTZMANN, ELEMENTARY_CHARGE, kelvin, thermal_voltage
+from repro.spice.devices.params import UnitParams
 
 NPN = "npn"
 PNP = "pnp"
@@ -94,22 +95,27 @@ class BjtGroup:
         e: np.ndarray,
         area: np.ndarray,
         models: list[BjtModel],
-        temp_c: float,
+        temp_c: float | list[float],
     ) -> None:
+        """One circuit's BJTs at ``temp_c`` [degC]; for a unit-stacked
+        group ``area`` is ``(N, n)``, ``models`` one list per unit and
+        ``temp_c`` one temperature per unit (see
+        :mod:`repro.spice.devices.params`)."""
+        p = UnitParams(models, temp_c)
         self.names = names
         self.c, self.b, self.e = c, b, e
         self.area = area
         self.models = models
         self.temp_c = temp_c
-        self.sign = np.array([mdl.sign for mdl in models])
-        self.is_sat = np.array([mdl.is_at(temp_c) for mdl in models]) * area
-        self.beta_f = np.array([mdl.beta_f for mdl in models])
-        self.beta_r = np.array([mdl.beta_r for mdl in models])
-        self.vaf = np.array([mdl.vaf for mdl in models])
-        self.kf = np.array([mdl.kf for mdl in models])
-        self.af = np.array([mdl.af for mdl in models])
-        self.gmin = np.array([mdl.gmin for mdl in models])
-        self.ut = thermal_voltage(temp_c)
+        self.sign = p.model("sign")
+        self.is_sat = p.at_temp("is_at") * area
+        self.beta_f = p.model("beta_f")
+        self.beta_r = p.model("beta_r")
+        self.vaf = p.model("vaf")
+        self.kf = p.model("kf")
+        self.af = p.model("af")
+        self.gmin = p.model("gmin")
+        self.ut = p.per_unit(thermal_voltage)
 
     def __len__(self) -> int:
         return len(self.names)

@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.constants import ELEMENTARY_CHARGE, kelvin, thermal_voltage
 from repro.constants import BOLTZMANN
+from repro.spice.devices.params import UnitParams
 
 
 @dataclass(frozen=True)
@@ -51,19 +52,24 @@ class DiodeGroup:
         nn_idx: np.ndarray,
         area: np.ndarray,
         models: list["DiodeModel"],
-        temp_c: float,
+        temp_c: float | list[float],
     ) -> None:
+        """One circuit's diodes at ``temp_c`` [degC]; for a unit-stacked
+        group ``area`` is ``(N, n)``, ``models`` one list per unit and
+        ``temp_c`` one temperature per unit (see
+        :mod:`repro.spice.devices.params`)."""
+        p = UnitParams(models, temp_c)
         self.names = names
         self.np_idx, self.nn_idx = np_idx, nn_idx
         self.area = area
         self.models = models
         self.temp_c = temp_c
-        self.is_sat = np.array([mdl.is_at(temp_c) for mdl in models]) * area
-        self.n_ideality = np.array([mdl.n_ideality for mdl in models])
-        self.kf = np.array([mdl.kf for mdl in models])
-        self.af = np.array([mdl.af for mdl in models])
-        self.gmin = np.array([mdl.gmin for mdl in models])
-        self.ut = thermal_voltage(temp_c)
+        self.is_sat = p.at_temp("is_at") * area
+        self.n_ideality = p.model("n_ideality")
+        self.kf = p.model("kf")
+        self.af = p.model("af")
+        self.gmin = p.model("gmin")
+        self.ut = p.per_unit(thermal_voltage)
 
     def __len__(self) -> int:
         return len(self.names)

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.constants import BOLTZMANN, kelvin, thermal_voltage
+from repro.spice.devices.params import UnitParams
 
 #: Polarity constants.
 NMOS = "nmos"
@@ -159,27 +160,33 @@ class MosGroup:
         l: np.ndarray,
         m: np.ndarray,
         models: list[MosModel],
-        temp_c: float,
+        temp_c: float | list[float],
     ) -> None:
+        """One circuit's MOSFETs at ``temp_c`` [degC]; for a unit-stacked
+        group ``w``/``l``/``m`` are ``(N, n)``, ``models`` one list per
+        unit and ``temp_c`` one temperature per unit (see
+        :mod:`repro.spice.devices.params`)."""
+        p = UnitParams(models, temp_c)
         self.names = names
         self.d, self.g, self.s, self.b = d, g, s, b
         self.w, self.l, self.m = w, l, m
         self.models = models
         self.temp_c = temp_c
-        self.sign = np.array([mdl.sign for mdl in models])
-        self.vth0 = np.array([mdl.vth_at(temp_c) for mdl in models])
-        self.kp = np.array([mdl.kp_at(temp_c) for mdl in models])
-        self.gamma = np.array([mdl.gamma for mdl in models])
-        self.phi = np.array([mdl.phi for mdl in models])
-        self.lam = np.array([mdl.clm for mdl in models]) / l
-        self.n_slope = np.array([mdl.n_slope for mdl in models])
-        self.cox = np.array([mdl.cox for mdl in models])
-        self.kf = np.array([mdl.kf for mdl in models])
-        self.af = np.array([mdl.af for mdl in models])
-        self.gmin = np.array([mdl.gmin for mdl in models])
+        self.sign = p.model("sign")
+        self.vth0 = p.at_temp("vth_at")
+        self.kp = p.at_temp("kp_at")
+        self.gamma = p.model("gamma")
+        self.phi = p.model("phi")
+        self.lam = p.model("clm") / l
+        self.n_slope = p.model("n_slope")
+        self.cox = p.model("cox")
+        self.kf = p.model("kf")
+        self.af = p.model("af")
+        self.gmin = p.model("gmin")
         self.beta = self.kp * (w / l) * m
-        self.ut = thermal_voltage(temp_c)
-        self.isat = 2.0 * self.n_slope * self.beta * self.ut**2
+        self.ut = p.per_unit(thermal_voltage)
+        self.isat = 2.0 * self.n_slope * self.beta * p.per_unit(
+            lambda t: thermal_voltage(t) ** 2)
         self._hoist_constants()
 
     def _hoist_constants(self) -> None:
@@ -274,10 +281,9 @@ class MosGroup:
         for audio-band circuits whose bandwidth is set by the explicit
         compensation network.
         """
-        cgso = np.array([mdl.cgso for mdl in self.models])
-        cgdo = np.array([mdl.cgdo for mdl in self.models])
-        cj = np.array([mdl.cj for mdl in self.models])
-        ldiff = np.array([mdl.ldiff for mdl in self.models])
+        p = UnitParams(self.models, self.temp_c)
+        cgso, cgdo = p.model("cgso"), p.model("cgdo")
+        cj, ldiff = p.model("cj"), p.model("ldiff")
         cgs = (2.0 / 3.0) * self.w * self.l * self.cox * self.m + cgso * self.w * self.m
         cgd = cgdo * self.w * self.m
         cjun = cj * self.w * ldiff * self.m

@@ -1,10 +1,14 @@
 """Compiled modified-nodal-analysis system.
 
 Compilation maps node names to indices, allocates branch-current unknowns,
-stamps every linear element once into static G/C matrices and groups the
-nonlinear devices for vectorised evaluation.  The "extended matrix" trick
-keeps stamping branch-free: ground is the last index of an (n+1)-dim
-system and the solvers slice it off, so ``np.add.at`` needs no masking.
+stamps the linear elements into static G/C matrices by replaying a COO
+plan (:class:`LinearStampPlan`) and groups the nonlinear devices for
+vectorised evaluation.  The device stamps and the Newton assembly
+(:class:`StampedSystem`) take an optional leading unit axis, so the
+tensor-batched systems of :mod:`repro.spice.batch` run this same code.
+The "extended matrix" trick keeps stamping branch-free: ground is the
+last index of an (n+1)-dim system and the solvers slice it off, so
+``np.add.at`` needs no masking.
 
 System convention:  G*x + C*dx/dt + I_nl(x) = b(t),
 with x = [node voltages | branch currents].
@@ -13,6 +17,8 @@ with x = [node voltages | branch currents].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +27,7 @@ from repro.obs.recorder import prof_count
 from repro.spice.devices.bjt import BjtGroup
 from repro.spice.devices.diode import DiodeGroup
 from repro.spice.devices.mosfet import MosGroup
+from repro.spice.devices.params import unit_rows
 from repro.spice.elements import (
     Bjt,
     Capacitor,
@@ -64,19 +71,19 @@ class NoiseSource:
 
 @dataclass
 class LinearStampPlan:
-    """COO replay plan for one topology's static linear stamps.
+    """COO replay plan of one topology's static linear stamps.
 
     ``g_idx``/``c_idx`` hold one flat extended index (``row*dim + col``)
-    per scalar ``+=`` that :class:`MnaSystem.__init__` performs while
-    stamping the linear elements, in the exact order it performs them.
-    Replaying them with per-circuit values (:func:`linear_stamp_values`)
-    via ``np.add.at`` therefore reproduces ``g_static``/``c_static``
-    bit for bit — sequential accumulation order included — which is what
-    lets :class:`repro.spice.batch.BatchedSystem` stamp N same-topology
-    circuits into one ``(N, dim, dim)`` tensor without compiling N
-    systems.  Device (MOS) capacitances are not part of the plan; the
-    batch layer appends them from its stacked groups in the same order
-    as :meth:`MnaSystem._stamp_mos_capacitances`.
+    per linear stamp entry, in circuit order, and
+    :func:`linear_stamp_values` gives a circuit's signed values in the
+    same order.  Compiling *is* replaying: :class:`MnaSystem`
+    accumulates those values with ``np.add.at`` (:func:`scatter_add`),
+    which sums duplicate slots in stamp order, and
+    :class:`repro.spice.batch.BatchedSystem` replays N same-topology
+    circuits' values through one pattern's plan into an
+    ``(N, dim, dim)`` tensor with the same call.  Device (MOS)
+    capacitances are not part of the plan; they are stamped after it
+    (:meth:`StampedSystem._stamp_mos_capacitances`).
     """
 
     g_idx: np.ndarray
@@ -85,14 +92,12 @@ class LinearStampPlan:
 
 
 def linear_stamp_values(circuit: Circuit, temp_c: float) -> tuple[list[float], list[float]]:
-    """Signed stamp values for ``circuit`` matching :meth:`MnaSystem.stamp_plan`.
+    """Signed linear stamp values of ``circuit`` at ``temp_c``, in the
+    order of :meth:`MnaSystem.stamp_plan`.
 
-    Walks the elements in circuit order with the same dispatch chain as
-    :class:`MnaSystem.__init__`, emitting one signed value per planned
-    ``+=`` (a ``-=`` becomes the exactly-negated value).  All arithmetic
-    mirrors the compile path operation for operation, so the replayed
-    matrices are bitwise identical to a fresh compile of ``circuit`` at
-    ``temp_c``.
+    Walks the elements in circuit order and emits one value per planned
+    entry; an entry that subtracts gets the exactly negated value, so
+    the replay is the ``+=``/``-=`` stamp sequence bit for bit.
     """
     g_vals: list[float] = []
     c_vals: list[float] = []
@@ -129,7 +134,294 @@ def linear_stamp_values(circuit: Circuit, temp_c: float) -> tuple[list[float], l
     return g_vals, c_vals
 
 
-class MnaSystem:
+class CircuitElements(NamedTuple):
+    """A circuit's sources and nonlinear devices, each in circuit order."""
+
+    vsources: list[VoltageSource]
+    isources: list[CurrentSource]
+    mos: list[Mosfet]
+    bjts: list[Bjt]
+    diodes: list[Diode]
+
+
+def circuit_elements(circuit: Circuit) -> CircuitElements:
+    """The sources and devices of ``circuit`` (one element walk)."""
+    els = CircuitElements([], [], [], [], [])
+    for el in circuit:
+        if isinstance(el, VoltageSource):
+            els.vsources.append(el)
+        elif isinstance(el, CurrentSource):
+            els.isources.append(el)
+        elif isinstance(el, Mosfet):
+            els.mos.append(el)
+        elif isinstance(el, Bjt):
+            els.bjts.append(el)
+        elif isinstance(el, Diode):
+            els.diodes.append(el)
+    return els
+
+
+def scatter_add(target: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
+    """``np.add.at`` of ``vals`` at the flat indices ``idx`` of
+    ``target``'s last axis, one system or a unit-stacked batch.
+
+    ``target`` is one system's ``(M,)`` array or a stacked ``(N, M)``
+    one; then ``vals`` carries the leading unit axis, and ``idx``
+    carries it too or is shared by every unit.  Each unit's entries
+    land at its own offset of the flattened tensor and accumulate in
+    ``idx`` order, the sequence a serial ``np.add.at`` of that unit
+    performs, so a stacked row is the serial result bit for bit.
+    """
+    if target.ndim == 1:
+        if idx.ndim > 1:
+            idx, vals = idx.reshape(-1), vals.reshape(-1)
+        np.add.at(target, idx, vals)
+        return
+    n_units, m = target.shape
+    off = (np.arange(n_units) * m).reshape((n_units,) + (1,) * (vals.ndim - 1))
+    np.add.at(target.reshape(-1), (idx + off).reshape(-1), vals.reshape(-1))
+
+
+def dc_rhs(system: MnaSystem, vsources: list[VoltageSource],
+           isources: list[CurrentSource]) -> np.ndarray:
+    """DC excitation vector (extended) of one circuit's sources,
+    stamped through ``system``'s source topology."""
+    b = np.zeros(system.size + 1)
+    if vsources:
+        b[system._vs_branch_idx] = np.array([src.dc for src in vsources])
+    if isources:
+        vals = np.array([src.dc for src in isources])
+        np.subtract.at(b, system._is_np_idx, vals)
+        np.add.at(b, system._is_nn_idx, vals)
+    b[system.ground_index] = 0.0
+    return b
+
+
+def ac_rhs(system: MnaSystem, vsources: list[VoltageSource],
+           isources: list[CurrentSource], overrides: dict) -> np.ndarray:
+    """Complex AC excitation vector (extended) of one circuit's sources,
+    stamped through ``system``'s source topology.
+
+    ``overrides`` maps source names to ``(ac, phase)`` the way the
+    PSRR/CMRR drivers temporarily set sources; ``phase=None`` keeps the
+    source's configured phase (the drivers only zero the amplitude then).
+    """
+    b = np.zeros(system.size + 1, dtype=complex)
+    for src, j in zip(vsources, system._vs_branch_idx):
+        ac, ph = overrides.get(src.name, (src.ac, src.ac_phase))
+        if ph is None:
+            ph = src.ac_phase
+        if ac != 0.0:
+            b[j] += ac * np.exp(1j * ph)
+    for src, a, c in zip(isources, system._is_np_idx, system._is_nn_idx):
+        ac, ph = overrides.get(src.name, (src.ac, src.ac_phase))
+        if ph is None:
+            ph = src.ac_phase
+        if ac != 0.0:
+            phasor = ac * np.exp(1j * ph)
+            b[a] -= phasor
+            b[c] += phasor
+    b[system.ground_index] = 0.0
+    return b
+
+
+class StampedSystem:
+    """Device stamping and Newton assembly, shared by :class:`MnaSystem`
+    and :class:`repro.spice.batch.BatchedSystem`.
+
+    Every array may carry a leading unit axis: a serial system assembles
+    ``(dim, dim)`` Jacobians from ``(dim,)`` solutions, a batched one
+    ``(N, dim, dim)`` from ``(N, dim)``.  Device groups evaluate either
+    shape with the same elementwise ops, and :func:`scatter_add` keeps
+    each unit's accumulation order, so a batched unit's rows are its
+    serial assembly bit for bit.  A subclass sets ``ground_index``, the
+    device groups and calls :meth:`_prepare_device_stamps`; it supplies
+    :meth:`_static_part`.
+    """
+
+    num_nodes: int
+    ground_index: int
+    mos_group: MosGroup | None
+    bjt_group: BjtGroup | None
+    diode_group: DiodeGroup | None
+
+    def _static_part(self, x_ext: np.ndarray,
+                     rhs_ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A fresh copy of the static G and the residual ``G x - b``."""
+        raise NotImplementedError
+
+    def _prepare_device_stamps(self, lead: tuple[int, ...] = ()) -> None:
+        """Flat COO stamp indices of the device groups, and the MOS
+        scratch buffers for ``lead`` units (``()`` for a serial system).
+
+        Jacobian entries are addressed as flat indices into the extended
+        (dim x dim) matrix: ``row*dim + col``.  BJT and diode stamp
+        positions are fully static, so their 9/4 per-device entries
+        collapse into one concatenated index array and a single
+        ``np.add.at`` per Newton iteration.  MOS rows depend on the
+        source/drain swap, so the row bases ``d*dim``/``s*dim`` are
+        cached and the per-iteration work is a ``where`` selection into
+        preallocated ``(..., 8, n_mos)`` buffers, written through
+        per-row views.
+        """
+        dim = self.ground_index + 1
+        if self.mos_group is not None:
+            grp = self.mos_group
+            self._mos_row_d = grp.d * dim
+            self._mos_row_s = grp.s * dim
+            self._mos_idx_buf = np.empty(lead + (8, len(grp)), dtype=np.intp)
+            self._mos_val_buf = np.empty(lead + (8, len(grp)))
+            self._mos_idx_rows = [self._mos_idx_buf[..., r, :] for r in range(8)]
+            self._mos_val_rows = [self._mos_val_buf[..., r, :] for r in range(8)]
+
+        if self.bjt_group is not None:
+            grp = self.bjt_group
+            c, b, e = grp.c * dim, grp.b * dim, grp.e * dim
+            self._bjt_idx = np.concatenate([
+                c + grp.b, c + grp.c, c + grp.e,
+                b + grp.b, b + grp.c, b + grp.e,
+                e + grp.b, e + grp.c, e + grp.e,
+            ])
+
+        if self.diode_group is not None:
+            grp = self.diode_group
+            a, b = grp.np_idx, grp.nn_idx
+            self._diode_idx = np.concatenate([
+                a * dim + a, a * dim + b, b * dim + a, b * dim + b,
+            ])
+
+    def _stamp_mos_capacitances(self, c_flat: np.ndarray) -> None:
+        """Add the constant MOS capacitances to the flat dynamic matrix
+        ``c_flat`` (``(dim*dim,)`` or ``(N, dim*dim)``), device-major:
+        Cgs, Cgd and the drain and source junctions of device 0, then of
+        device 1, and so on."""
+        grp = self.mos_group
+        dim = self.ground_index + 1
+        cgs, cgd, cjun = grp.gate_capacitances()
+        a = np.stack([grp.g, grp.g, grp.d, grp.s], axis=-1)      # (n, 4)
+        b = np.stack([grp.s, grp.d, grp.b, grp.b], axis=-1)
+        idx = np.stack([a * dim + a, a * dim + b, b * dim + a, b * dim + b],
+                       axis=-1)                                 # (n, 4, 4)
+        cap = np.stack([cgs, cgd, cjun, cjun], axis=-1)[..., None]
+        # Multiplying by -1.0 is exact negation: the stamp's ``-=``.
+        scatter_add(c_flat, idx, cap * np.array([1.0, -1.0, -1.0, 1.0]))
+
+    # ------------------------------------------------------------------
+    # Nonlinear assembly
+    # ------------------------------------------------------------------
+    def assemble(
+        self, x_ext: np.ndarray, rhs_ext: np.ndarray, gmin: float = 0.0
+    ) -> tuple[np.ndarray, np.ndarray, dict]:
+        """Residual and Jacobian at solution ``x_ext``.
+
+        Returns ``(jac, resid, evals)`` where both are extended-dimension
+        and ``evals`` carries the device evaluations (reused for OP info
+        and noise).  ``gmin`` adds a leak to every node diagonal (gmin
+        stepping).
+        """
+        jac, resid = self._static_part(x_ext, rhs_ext)
+        evals: dict = {}
+
+        if gmin > 0.0:
+            idx = np.arange(self.num_nodes)
+            jac[..., idx, idx] += gmin
+            resid[..., idx] += gmin * x_ext[..., idx]
+
+        jac_flat = jac.reshape(jac.shape[:-2] + (-1,))
+        if self.mos_group is not None:
+            ev = self.mos_group.evaluate(x_ext)
+            evals["mos"] = ev
+            self._mos_residual(resid, ev)
+            scatter_add(jac_flat, *self._mos_jac_entries(ev))
+
+        if self.bjt_group is not None:
+            ev = self.bjt_group.evaluate(x_ext)
+            evals["bjt"] = ev
+            self._bjt_residual(resid, ev)
+            scatter_add(jac_flat, self._bjt_idx, self._bjt_jac_vals(ev))
+
+        if self.diode_group is not None:
+            ev = self.diode_group.evaluate(x_ext)
+            evals["diode"] = ev
+            self._diode_residual(resid, ev)
+            scatter_add(jac_flat, self._diode_idx, self._diode_jac_vals(ev))
+
+        # Zero the dummy ground row/column so it never feeds back.
+        gi = self.ground_index
+        jac[..., gi, :] = 0.0
+        jac[..., gi] = 0.0
+        resid[..., gi] = 0.0
+        return jac, resid, evals
+
+    def _mos_residual(self, resid: np.ndarray, ev) -> None:
+        grp = self.mos_group
+        sw = ev.swapped
+        ids_into_eff_drain = grp.sign * ev.ids  # physical current into eff_d
+        scatter_add(resid, np.where(sw, grp.s, grp.d), ids_into_eff_drain)
+        scatter_add(resid, np.where(sw, grp.d, grp.s), -ids_into_eff_drain)
+
+    def _mos_jac_entries(self, ev) -> tuple[np.ndarray, np.ndarray]:
+        """Flat extended Jacobian (index, value) buffers for the MOS group.
+
+        Shared by the dense ``np.add.at`` stamp and the sparse COO
+        assembly; the returned ``(..., 8, n_mos)`` buffers are reused
+        every iteration.
+        """
+        grp = self.mos_group
+        sw = ev.swapped
+        eff_d = np.where(sw, grp.s, grp.d)
+        eff_s = np.where(sw, grp.d, grp.s)
+        gm, gds, gmb = ev.gm, ev.gds, ev.gmb
+        gss = gm + gds + gmb
+
+        # Only the effective row/column selection depends on the per-
+        # iteration swap state; the row bases and scratch buffers come
+        # precomputed from _prepare_device_stamps.
+        rows_d = np.where(sw, self._mos_row_s, self._mos_row_d)
+        rows_s = np.where(sw, self._mos_row_d, self._mos_row_s)
+        idx, vals = self._mos_idx_rows, self._mos_val_rows
+        np.add(rows_d, eff_d, out=idx[0])
+        np.add(rows_d, grp.g, out=idx[1])
+        np.add(rows_d, eff_s, out=idx[2])
+        np.add(rows_d, grp.b, out=idx[3])
+        np.add(rows_s, eff_d, out=idx[4])
+        np.add(rows_s, grp.g, out=idx[5])
+        np.add(rows_s, eff_s, out=idx[6])
+        np.add(rows_s, grp.b, out=idx[7])
+        vals[0][...] = gds
+        vals[1][...] = gm
+        np.negative(gss, out=vals[2])
+        vals[3][...] = gmb
+        np.negative(gds, out=vals[4])
+        np.negative(gm, out=vals[5])
+        vals[6][...] = gss
+        np.negative(gmb, out=vals[7])
+        return self._mos_idx_buf, self._mos_val_buf
+
+    def _bjt_residual(self, resid: np.ndarray, ev) -> None:
+        grp = self.bjt_group
+        scatter_add(resid, grp.c, ev.ic)
+        scatter_add(resid, grp.b, ev.ib)
+        scatter_add(resid, grp.e, -(ev.ic + ev.ib))
+
+    def _bjt_jac_vals(self, ev) -> np.ndarray:
+        gm, gpi, go, gmu = ev.gm, ev.gpi, ev.go, ev.gmu
+        return np.concatenate([
+            gm - go, go, -gm,
+            gpi + gmu, -gmu, -gpi,
+            -(gm - go) - (gpi + gmu), -go + gmu, gm + gpi,
+        ], axis=-1)
+
+    def _diode_residual(self, resid: np.ndarray, ev) -> None:
+        grp = self.diode_group
+        scatter_add(resid, grp.np_idx, ev.current)
+        scatter_add(resid, grp.nn_idx, -ev.current)
+
+    def _diode_jac_vals(self, ev) -> np.ndarray:
+        return np.concatenate([ev.gd, -ev.gd, -ev.gd, ev.gd], axis=-1)
+
+
+class MnaSystem(StampedSystem):
     """A circuit compiled at a fixed temperature, ready for the solvers."""
 
     #: Node count at or above which the solvers prefer the sparse
@@ -159,77 +451,28 @@ class MnaSystem:
         }
 
         # ---------------- static stamps ----------------
+        # The plan walk raises TypeError on an unsupported element.
         dim = self.size + 1
-        self.g_static = np.zeros((dim, dim))
-        self.c_static = np.zeros((dim, dim))
+        self.plan = self.stamp_plan()
+        g_vals, c_vals = linear_stamp_values(circuit, temp_c)
+        g = np.zeros(dim * dim)
+        c = np.zeros(dim * dim)
+        scatter_add(g, self.plan.g_idx, np.asarray(g_vals))
+        scatter_add(c, self.plan.c_idx, np.asarray(c_vals))
 
-        self.vsources: list[VoltageSource] = []
-        self.isources: list[CurrentSource] = []
-
-        mos: list[Mosfet] = []
-        bjts: list[Bjt] = []
-        diodes: list[Diode] = []
-
-        for el in circuit:
-            if isinstance(el, Resistor):
-                self._stamp_conductance(self.g_static, el.n1, el.n2, 1.0 / el.value_at(temp_c))
-            elif isinstance(el, Switch):
-                self._stamp_conductance(self.g_static, el.n1, el.n2, 1.0 / el.resistance)
-            elif isinstance(el, Capacitor):
-                self._stamp_conductance(self.c_static, el.n1, el.n2, el.value)
-            elif isinstance(el, Inductor):
-                j = self._branch_index[el.name]
-                a, b = self.node(el.n1), self.node(el.n2)
-                self.g_static[a, j] += 1.0
-                self.g_static[b, j] -= 1.0
-                self.g_static[j, a] += 1.0
-                self.g_static[j, b] -= 1.0
-                self.c_static[j, j] -= el.value
-            elif isinstance(el, VoltageSource):
-                self.vsources.append(el)
-                self._stamp_vsource_topology(el.name, el.np, el.nn)
-            elif isinstance(el, Vcvs):
-                j = self._branch_index[el.name]
-                self._stamp_vsource_topology(el.name, el.np, el.nn)
-                self.g_static[j, self.node(el.ncp)] -= el.gain
-                self.g_static[j, self.node(el.ncn)] += el.gain
-            elif isinstance(el, Ccvs):
-                j = self._branch_index[el.name]
-                self._stamp_vsource_topology(el.name, el.np, el.nn)
-                jc = self._control_branch(el.control)
-                self.g_static[j, jc] -= el.transresistance
-            elif isinstance(el, Vccs):
-                a, b = self.node(el.np), self.node(el.nn)
-                cp, cn = self.node(el.ncp), self.node(el.ncn)
-                self.g_static[a, cp] += el.gm
-                self.g_static[a, cn] -= el.gm
-                self.g_static[b, cp] -= el.gm
-                self.g_static[b, cn] += el.gm
-            elif isinstance(el, Cccs):
-                a, b = self.node(el.np), self.node(el.nn)
-                jc = self._control_branch(el.control)
-                self.g_static[a, jc] += el.gain
-                self.g_static[b, jc] -= el.gain
-            elif isinstance(el, CurrentSource):
-                self.isources.append(el)
-            elif isinstance(el, Mosfet):
-                mos.append(el)
-            elif isinstance(el, Bjt):
-                bjts.append(el)
-            elif isinstance(el, Diode):
-                diodes.append(el)
-            else:
-                raise TypeError(f"unsupported element type {type(el).__name__}")
-
-        # ---------------- device groups ----------------
-        self.mos_group = self._build_mos_group(mos)
-        self.bjt_group = self._build_bjt_group(bjts)
-        self.diode_group = self._build_diode_group(diodes)
+        els = circuit_elements(circuit)
+        self.vsources: list[VoltageSource] = els.vsources
+        self.isources: list[CurrentSource] = els.isources
+        self.mos_group, self.bjt_group, self.diode_group = \
+            self._device_groups(els, temp_c)
         if self.mos_group is not None:
-            self._stamp_mos_capacitances()
+            self._stamp_mos_capacitances(c)
+        self.g_static = g.reshape(dim, dim)
+        self.c_static = c.reshape(dim, dim)
 
         # index arrays reused every Newton iteration
-        self._prepare_index_arrays()
+        self._prepare_device_stamps()
+        self._prepare_source_stamps()
         prof_count("mna.systems_built")
 
     # ------------------------------------------------------------------
@@ -260,91 +503,51 @@ class MnaSystem:
             )
         return self._branch_index[control]
 
-    # ------------------------------------------------------------------
-    # Static stamping
-    # ------------------------------------------------------------------
-    def _stamp_conductance(self, mat: np.ndarray, n1: str, n2: str, g: float) -> None:
-        a, b = self.node(n1), self.node(n2)
-        mat[a, a] += g
-        mat[a, b] -= g
-        mat[b, a] -= g
-        mat[b, b] += g
+    def _device_groups(self, els: CircuitElements | list[CircuitElements],
+                       temp_c: float | list[float]) -> tuple:
+        """The MOS, BJT and diode groups (``None`` where empty) of this
+        topology: of one circuit's elements ``els`` at ``temp_c``, or,
+        unit-stacked, of one element walk per unit at per-unit
+        temperatures (both lists)."""
+        stacked = isinstance(temp_c, list)
+        first = els[0] if stacked else els
 
-    def _stamp_vsource_topology(self, name: str, np_node: str, nn_node: str) -> None:
-        j = self._branch_index[name]
-        a, b = self.node(np_node), self.node(nn_node)
-        self.g_static[a, j] += 1.0
-        self.g_static[b, j] -= 1.0
-        self.g_static[j, a] += 1.0
-        self.g_static[j, b] -= 1.0
+        def devices(kind: str) -> list:
+            return [getattr(e, kind) for e in els] if stacked else getattr(els, kind)
 
-    def _build_mos_group(self, mos: list[Mosfet]) -> MosGroup | None:
-        if not mos:
-            return None
-        return MosGroup(
-            names=[el.name for el in mos],
-            d=np.array([self.node(el.d) for el in mos]),
-            g=np.array([self.node(el.g) for el in mos]),
-            s=np.array([self.node(el.s) for el in mos]),
-            b=np.array([self.node(el.b) for el in mos]),
-            w=np.array([el.w for el in mos]),
-            l=np.array([el.l for el in mos]),
-            m=np.array([float(el.m) for el in mos]),
-            models=[el.model for el in mos],
-            temp_c=self.temp_c,
+        def values(kind: str, attr: str) -> np.ndarray:
+            return np.array(unit_rows(devices(kind), attrgetter(attr), stacked))
+
+        def models(kind: str) -> list:
+            return unit_rows(devices(kind), attrgetter("model"), stacked)
+
+        def nodes(devs: list, terminal: str) -> np.ndarray:
+            return np.array([self.node(getattr(el, terminal)) for el in devs])
+
+        mos, bjts, diodes = first.mos, first.bjts, first.diodes
+        return (
+            MosGroup([el.name for el in mos], *(nodes(mos, t) for t in "dgsb"),
+                     w=values("mos", "w"), l=values("mos", "l"),
+                     m=values("mos", "m").astype(float), models=models("mos"),
+                     temp_c=temp_c) if mos else None,
+            BjtGroup([el.name for el in bjts], *(nodes(bjts, t) for t in "cbe"),
+                     area=values("bjts", "area"), models=models("bjts"),
+                     temp_c=temp_c) if bjts else None,
+            DiodeGroup([el.name for el in diodes], nodes(diodes, "np"),
+                       nodes(diodes, "nn"), area=values("diodes", "area"),
+                       models=models("diodes"), temp_c=temp_c)
+            if diodes else None,
         )
-
-    def _build_bjt_group(self, bjts: list[Bjt]) -> BjtGroup | None:
-        if not bjts:
-            return None
-        return BjtGroup(
-            names=[el.name for el in bjts],
-            c=np.array([self.node(el.c) for el in bjts]),
-            b=np.array([self.node(el.b) for el in bjts]),
-            e=np.array([self.node(el.e) for el in bjts]),
-            area=np.array([el.area for el in bjts]),
-            models=[el.model for el in bjts],
-            temp_c=self.temp_c,
-        )
-
-    def _build_diode_group(self, diodes: list[Diode]) -> DiodeGroup | None:
-        if not diodes:
-            return None
-        return DiodeGroup(
-            names=[el.name for el in diodes],
-            np_idx=np.array([self.node(el.np) for el in diodes]),
-            nn_idx=np.array([self.node(el.nn) for el in diodes]),
-            area=np.array([el.area for el in diodes]),
-            models=[el.model for el in diodes],
-            temp_c=self.temp_c,
-        )
-
-    def _stamp_mos_capacitances(self) -> None:
-        """Attach constant device capacitances to the dynamic matrix."""
-        grp = self.mos_group
-        cgs, cgd, cjun = grp.gate_capacitances()
-        for k in range(len(grp)):
-            pairs = (
-                (grp.g[k], grp.s[k], cgs[k]),
-                (grp.g[k], grp.d[k], cgd[k]),
-                (grp.d[k], grp.b[k], cjun[k]),
-                (grp.s[k], grp.b[k], cjun[k]),
-            )
-            for a, b, c in pairs:
-                self.c_static[a, a] += c
-                self.c_static[a, b] -= c
-                self.c_static[b, a] -= c
-                self.c_static[b, b] += c
 
     def stamp_plan(self) -> LinearStampPlan:
-        """Flat COO indices of every linear ``+=`` this system performed.
+        """Flat COO indices of this topology's linear stamps.
 
-        Walks the circuit with the dispatch chain of ``__init__`` and
-        records, per scalar accumulation into ``g_static``/``c_static``,
-        the flat extended index ``row*dim + col`` — in stamping order.
-        Paired with :func:`linear_stamp_values` for a sibling circuit of
-        the same topology, ``np.add.at`` replay rebuilds that sibling's
-        static matrices bit for bit (see :mod:`repro.spice.batch`).
+        Walks the circuit and records, per stamp entry into
+        ``g_static``/``c_static``, the flat extended index
+        ``row*dim + col``, in stamping order.  ``__init__`` replays it
+        with this circuit's :func:`linear_stamp_values` (kept as
+        :attr:`plan`), and :mod:`repro.spice.batch` with a sibling's of
+        the same topology.
         """
         dim = self.size + 1
         g_idx: list[int] = []
@@ -360,10 +563,11 @@ class MnaSystem:
             g_idx.extend([a * dim + j, b * dim + j, j * dim + a, j * dim + b])
             return j
 
+        # The common device types first, as in linear_stamp_values.
         for el in self.circuit:
-            if isinstance(el, Resistor):
-                conduct(g_idx, el.n1, el.n2)
-            elif isinstance(el, Switch):
+            if isinstance(el, (Mosfet, Bjt, Diode, CurrentSource)):
+                pass
+            elif isinstance(el, (Resistor, Switch)):
                 conduct(g_idx, el.n1, el.n2)
             elif isinstance(el, Capacitor):
                 conduct(c_idx, el.n1, el.n2)
@@ -388,8 +592,6 @@ class MnaSystem:
                 a, b = self.node(el.np), self.node(el.nn)
                 jc = self._control_branch(el.control)
                 g_idx += [a * dim + jc, b * dim + jc]
-            elif isinstance(el, (CurrentSource, Mosfet, Bjt, Diode)):
-                pass
             else:
                 raise TypeError(f"unsupported element type {type(el).__name__}")
         return LinearStampPlan(
@@ -398,45 +600,8 @@ class MnaSystem:
             dim=dim,
         )
 
-    def _prepare_index_arrays(self) -> None:
-        """Precompute flat COO stamp-index arrays for the device groups.
-
-        Jacobian entries are addressed as flat indices into the extended
-        (dim x dim) matrix: ``row*dim + col``.  BJT and diode stamp
-        positions are fully static, so their 9/4 per-device entries
-        collapse into one concatenated index array and a single
-        ``np.add.at`` per Newton iteration.  MOS rows depend on the
-        source/drain swap, so the row bases ``d*dim``/``s*dim`` are
-        cached and the per-iteration work is a ``where`` selection into a
-        preallocated (8, n_mos) buffer instead of recomputing the
-        products from scratch.
-        """
-        dim = self.size + 1
-
-        if self.mos_group is not None:
-            grp = self.mos_group
-            self._mos_row_d = grp.d * dim
-            self._mos_row_s = grp.s * dim
-            self._mos_idx_buf = np.empty((8, len(grp)), dtype=np.intp)
-            self._mos_val_buf = np.empty((8, len(grp)))
-
-        if self.bjt_group is not None:
-            grp = self.bjt_group
-            c, b, e = grp.c * dim, grp.b * dim, grp.e * dim
-            self._bjt_idx = np.concatenate([
-                c + grp.b, c + grp.c, c + grp.e,
-                b + grp.b, b + grp.c, b + grp.e,
-                e + grp.b, e + grp.c, e + grp.e,
-            ])
-
-        if self.diode_group is not None:
-            grp = self.diode_group
-            a, b = grp.np_idx, grp.nn_idx
-            self._diode_idx = np.concatenate([
-                a * dim + a, a * dim + b, b * dim + a, b * dim + b,
-            ])
-
-        # Source topology for the cached right-hand sides.
+    def _prepare_source_stamps(self) -> None:
+        """Source topology and caches of the right-hand sides."""
         self._vs_branch_idx = np.array(
             [self.branch(src.name) for src in self.vsources], dtype=np.intp
         )
@@ -489,29 +654,21 @@ class MnaSystem:
     # ------------------------------------------------------------------
     # Right-hand sides
     # ------------------------------------------------------------------
-    def rhs_dc(self, scale: float = 1.0) -> np.ndarray:
+    def rhs_dc(self) -> np.ndarray:
         """DC excitation vector (extended); cached, treat as read-only.
 
         The cache key snapshots every source's DC value, so mutating a
-        source (gain switching, sweeps) or a different ``scale``
-        invalidates automatically on the next call.
+        source (gain switching, sweeps) invalidates automatically on the
+        next call.
         """
         key = (
-            scale,
             tuple(src.dc for src in self.vsources),
             tuple(src.dc for src in self.isources),
         )
         if self._rhs_dc_cache is not None and key == self._rhs_dc_key:
             return self._rhs_dc_cache
 
-        b = np.zeros(self.size + 1)
-        if self.vsources:
-            b[self._vs_branch_idx] = scale * np.array(key[1])
-        if self.isources:
-            vals = scale * np.array(key[2])
-            np.subtract.at(b, self._is_np_idx, vals)
-            np.add.at(b, self._is_nn_idx, vals)
-        b[self.ground_index] = 0.0
+        b = dc_rhs(self, self.vsources, self.isources)
         b.setflags(write=False)  # callers must copy() before mutating
         self._rhs_dc_key = key
         self._rhs_dc_cache = b
@@ -531,16 +688,7 @@ class MnaSystem:
         if self._rhs_ac_cache is not None and key == self._rhs_ac_key:
             return self._rhs_ac_cache
 
-        b = np.zeros(self.size + 1, dtype=complex)
-        for src, j in zip(self.vsources, self._vs_branch_idx):
-            if src.ac != 0.0:
-                b[j] += src.ac * np.exp(1j * src.ac_phase)
-        for src, a, c in zip(self.isources, self._is_np_idx, self._is_nn_idx):
-            if src.ac != 0.0:
-                phasor = src.ac * np.exp(1j * src.ac_phase)
-                b[a] -= phasor
-                b[c] += phasor
-        b[self.ground_index] = 0.0
+        b = ac_rhs(self, self.vsources, self.isources, {})
         b.setflags(write=False)  # callers must copy() before mutating
         self._rhs_ac_key = key
         self._rhs_ac_cache = b
@@ -561,129 +709,10 @@ class MnaSystem:
     # ------------------------------------------------------------------
     # Nonlinear assembly
     # ------------------------------------------------------------------
-    def assemble(
-        self, x_ext: np.ndarray, rhs_ext: np.ndarray, gmin: float = 0.0
-    ) -> tuple[np.ndarray, np.ndarray, dict]:
-        """Residual and Jacobian at solution ``x_ext``.
-
-        Returns ``(jac, resid, evals)`` where both are extended-dimension
-        and ``evals`` carries the device evaluations (reused for OP info
-        and noise).  ``gmin`` adds a leak to every node diagonal (gmin
-        stepping).
-        """
+    def _static_part(self, x_ext: np.ndarray,
+                     rhs_ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         prof_count("mna.assemble")
-        dim = self.size + 1
-        jac = self.g_static.copy()
-        resid = self.g_static @ x_ext - rhs_ext
-        evals: dict = {}
-
-        if gmin > 0.0:
-            idx = np.arange(self.num_nodes)
-            jac[idx, idx] += gmin
-            resid[idx] += gmin * x_ext[idx]
-
-        if self.mos_group is not None:
-            ev = self.mos_group.evaluate(x_ext)
-            evals["mos"] = ev
-            self._stamp_mos(jac, resid, ev)
-
-        if self.bjt_group is not None:
-            ev = self.bjt_group.evaluate(x_ext)
-            evals["bjt"] = ev
-            self._stamp_bjt(jac, resid, ev)
-
-        if self.diode_group is not None:
-            ev = self.diode_group.evaluate(x_ext)
-            evals["diode"] = ev
-            self._stamp_diode(jac, resid, ev)
-
-        # Zero the dummy ground row/column so it never feeds back.
-        jac[self.ground_index, :] = 0.0
-        jac[:, self.ground_index] = 0.0
-        resid[self.ground_index] = 0.0
-        return jac, resid, evals
-
-    def _stamp_mos(self, jac: np.ndarray, resid: np.ndarray, ev) -> None:
-        self._mos_residual(resid, ev)
-        idx, vals = self._mos_jac_entries(ev)
-        np.add.at(jac.reshape(-1), idx.reshape(-1), vals.reshape(-1))
-
-    def _mos_residual(self, resid: np.ndarray, ev) -> None:
-        grp = self.mos_group
-        sw = ev.swapped
-        eff_d = np.where(sw, grp.s, grp.d)
-        eff_s = np.where(sw, grp.d, grp.s)
-        ids_into_eff_drain = grp.sign * ev.ids  # physical current into eff_d
-        np.add.at(resid, eff_d, ids_into_eff_drain)
-        np.add.at(resid, eff_s, -ids_into_eff_drain)
-
-    def _mos_jac_entries(self, ev) -> tuple[np.ndarray, np.ndarray]:
-        """Flat extended Jacobian (index, value) buffers for the MOS group.
-
-        Shared by the dense ``np.add.at`` stamp and the sparse COO
-        assembly; the returned (8, n_mos) buffers are reused every
-        iteration.
-        """
-        grp = self.mos_group
-        sw = ev.swapped
-        eff_d = np.where(sw, grp.s, grp.d)
-        eff_s = np.where(sw, grp.d, grp.s)
-        gm, gds, gmb = ev.gm, ev.gds, ev.gmb
-        gss = gm + gds + gmb
-
-        # Only the effective row/column selection depends on the per-
-        # iteration swap state; the row bases and scratch buffers come
-        # precomputed from _prepare_index_arrays.
-        rows_d = np.where(sw, self._mos_row_s, self._mos_row_d)
-        rows_s = np.where(sw, self._mos_row_d, self._mos_row_s)
-        idx, vals = self._mos_idx_buf, self._mos_val_buf
-        np.add(rows_d, eff_d, out=idx[0])
-        np.add(rows_d, grp.g, out=idx[1])
-        np.add(rows_d, eff_s, out=idx[2])
-        np.add(rows_d, grp.b, out=idx[3])
-        np.add(rows_s, eff_d, out=idx[4])
-        np.add(rows_s, grp.g, out=idx[5])
-        np.add(rows_s, eff_s, out=idx[6])
-        np.add(rows_s, grp.b, out=idx[7])
-        vals[0] = gds
-        vals[1] = gm
-        np.negative(gss, out=vals[2])
-        vals[3] = gmb
-        np.negative(gds, out=vals[4])
-        np.negative(gm, out=vals[5])
-        vals[6] = gss
-        np.negative(gmb, out=vals[7])
-        return idx, vals
-
-    def _stamp_bjt(self, jac: np.ndarray, resid: np.ndarray, ev) -> None:
-        self._bjt_residual(resid, ev)
-        np.add.at(jac.reshape(-1), self._bjt_idx, self._bjt_jac_vals(ev))
-
-    def _bjt_residual(self, resid: np.ndarray, ev) -> None:
-        grp = self.bjt_group
-        np.add.at(resid, grp.c, ev.ic)
-        np.add.at(resid, grp.b, ev.ib)
-        np.add.at(resid, grp.e, -(ev.ic + ev.ib))
-
-    def _bjt_jac_vals(self, ev) -> np.ndarray:
-        gm, gpi, go, gmu = ev.gm, ev.gpi, ev.go, ev.gmu
-        return np.concatenate([
-            gm - go, go, -gm,
-            gpi + gmu, -gmu, -gpi,
-            -(gm - go) - (gpi + gmu), -go + gmu, gm + gpi,
-        ])
-
-    def _stamp_diode(self, jac: np.ndarray, resid: np.ndarray, ev) -> None:
-        self._diode_residual(resid, ev)
-        np.add.at(jac.reshape(-1), self._diode_idx, self._diode_jac_vals(ev))
-
-    def _diode_residual(self, resid: np.ndarray, ev) -> None:
-        grp = self.diode_group
-        np.add.at(resid, grp.np_idx, ev.current)
-        np.add.at(resid, grp.nn_idx, -ev.current)
-
-    def _diode_jac_vals(self, ev) -> np.ndarray:
-        return np.concatenate([ev.gd, -ev.gd, -ev.gd, ev.gd])
+        return self.g_static.copy(), self.g_static @ x_ext - rhs_ext
 
     # ------------------------------------------------------------------
     # Sparse assembly

@@ -82,6 +82,27 @@ class TestOperatingPoint:
     def test_saturation_report_clean(self, mic_amp_op):
         assert mic_amp_op.saturation_report() == []
 
+    def test_all_mos_op_evaluates_the_group_once(self, mic_amp_op, monkeypatch):
+        """One group evaluation serves every device, and each record
+        equals the single-device lookup."""
+        from repro.spice.devices.mosfet import MosGroup
+
+        calls = []
+        evaluate = MosGroup.evaluate
+
+        def counting(grp, volts):
+            calls.append(grp)
+            return evaluate(grp, volts)
+
+        monkeypatch.setattr(MosGroup, "evaluate", counting)
+        ops = mic_amp_op.all_mos_op()
+        assert len(calls) == 1
+        assert list(ops) == mic_amp_op.system.mos_group.names
+        assert len(ops) == 30
+        for name, op in ops.items():
+            assert op == mic_amp_op.mos_op(name)
+        assert len(calls) == 31
+
     def test_supply_current_positive(self, mic_amp_op):
         assert mic_amp_op.supply_current("vdd_src") > 1e-3
 

@@ -20,59 +20,14 @@ from repro.spice.dc import OperatingPoint, dc_operating_point
 from repro.spice.elements import VoltageSource
 from repro.spice.netlist import Circuit
 from repro.spice.transient import transient_analysis
-from repro.spice.waveform import Waveform, make_time_grid
-
-
-def goertzel_dft(y: np.ndarray, freqs_norm) -> np.ndarray:
-    """DTFT of ``y`` at arbitrary normalised frequencies via Goertzel.
-
-    Returns ``sum_n y[n] * exp(-2j*pi*f*n)`` for each ``f`` in
-    ``freqs_norm`` (cycles/sample).  The second-order recurrence runs in
-    C through ``scipy.signal.lfilter``; the closing step is the
-    generalised (non-integer-bin) form, so harmonics can be read at
-    exactly ``k*f0`` instead of the nearest FFT grid bin — the FFT pick
-    leaks badly whenever the record does not hold an integer number of
-    fundamental cycles, which is the usual case for a transient segment.
-    """
-    from scipy.signal import lfilter
-
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    if n < 4:
-        raise ValueError("need at least 4 samples for a harmonic readout")
-    freqs_norm = np.atleast_1d(np.asarray(freqs_norm, dtype=float))
-    out = np.empty(freqs_norm.size, dtype=complex)
-    for i, f in enumerate(freqs_norm):
-        w = 2.0 * np.pi * f
-        s = lfilter([1.0], [1.0, -2.0 * np.cos(w), 1.0], y)
-        out[i] = (s[-1] - np.exp(-1j * w) * s[-2]) * np.exp(-1j * w * (n - 1))
-    return out
-
-
-def goertzel_harmonics(y: np.ndarray, f0_norm: float,
-                       n_harmonics: int) -> np.ndarray:
-    """|amplitude| of harmonics ``1..n_harmonics`` of a tone at
-    ``f0_norm`` cycles/sample (2/N-normalised, mean removed).
-
-    The record is first trimmed (from the front) to the largest whole
-    number of fundamental cycles: a stray edge sample leaks
-    ``~2*sin(phase)/N`` of the fundamental into every harmonic bin,
-    which at voice-band THD levels (-52 dB spec) would dominate the
-    harmonics being measured.  Exactly coherent records are unaffected.
-    """
-    y = np.asarray(y, dtype=float)
-    n_cycles = int(np.floor(y.size * f0_norm))
-    if n_cycles >= 1:
-        y = y[-min(y.size, int(round(n_cycles / f0_norm))):]
-    orders = np.arange(1, n_harmonics + 1, dtype=float)
-    bins = goertzel_dft(y - y.mean(), orders * f0_norm)
-    return 2.0 * np.abs(bins) / y.size
-
-
-def _thd_from_harmonics(amps: np.ndarray) -> float:
-    if amps[0] <= 0.0:
-        raise ValueError("no fundamental found; cannot compute THD")
-    return float(np.sqrt(np.sum(amps[1:] ** 2)) / amps[0])
+# goertzel_dft is re-exported: the harmonic readout lives in waveform.
+from repro.spice.waveform import (
+    Waveform,
+    goertzel_dft,
+    goertzel_harmonics,
+    make_time_grid,
+    thd_from_harmonics,
+)
 
 
 @dataclass
@@ -117,7 +72,7 @@ class StaticTransfer:
         t = np.arange(n_points) / n_points
         sine = bias + amplitude * np.sin(2.0 * np.pi * t)
         out = self.apply(sine)
-        return _thd_from_harmonics(
+        return thd_from_harmonics(
             goertzel_harmonics(out, 1.0 / n_points, n_harmonics))
 
     def output_amplitude(self, amplitude: float, n_points: int = 1024,
@@ -245,7 +200,7 @@ def transient_thd(
         # extra edge sample (non-integer cycle count), which would leak
         # fundamental energy across an FFT-grid harmonic pick.
         amps = goertzel_harmonics(seg.y, freq * seg.dt, n_harmonics)
-        return _thd_from_harmonics(amps), wave
+        return thd_from_harmonics(amps), wave
     finally:
         el_p.wave = orig_p_wave
         if el_n is not None:

@@ -2,12 +2,12 @@
 
 This package is the substrate that replaces SPICE for the reproduction:
 modified nodal analysis with a Newton DC solver (adaptive gmin stepping),
-small-signal AC analysis, trapezoidal transient analysis and adjoint-method
+small-signal AC analysis, backward-Euler transient analysis and adjoint-method
 noise analysis with per-device contribution reporting.
 
 The public surface is re-exported here so circuit code reads naturally::
 
-    from repro.spice import Circuit, Mosfet, Resistor, Simulator
+    from repro.spice import Circuit, Mosfet, Resistor, dc_operating_point
 """
 
 from repro.spice.elements import (
@@ -41,7 +41,6 @@ from repro.spice.linsolve import (
 )
 from repro.spice.transient import transient_analysis
 from repro.spice.noise import noise_analysis
-from repro.spice.analysis import Simulator
 from repro.spice.waveform import Spectrum, Waveform
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "Pulse",
     "Pwl",
     "Resistor",
-    "Simulator",
     "Sine",
     "SmallSignalContext",
     "SpectralSolver",

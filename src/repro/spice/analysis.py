@@ -1,21 +1,8 @@
-"""Simulator facade: one object that runs every analysis on a circuit.
-
-Caches the compiled system and the operating point, which the higher
-layers (characterisation, benchmarks) lean on heavily — an OP solve is
-cheap but re-used dozens of times per characterisation run.
-"""
+"""Logarithmic frequency grids for the AC and noise sweeps."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.spice.ac import AcResult, ac_analysis, transfer_function
-from repro.spice.dc import NewtonOptions, OperatingPoint, dc_operating_point
-from repro.spice.mna import MnaSystem
-from repro.spice.netlist import Circuit
-from repro.spice.noise import NoiseResult, noise_analysis
-from repro.spice.transient import TransientResult, transient_analysis
-from repro.spice.waveform import Waveform
 
 
 def log_freqs(f_lo: float, f_hi: float, points_per_decade: int = 20) -> np.ndarray:
@@ -25,67 +12,3 @@ def log_freqs(f_lo: float, f_hi: float, points_per_decade: int = 20) -> np.ndarr
     decades = np.log10(f_hi / f_lo)
     count = max(2, int(round(decades * points_per_decade)) + 1)
     return np.logspace(np.log10(f_lo), np.log10(f_hi), count)
-
-
-class Simulator:
-    """Convenience wrapper around the analysis functions."""
-
-    def __init__(self, circuit: Circuit, temp_c: float = 25.0,
-                 options: NewtonOptions | None = None) -> None:
-        self.circuit = circuit
-        self.temp_c = temp_c
-        self.options = options
-        self._system: MnaSystem | None = None
-        self._op: OperatingPoint | None = None
-
-    @property
-    def system(self) -> MnaSystem:
-        if self._system is None:
-            self._system = self.circuit.compile(temp_c=self.temp_c)
-        return self._system
-
-    def invalidate(self) -> None:
-        """Drop caches after the circuit was modified (e.g. gain switch)."""
-        self._system = None
-        self._op = None
-
-    def op(self, recompute: bool = False) -> OperatingPoint:
-        """DC operating point (cached)."""
-        if self._op is None or recompute:
-            self._op = dc_operating_point(self.system, options=self.options)
-        return self._op
-
-    def small_signal(self):
-        """The operating point's cached small-signal context.
-
-        AC, noise and transfer probes issued through this simulator all
-        share the one linearisation held here.
-        """
-        return self.op().small_signal()
-
-    def ac(self, freqs: np.ndarray) -> AcResult:
-        return ac_analysis(self.op(), np.asarray(freqs, dtype=float))
-
-    def transfer(self, freqs: np.ndarray, out_p: str, out_n: str | None = None) -> np.ndarray:
-        return transfer_function(self.op(), np.asarray(freqs, dtype=float), out_p, out_n)
-
-    def gain_at(self, freq: float, out_p: str, out_n: str | None = None) -> float:
-        """|H| at a single frequency."""
-        h = self.transfer(np.array([freq]), out_p, out_n)
-        return float(np.abs(h[0]))
-
-    def noise(self, freqs: np.ndarray, out_p: str, out_n: str | None = None) -> NoiseResult:
-        return noise_analysis(self.op(), np.asarray(freqs, dtype=float), out_p, out_n)
-
-    def transient(self, t_stop: float, dt: float, method: str = "be") -> TransientResult:
-        return transient_analysis(
-            self.system, t_stop, dt, temp_c=self.temp_c, op0=self.op(), method=method
-        )
-
-    def transient_waveform(
-        self, t_stop: float, dt: float, out_p: str, out_n: str | None = None
-    ) -> Waveform:
-        """Transient run returning one (differential) output waveform."""
-        result = self.transient(t_stop, dt)
-        y = result.v(out_p) if out_n is None else result.vdiff(out_p, out_n)
-        return Waveform(result.t, y)

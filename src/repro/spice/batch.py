@@ -52,21 +52,7 @@ import numpy as np
 
 from repro.obs.recorder import active, event, prof_count
 from repro.spice.dc import NewtonOptions, start_vector
-from repro.spice.elements import (
-    Bjt,
-    Capacitor,
-    Cccs,
-    Ccvs,
-    CurrentSource,
-    Diode,
-    Inductor,
-    Mosfet,
-    Resistor,
-    Switch,
-    Vccs,
-    Vcvs,
-    VoltageSource,
-)
+from repro.spice.elements import Cccs, Ccvs
 from repro.spice.mna import (
     CircuitElements,
     MnaSystem,
@@ -84,7 +70,8 @@ class BatchStructureError(RuntimeError):
 
 
 def circuit_signature(circuit: Circuit) -> tuple:
-    """Structural fingerprint: element types, names and node wiring.
+    """Structural fingerprint: element types, names and node wiring
+    (:attr:`Element.nodes`, plus the controlling source of a CCCS/CCVS).
 
     Two circuits with equal signatures compile to :class:`MnaSystem`\\ s
     with identical node numbering, branch allocation, stamp-index arrays
@@ -92,26 +79,11 @@ def circuit_signature(circuit: Circuit) -> tuple:
     units.  Values (resistances, model parameters, source levels) are
     deliberately excluded: they are what a batch varies.
     """
-    sig = []
-    for el in circuit:
-        if isinstance(el, (Resistor, Switch, Capacitor, Inductor)):
-            nodes: tuple = (el.n1, el.n2)
-        elif isinstance(el, (VoltageSource, CurrentSource)):
-            nodes = (el.np, el.nn)
-        elif isinstance(el, (Vcvs, Vccs)):
-            nodes = (el.np, el.nn, el.ncp, el.ncn)
-        elif isinstance(el, (Ccvs, Cccs)):
-            nodes = (el.np, el.nn, el.control)
-        elif isinstance(el, Mosfet):
-            nodes = (el.d, el.g, el.s, el.b)
-        elif isinstance(el, Bjt):
-            nodes = (el.c, el.b, el.e)
-        elif isinstance(el, Diode):
-            nodes = (el.np, el.nn)
-        else:
-            nodes = ()
-        sig.append((type(el).__name__, el.name, nodes))
-    return tuple(sig)
+    return tuple(
+        (type(el).__name__, el.name,
+         el.nodes + ((el.control,) if isinstance(el, (Ccvs, Cccs)) else ()))
+        for el in circuit
+    )
 
 
 def _take_units(group, units: np.ndarray):

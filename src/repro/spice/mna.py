@@ -16,6 +16,7 @@ with x = [node voltages | branch currents].
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
@@ -618,6 +619,21 @@ class MnaSystem(StampedSystem):
         # Static COO triplets of the reduced g_static, built lazily on the
         # first assemble_csc call (dense-only systems never pay for it).
         self._coo_static: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def companion(self, c_over_h: np.ndarray) -> MnaSystem:
+        """This system with ``c_over_h`` added to ``g_static``: the
+        backward-Euler companion of one transient step size ``h``, which
+        :func:`repro.spice.dc._newton` solves like a DC system.
+
+        The view shares the circuit, indices and device groups, but gets
+        its own device stamp buffers and an empty sparse-triplet cache
+        (the source system's, once filled, holds ``G`` without ``C/h``).
+        """
+        view = copy.copy(self)
+        view.g_static = self.g_static + c_over_h
+        view._coo_static = None
+        view._prepare_device_stamps()
+        return view
 
     @property
     def prefer_sparse(self) -> bool:

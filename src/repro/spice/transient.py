@@ -1,16 +1,24 @@
-"""Transient analysis (backward Euler start-up, trapezoidal thereafter).
+"""Transient analysis: backward Euler on a fixed, uniform grid.
 
-Fixed user-chosen timestep with automatic halving on Newton failure.  The
-audio-band experiments (buffer THD, slew) use coherent sampling, so a
-deterministic uniform grid is a feature: the DFT-based measurements in
-:mod:`repro.spice.waveform` assume it.
+Each step is a DC solve of a *companion system*: the circuit's static
+conductance ``G`` plus the integrator's ``C/h`` term
+(:meth:`repro.spice.mna.MnaSystem.companion`), driven by the sources at
+the step's time plus the history current ``C/h x_prev``.  The t = 0
+solve, and every step, run through :func:`repro.spice.dc._newton`, so a
+transient step has the DC loop's singular-Jacobian jitter, sparse path,
+KCL residual test, events and counters.
+
+The user-chosen timestep is fixed.  The audio-band experiments (buffer
+THD, slew) use coherent sampling, so a deterministic uniform grid is a
+feature: the DFT-based measurements in :mod:`repro.spice.waveform`
+assume it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.spice.dc import NewtonOptions, OperatingPoint, dc_operating_point
+from repro.spice.dc import NewtonOptions, OperatingPoint, _newton, dc_operating_point
 from repro.spice.mna import MnaSystem
 from repro.spice.netlist import Circuit, is_ground
 
@@ -39,92 +47,23 @@ class TransientResult:
         return float(self.t[1] - self.t[0]) if len(self.t) > 1 else 0.0
 
 
-def _newton_tran(
-    system: MnaSystem,
-    x_guess: np.ndarray,
-    rhs: np.ndarray,
-    c_over_h: np.ndarray,
-    hist: np.ndarray,
-    options: NewtonOptions,
-) -> tuple[bool, np.ndarray]:
-    """Solve G x + I(x) + C_h x - (rhs + hist) = 0."""
-    n = system.size
-    x = x_guess.copy()
-    for _ in range(options.max_iterations):
-        jac, resid, _ = system.assemble(x, rhs)
-        resid = resid + c_over_h @ x - hist
-        jac = jac + c_over_h
-        a = jac[:n, :n]
-        r = resid[:n]
-        try:
-            dx = np.linalg.solve(a, -r)
-        except np.linalg.LinAlgError:
-            return False, x
-        if not np.all(np.isfinite(dx)):
-            return False, x
-        nv = system.num_nodes
-        dx_nodes = np.clip(dx[:nv], -options.vlimit, options.vlimit)
-        limited = not np.array_equal(dx_nodes, dx[:nv])
-        x[:nv] += dx_nodes
-        x[nv:n] += dx[nv:n]
-        if not limited and float(np.max(np.abs(dx_nodes), initial=0.0)) < options.vntol:
-            return True, x
-    return False, x
-
-
-def _substep_be(
-    system: MnaSystem,
-    x_start: np.ndarray,
-    t_from: float,
-    t_to: float,
-    options: NewtonOptions,
-    levels: int = 4,
-) -> tuple[bool, np.ndarray]:
-    """Cross [t_from, t_to] in progressively finer backward-Euler steps.
-
-    Backward Euler is L-stable and heavily damped, which rescues steps
-    where trapezoidal Newton diverges (hard clipping, switch-like device
-    transitions).  Accuracy over one rescued step is acceptable: the
-    harmonic measurements discard start-up cycles anyway.
-    """
-    c = system.c_static
-    for level in range(1, levels + 1):
-        n_sub = 4**level
-        h = (t_to - t_from) / n_sub
-        x = x_start.copy()
-        failed = False
-        for j in range(1, n_sub + 1):
-            rhs = system.rhs_transient(t_from + j * h)
-            c_over_h = c / h
-            hist = c_over_h @ x
-            ok, x_next = _newton_tran(system, x, rhs, c_over_h, hist, options)
-            if not ok:
-                failed = True
-                break
-            x = x_next
-        if not failed:
-            return True, x
-    return False, x_start
-
-
 def transient_analysis(
     circuit: Circuit | MnaSystem,
     t_stop: float,
     dt: float,
     temp_c: float = 25.0,
     op0: OperatingPoint | None = None,
-    method: str = "be",
     options: NewtonOptions | None = None,
 ) -> TransientResult:
     """Integrate the circuit from its DC state at t=0 to ``t_stop``.
 
-    ``method`` is "be" (default) or "trap".  Backward Euler is the
-    default on purpose: the paper's circuits are stiff (Miller loops,
-    MOS switches) and trapezoidal integration rings on them, while BE at
-    the coherent-sampling rates used by the distortion benches is fully
-    converged (checked by doubling the rate).  The initial condition is
-    the DC operating point with sources at their t=0 transient values,
-    matching SPICE's UIC-less behaviour.
+    Backward Euler on purpose: the paper's circuits are stiff (Miller
+    loops, MOS switches) and trapezoidal integration rings on them,
+    while BE at the coherent-sampling rates used by the distortion
+    benches is fully converged (checked by doubling the rate).  The
+    initial condition is the DC operating point with sources at their
+    t=0 transient values, matching SPICE's UIC-less behaviour.  A step
+    whose Newton solve fails raises ``RuntimeError``.
     """
     if isinstance(circuit, Circuit):
         system = circuit.compile(temp_c=temp_c)
@@ -133,6 +72,12 @@ def transient_analysis(
     opts = options or NewtonOptions(vntol=1e-8, max_iterations=60)
     if dt <= 0.0 or t_stop <= 0.0:
         raise ValueError("dt and t_stop must be positive")
+
+    def failed(t: float) -> RuntimeError:
+        return RuntimeError(
+            f"transient Newton failed at t={t:.6g}s "
+            f"(circuit {system.circuit.name!r}); reduce dt"
+        )
 
     # Initial condition.  A caller-provided op0 is authoritative: it may
     # encode a state (e.g. precharged capacitors behind now-open switches)
@@ -143,58 +88,30 @@ def transient_analysis(
         x0 = op0.x.copy()
     else:
         op0 = dc_operating_point(system)
-        rhs0 = system.rhs_transient(0.0)
-        ok, x0 = _newton_tran(
-            system, op0.x, rhs0, np.zeros_like(system.c_static),
-            np.zeros(system.size + 1), opts,
-        )
+        ok, x0, _ = _newton(system, op0.x, system.rhs_transient(0.0), 0.0, opts)
         if not ok:
-            x0 = op0.x.copy()
+            raise failed(0.0)
 
     n_steps = int(round(t_stop / dt)) + 1
     t = np.arange(n_steps) * dt
     xs = np.zeros((n_steps, system.size + 1))
     xs[0] = x0
 
-    c = system.c_static
-    x_prev = x0.copy()
+    c_over_h = system.c_static / dt
+    companion = system.companion(c_over_h)
+    x_prev = x0
     xdot_prev = np.zeros(system.size + 1)
-
     for k in range(1, n_steps):
-        tk = t[k]
-        rhs = system.rhs_transient(tk)
-        use_be = method == "be" or k == 1
-        h = dt
-        if use_be:
-            c_over_h = c / h
-            hist = c_over_h @ x_prev
-        else:
-            c_over_h = 2.0 * c / h
-            hist = c_over_h @ x_prev + c @ xdot_prev
-
-        # Predict with explicit extrapolation for a warm Newton start.
-        x_guess = x_prev + xdot_prev * h
-        ok, x_new = _newton_tran(system, x_guess, rhs, c_over_h, hist, opts)
+        rhs = system.rhs_transient(t[k]) + c_over_h @ x_prev
+        # Predict with explicit extrapolation for a warm Newton start;
+        # in hard clipping the prediction can overshoot, so retry from
+        # the previous solution.
+        ok, x_new, _ = _newton(companion, x_prev + xdot_prev * dt, rhs, 0.0, opts)
         if not ok:
-            # Retry from the previous solution (no prediction).
-            ok, x_new = _newton_tran(system, x_prev, rhs, c_over_h, hist, opts)
+            ok, x_new, _ = _newton(companion, x_prev, rhs, 0.0, opts)
         if not ok:
-            # Sub-step with damped backward Euler across this interval.
-            ok, x_new = _substep_be(system, x_prev, t[k - 1], tk, opts)
-            if not ok:
-                raise RuntimeError(
-                    f"transient Newton failed at t={tk:.6g}s "
-                    f"(circuit {system.circuit.name!r}); reduce dt"
-                )
-            # BE restart: derivative information is stale after sub-steps.
-            xdot_prev = (x_new - x_prev) / h
-            x_prev = x_new
-            xs[k] = x_new
-            continue
-        if use_be:
-            xdot_prev = (x_new - x_prev) / h
-        else:
-            xdot_prev = 2.0 / h * (x_new - x_prev) - xdot_prev
+            raise failed(t[k])
+        xdot_prev = (x_new - x_prev) / dt
         x_prev = x_new
         xs[k] = x_new
 

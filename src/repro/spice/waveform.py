@@ -8,7 +8,6 @@ spectrum analyser (windowed FFT for plots like the paper's Fig. 11).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -126,39 +125,16 @@ class Waveform:
         phase = np.exp(-2j * np.pi * freq * tt)
         return 2.0 * complex(np.mean(yy * phase))
 
-    def fourier_components(self, f0: float, orders: Sequence[int]) -> np.ndarray:
-        """Complex amplitudes of several harmonics of ``f0``.
-
-        All orders share one analysis window that is coherent with the
-        *fundamental* — windowing each harmonic separately would leak
-        fundamental energy into harmonics whose own cycle count does not
-        fit the record (the dominant error term when measuring -80 dB
-        harmonics next to a full-scale fundamental).
-        """
-        n_cycles = int(np.floor(self.duration * f0))
-        if n_cycles < 1:
-            raise ValueError(f"waveform too short for one cycle at {f0:.3g}Hz")
-        samples = int(round(n_cycles / (f0 * self.dt)))
-        samples = min(samples, len(self.y))
-        if samples < 4:
-            raise ValueError("too few samples per analysis window")
-        yy = self.y[-samples:]
-        tt = self.t[-samples:]
-        return np.array([
-            2.0 * complex(np.mean(yy * np.exp(-2j * np.pi * k * f0 * tt)))
-            for k in orders
-        ])
-
     def harmonics(self, f0: float, count: int = 9) -> np.ndarray:
-        """|amplitude| of harmonics 1..count of ``f0``."""
-        return np.abs(self.fourier_components(f0, range(1, count + 1)))
+        """|amplitude| of harmonics 1..count of ``f0``
+        (:func:`goertzel_harmonics`)."""
+        if int(np.floor(self.duration * f0)) < 1:
+            raise ValueError(f"waveform too short for one cycle at {f0:.3g}Hz")
+        return goertzel_harmonics(self.y, f0 * self.dt, count)
 
     def thd(self, f0: float, n_harmonics: int = 9) -> float:
         """Total harmonic distortion (ratio, not dB or percent)."""
-        amps = self.harmonics(f0, n_harmonics)
-        if amps[0] <= 0.0:
-            raise ValueError("no fundamental found; cannot compute THD")
-        return float(np.sqrt(np.sum(amps[1:] ** 2)) / amps[0])
+        return thd_from_harmonics(self.harmonics(f0, n_harmonics))
 
     def spectrum(self, window: str = "hann") -> "Spectrum":
         """Windowed amplitude spectrum (spectrum-analyser view)."""
@@ -212,6 +188,59 @@ class Spectrum:
         if not np.any(mask):
             raise ValueError(f"{freq} Hz outside spectrum range")
         return float(np.max(self.amplitude[mask]))
+
+
+def goertzel_dft(y: np.ndarray, freqs_norm) -> np.ndarray:
+    """DTFT of ``y`` at arbitrary normalised frequencies via Goertzel.
+
+    Returns ``sum_n y[n] * exp(-2j*pi*f*n)`` for each ``f`` in
+    ``freqs_norm`` (cycles/sample).  The second-order recurrence runs in
+    C through ``scipy.signal.lfilter``; the closing step is the
+    generalised (non-integer-bin) form, so harmonics can be read at
+    exactly ``k*f0`` instead of the nearest FFT grid bin — the FFT pick
+    leaks badly whenever the record does not hold an integer number of
+    fundamental cycles, which is the usual case for a transient segment.
+    """
+    from scipy.signal import lfilter
+
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    if n < 4:
+        raise ValueError("need at least 4 samples for a harmonic readout")
+    freqs_norm = np.atleast_1d(np.asarray(freqs_norm, dtype=float))
+    out = np.empty(freqs_norm.size, dtype=complex)
+    for i, f in enumerate(freqs_norm):
+        w = 2.0 * np.pi * f
+        s = lfilter([1.0], [1.0, -2.0 * np.cos(w), 1.0], y)
+        out[i] = (s[-1] - np.exp(-1j * w) * s[-2]) * np.exp(-1j * w * (n - 1))
+    return out
+
+
+def goertzel_harmonics(y: np.ndarray, f0_norm: float,
+                       n_harmonics: int) -> np.ndarray:
+    """|amplitude| of harmonics ``1..n_harmonics`` of a tone at
+    ``f0_norm`` cycles/sample (2/N-normalised, mean removed).
+
+    The record is first trimmed (from the front) to the largest whole
+    number of fundamental cycles: a stray edge sample leaks
+    ``~2*sin(phase)/N`` of the fundamental into every harmonic bin,
+    which at voice-band THD levels (-52 dB spec) would dominate the
+    harmonics being measured.  Exactly coherent records are unaffected.
+    """
+    y = np.asarray(y, dtype=float)
+    n_cycles = int(np.floor(y.size * f0_norm))
+    if n_cycles >= 1:
+        y = y[-min(y.size, int(round(n_cycles / f0_norm))):]
+    orders = np.arange(1, n_harmonics + 1, dtype=float)
+    bins = goertzel_dft(y - y.mean(), orders * f0_norm)
+    return 2.0 * np.abs(bins) / y.size
+
+
+def thd_from_harmonics(amps: np.ndarray) -> float:
+    """THD ratio of harmonic amplitudes ``amps`` (fundamental first)."""
+    if amps[0] <= 0.0:
+        raise ValueError("no fundamental found; cannot compute THD")
+    return float(np.sqrt(np.sum(amps[1:] ** 2)) / amps[0])
 
 
 def make_time_grid(freq: float, n_cycles: int, points_per_cycle: int) -> tuple[float, float]:

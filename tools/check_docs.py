@@ -1,11 +1,15 @@
 #!/usr/bin/env python
-"""Fail CI on broken intra-repo links in the markdown docs.
+"""Fail CI on broken intra-repo links and undocumented events.
 
 Scans ``README.md`` and ``docs/*.md`` for markdown links/images and
 verifies that every *relative* target (no scheme, no mailto) exists on
 disk, resolved against the file containing the link. Anchors are
 stripped (``file.md#section`` checks ``file.md``); ``http(s)://`` links
 are ignored — CI must not depend on the network.
+
+Also fails when an ``event("<name>"`` literal under ``src/`` is not named
+(in backticks) in ``docs/architecture.md``, so an event cannot drop out
+of the event taxonomy there unnoticed.
 
 Usage::
 
@@ -26,6 +30,8 @@ _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 # a link (e.g. numpy slices in code examples).
 _FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
 _CODE_RE = re.compile(r"`[^`]*`")
+# event("name", ...) and the solver wrapper _solver_event("name", ...).
+_EVENT_RE = re.compile(r'event\(\s*"([^"]+)"')
 
 
 def iter_links(text: str):
@@ -48,6 +54,18 @@ def check_file(path: pathlib.Path) -> list[str]:
     return errors
 
 
+def emitted_events() -> set[str]:
+    """Names of every ``event("<name>"`` literal under ``src/``."""
+    return {match.group(1)
+            for path in (REPO_ROOT / "src").rglob("*.py")
+            for match in _EVENT_RE.finditer(path.read_text())}
+
+
+def undocumented_events(names: set[str], doc_text: str) -> list[str]:
+    """The ``names`` that ``doc_text`` does not mention in backticks."""
+    return sorted(name for name in names if f"`{name}`" not in doc_text)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv:
@@ -64,10 +82,17 @@ def main(argv: list[str] | None = None) -> int:
     for f in files:
         errors.extend(check_file(f))
         checked += 1
+    broken = len(errors)
+    names = emitted_events()
+    arch = REPO_ROOT / "docs" / "architecture.md"
+    errors.extend(f"docs/architecture.md: event {name!r} is emitted under "
+                  f"src/ but not documented"
+                  for name in undocumented_events(names, arch.read_text()))
     for err in errors:
         print(f"ERROR: {err}")
-    print(f"checked {checked} file(s): "
-          f"{'FAIL' if errors else 'ok'} ({len(errors)} broken link(s))")
+    print(f"checked {checked} file(s) and {len(names)} event(s): "
+          f"{'FAIL' if errors else 'ok'} ({broken} broken link(s), "
+          f"{len(errors) - broken} undocumented event(s))")
     return 1 if errors else 0
 
 

@@ -9,6 +9,12 @@ critical requirements on PSRR, CMRR and dynamic range").  The measured
 75..78 dB of Tables 1/2 is therefore a *mismatch-limited* number, and the
 reproduction measures it the same way: Monte Carlo over Pelgrom mismatch,
 reporting the distribution.
+
+Both ratios are :class:`Probe`\\ s: override columns on the circuit's AC
+stimulus, solved as RHS columns of one factorization and reduced by
+:func:`rejection`.  The campaign's ``psrr_1khz_db``/``cmrr_1khz_db``
+measurements use the same probes and reduction, per unit or over a
+unit axis.
 """
 
 from __future__ import annotations
@@ -19,7 +25,37 @@ import numpy as np
 
 from repro.spice.dc import OperatingPoint, dc_operating_point
 from repro.spice.elements import VoltageSource
+from repro.spice.mna import ac_rhs
 from repro.spice.netlist import Circuit
+
+
+@dataclass(frozen=True)
+class Probe:
+    """A single-frequency small-signal probe: one
+    :func:`~repro.spice.mna.ac_rhs` override dict per RHS column (``{}``
+    is the configured stimulus), all solved on one factorization at
+    ``freq`` and read at the output pair ``out_p``/``out_n``."""
+
+    freq: float
+    columns: tuple[dict, ...]
+    out_p: str
+    out_n: str | None
+
+    def rhs(self, system, vsources, isources) -> np.ndarray:
+        """The ``(n, k)`` RHS columns, stamped through ``system``'s
+        source topology."""
+        b = np.empty((system.size, len(self.columns)), dtype=complex)
+        for k, overrides in enumerate(self.columns):
+            b[:, k] = ac_rhs(system, vsources, isources, overrides)[: system.size]
+        return b
+
+
+def solve_probe(op: OperatingPoint, probe: Probe) -> np.ndarray:
+    """Probe values at ``op``, through its shared small-signal context."""
+    ctx, system = op.small_signal(), op.system
+    fwd, _ = ctx.solve(np.array([probe.freq]),
+                       rhs=probe.rhs(system, system.vsources, system.isources))
+    return ctx.probe(fwd, probe.out_p, probe.out_n)[0]
 
 
 @dataclass
@@ -42,10 +78,28 @@ def _signal_sources(circuit: Circuit, names: tuple[str, ...]) -> list[VoltageSou
     return sources
 
 
-def _rejection(ctx, freq: float, b_signal, b_disturb, out_p: str, out_n: str) -> RejectionResult:
-    """Solve both excitations as two RHS columns of one factorization."""
-    fwd, _ = ctx.solve(np.array([freq]), rhs=np.stack([b_signal, b_disturb], axis=1))
-    h = np.abs(ctx.probe(fwd, out_p, out_n)[0])
+def psrr_probe(circuit: Circuit, supply_source: str,
+               input_sources: tuple[str, ...], out_p: str, out_n: str,
+               freq: float = 1e3) -> Probe:
+    """The configured stimulus with the supply quiet (its phase kept),
+    then unit supply ripple with the inputs quiet."""
+    _signal_sources(circuit, (*input_sources, supply_source))
+    ripple = {name: (0.0, None) for name in input_sources}
+    ripple[supply_source] = (1.0, 0.0)
+    return Probe(freq, ({supply_source: (0.0, None)}, ripple), out_p, out_n)
+
+
+def cmrr_probe(circuit: Circuit, input_sources: tuple[str, str], out_p: str,
+               out_n: str, freq: float = 1e3) -> Probe:
+    """The configured (differential) stimulus, then both inputs in phase."""
+    _signal_sources(circuit, input_sources)
+    in_p, in_n = input_sources
+    return Probe(freq, ({}, {in_p: (1.0, 0.0), in_n: (1.0, 0.0)}), out_p, out_n)
+
+
+def rejection(freq: float, values: np.ndarray) -> RejectionResult:
+    """Reduce a two-column probe (signal, disturbance) to its ratio."""
+    h = np.abs(values)
     h_sig, h_dist = float(h[0]), float(h[1])
     ratio = h_sig / max(h_dist, 1e-30)
     return RejectionResult(freq, h_sig, h_dist, 20.0 * float(np.log10(ratio)))
@@ -64,42 +118,18 @@ def measure_psrr(
     """PSRR at one frequency: signal gain over supply-ripple gain.
 
     Both excitations are solved as two RHS columns of the *same*
-    factorization (one linearisation, one LU at ``freq``).  Restores
-    every source's AC stimulus afterwards, so the circuit can be reused
-    for further measurements.
+    factorization (one linearisation, one LU at ``freq``); the circuit's
+    sources are never modified.
 
     Pass a precomputed ``op`` (of the *same* circuit) to reuse its cached
     :class:`~repro.spice.linsolve.SmallSignalContext` instead of paying a
-    fresh DC solve + linearisation — the campaign engine shares one
-    operating point across every measurement of a work unit this way.
-    ``temp_c`` is ignored when ``op`` is given (the operating point fixes
-    the temperature).
+    fresh DC solve + linearisation.  ``temp_c`` is ignored when ``op`` is
+    given (the operating point fixes the temperature).
     """
-    ins = _signal_sources(circuit, input_sources)
-    sup = _signal_sources(circuit, (supply_source,))[0]
-    saved = [(el, el.ac, el.ac_phase) for el in (*ins, sup)]
-    try:
-        if op is None:
-            op = dc_operating_point(circuit, temp_c=temp_c)
-        ctx = op.small_signal()
-
-        # Column 0: the normal differential stimulus, supply quiet.
-        for el, ac, ph in saved:
-            el.ac, el.ac_phase = ac, ph
-        sup.ac = 0.0
-        b_sig = ctx.rhs_ac().copy()
-
-        # Column 1: unit ripple on the supply only.
-        for el in ins:
-            el.ac = 0.0
-        sup.ac = 1.0
-        sup.ac_phase = 0.0
-        b_sup = ctx.rhs_ac().copy()
-    finally:
-        for el, ac, ph in saved:
-            el.ac, el.ac_phase = ac, ph
-
-    return _rejection(ctx, freq, b_sig, b_sup, out_p, out_n)
+    probe = psrr_probe(circuit, supply_source, input_sources, out_p, out_n, freq)
+    if op is None:
+        op = dc_operating_point(circuit, temp_c=temp_c)
+    return rejection(freq, solve_probe(op, probe))
 
 
 def measure_cmrr(
@@ -116,25 +146,7 @@ def measure_cmrr(
     ``op`` behaves as in :func:`measure_psrr`: a precomputed operating
     point of the same circuit whose cached linearisation is reused.
     """
-    el_p, el_n = _signal_sources(circuit, input_sources)
-    saved = [(el, el.ac, el.ac_phase) for el in (el_p, el_n)]
-    try:
-        if op is None:
-            op = dc_operating_point(circuit, temp_c=temp_c)
-        ctx = op.small_signal()
-
-        for el, ac, ph in saved:
-            el.ac, el.ac_phase = ac, ph
-        b_diff = ctx.rhs_ac().copy()
-
-        # Common-mode drive: both inputs in phase, unit amplitude.
-        for el in (el_p, el_n):
-            el.ac = 1.0
-            el.ac_phase = 0.0
-        b_cm = ctx.rhs_ac().copy()
-    finally:
-        for el, ac, ph in saved:
-            el.ac, el.ac_phase = ac, ph
-
-    return _rejection(ctx, freq, b_diff, b_cm, out_p, out_n)
-
+    probe = cmrr_probe(circuit, input_sources, out_p, out_n, freq)
+    if op is None:
+        op = dc_operating_point(circuit, temp_c=temp_c)
+    return rejection(freq, solve_probe(op, probe))

@@ -13,16 +13,19 @@ Every path is anchored to the serial reference:
 * circuits are built through the same :class:`~repro.campaign.runner.
   ChunkCache` walk as :func:`~repro.campaign.runner.run_chunk`, so
   sampler draws and build order are untouched;
-* batched measurements replay the serial scalar math per unit (same
-  ``math.log10``/``np.log10`` split, same guards, same record key
-  order); measurements without a batched implementation — and units the
-  batch cannot carry (structure surprises, plain-Newton non-convergence,
-  residual-check rejections, precondition errors) — run the *serial*
-  implementation on a per-unit operating point wrapped around the
-  batch's bit-identical solution (or, for a unit whose lockstep plain
-  Newton failed, the serial ladder entered at gmin stepping);
-* any exception while batch-processing a group (including faults
-  injected at ``campaign.batch_group``) falls back to plain
+* measurements are the per-unit definitions of
+  :mod:`repro.campaign.measurements`, not copies: an operating-point
+  read runs on unit ``u``'s row of the batch solution, a probed
+  measurement's probes go through one residual-checked unit-axis solve
+  and then its own reduction per unit.  Plain ``fn(rt)`` measurements
+  — and units the batch cannot carry (plain-Newton non-convergence,
+  residual-check rejections) — run per unit on an operating point
+  wrapped around the batch's bit-identical solution (or, for a unit
+  whose lockstep plain Newton failed, the serial ladder entered at gmin
+  stepping);
+* any exception while batch-processing a group (a structure surprise,
+  a measurement's precondition error, a fault injected at
+  ``campaign.batch_group``) falls back to plain
   :func:`~repro.campaign.runner.run_unit` semantics for the whole
   group, so injected chaos degrades speed, never results.
 
@@ -38,12 +41,13 @@ mismatch campaigns.
 
 from __future__ import annotations
 
-import math
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
 from repro.campaign.builders import BUILDERS
-from repro.campaign.measurements import MEASUREMENTS
+from repro.campaign.measurements import MEASUREMENTS, UnitMeasurement, UnitReads
 from repro.campaign.runner import (
     ChunkCache,
     UnitRuntime,
@@ -55,10 +59,8 @@ from repro.faults.harness import fault_point
 from repro.obs.recorder import active, event, prof_count, span
 from repro.spice.batch import BatchedSystem, circuit_signature, newton_batch
 from repro.spice.dc import OperatingPoint, PlainFailure, dc_operating_point
-from repro.spice.elements import VoltageSource
-from repro.spice.linsolve import BatchedSmallSignalContext
-from repro.spice.mna import ac_rhs
-from repro.spice.netlist import is_ground
+from repro.spice.linsolve import BatchedSmallSignalContext, SmallSignalContext
+from repro.spice.mna import MnaSystem
 
 #: Units per tensor group.  Large enough to amortise the Python-side
 #: stamping, small enough that the (N, dim, dim) tensors of the paper's
@@ -80,194 +82,73 @@ DEFAULT_BATCH_SIZE = 64
 MIN_BATCH_UNITS = 4
 
 
+@dataclass
 class _GroupRun:
     """Shared state for one batched group during measurement."""
 
-    def __init__(self, spec: CampaignSpec, units: list[WorkUnit], builts: list,
-                 techs: list, pattern, bs: BatchedSystem, converged: np.ndarray,
-                 x: np.ndarray, iterations: np.ndarray) -> None:
-        self.spec = spec
-        self.units = units
-        self.builts = builts
-        self.techs = techs
-        self.pattern = pattern
-        self.bs = bs
-        self.converged = converged
-        self.x = x
-        self.iterations = iterations
-        self.n_units = len(units)
-        self._ctx: BatchedSmallSignalContext | None = None
-        self._rts: dict[int, UnitRuntime] = {}
+    spec: CampaignSpec
+    units: list[WorkUnit]
+    builts: list
+    techs: list
+    pattern: MnaSystem
+    bs: BatchedSystem
+    x: np.ndarray
+    iterations: np.ndarray
+    rts: dict[int, UnitRuntime] = field(default_factory=dict)
 
+    @cached_property
     def ctx(self) -> BatchedSmallSignalContext:
-        if self._ctx is None:
-            n = self.pattern.size
-            g = np.ascontiguousarray(self.bs.linearize(self.x)[:, :n, :n])
-            c = np.ascontiguousarray(self.bs.c_t[:, :n, :n])
-            self._ctx = BatchedSmallSignalContext(g, c)
-        return self._ctx
+        n = self.pattern.size
+        g = np.ascontiguousarray(self.bs.linearize(self.x)[:, :n, :n])
+        c = np.ascontiguousarray(self.bs.c_t[:, :n, :n])
+        return BatchedSmallSignalContext(g, c)
+
+    @cached_property
+    def reads(self) -> list[UnitReads]:
+        """Each unit's reads, through the group pattern (no compile)."""
+        return [UnitReads(self.spec, built, tech, self.pattern, x)
+                for built, tech, x in zip(self.builts, self.techs, self.x)]
 
     def rt(self, u: int) -> UnitRuntime:
         """Serial per-unit runtime around the batch's (bit-identical) DC
-        solution — the escape hatch for non-batched measurements."""
-        rt = self._rts.get(u)
+        solution — for plain ``fn(rt)`` measurements and rejected units.
+        A unit that failed lockstep Newton has its ladder solve here."""
+        rt = self.rts.get(u)
         if rt is None:
             system = self.builts[u].circuit.compile(temp_c=self.units[u].temp_c)
             op = OperatingPoint(system, self.x[u].copy(),
                                 int(self.iterations[u]), "newton")
             rt = UnitRuntime(spec=self.spec, unit=self.units[u],
                              tech=self.techs[u], built=self.builts[u], op=op)
-            self._rts[u] = rt
+            self.rts[u] = rt
         return rt
-
-    # ---- serial-faithful scalar reads -------------------------------
-    def v(self, u: int, node: str) -> float:
-        if is_ground(node):
-            return 0.0
-        return float(self.x[u, self.pattern.node(node)])
-
-    def vdiff(self, u: int, node_p: str, node_n: str) -> float:
-        return self.v(u, node_p) - self.v(u, node_n)
-
-    def i(self, u: int, element_name: str) -> float:
-        return float(self.x[u, self.pattern.branch(element_name)])
-
-    def unit_rhs_ac(self, u: int, overrides: dict) -> np.ndarray:
-        """``MnaSystem.rhs_ac()[:n]`` of unit ``u`` with the PSRR/CMRR
-        ``overrides`` of :func:`repro.spice.mna.ac_rhs` applied."""
-        els = self.bs.unit_elements[u]
-        return ac_rhs(self.pattern, els.vsources, els.isources,
-                      overrides)[: self.pattern.size]
-
-    def probe_cols(self, fwd: np.ndarray, u: int, out_p: str,
-                   out_n: str | None) -> np.ndarray:
-        """``SmallSignalContext.probe`` for one unit's solution columns."""
-        zero = np.zeros(fwd.shape[2], dtype=complex)
-        vp = zero if is_ground(out_p) else fwd[u, self.pattern.node(out_p)]
-        if out_n is None or is_ground(out_n):
-            return vp
-        return vp - fwd[u, self.pattern.node(out_n)]
-
-    def ac_sources_valid(self, u: int, names) -> bool:
-        """True when every named element resolves to a VoltageSource;
-        invalid units run the serial measurement, which raises the
-        reference error."""
-        try:
-            for name in names:
-                if not isinstance(self.builts[u].circuit.element(name),
-                                  VoltageSource):
-                    return False
-        except Exception:
-            return False
-        return True
-
-
-# ----------------------------------------------------------------------
-# Batched measurement implementations (serial scalar math, verbatim)
-# ----------------------------------------------------------------------
-_BATCHED: dict = {}
-
-
-def _batched(name: str):
-    def deco(fn):
-        _BATCHED[name] = fn
-        return fn
-
-    return deco
 
 
 def _serial_measure(gr: _GroupRun, name: str, u: int, records: list) -> None:
     records[u].update(MEASUREMENTS[name](gr.rt(u)))
 
 
-@_batched("offset_v")
-def _b_offset(gr: _GroupRun, live: list[int], records: list) -> None:
-    for u in live:
-        built = gr.builts[u]
-        records[u]["offset_v"] = gr.vdiff(u, built.out_p, built.out_n)
-
-
-@_batched("iq_ma")
-def _b_iq(gr: _GroupRun, live: list[int], records: list) -> None:
-    for u in live:
-        records[u]["iq_ma"] = abs(gr.i(u, gr.builts[u].supply_source)) * 1e3
-
-
-@_batched("vref_mv")
-def _b_vref(gr: _GroupRun, live: list[int], records: list) -> None:
-    for u in live:
-        built = gr.builts[u]
-        records[u]["vref_mv"] = gr.vdiff(u, built.out_p, built.out_n) * 1e3
-
-
-@_batched("bias_current_ua")
-def _b_bias_current(gr: _GroupRun, live: list[int], records: list) -> None:
-    for u in live:
-        built = gr.builts[u]
-        node = built.probes.get("iout_node")
-        r_load = built.probes.get("r_load")
-        if node is None or r_load is None:
-            _serial_measure(gr, "bias_current_ua", u, records)
-            continue
-        records[u]["bias_current_ua"] = gr.v(u, str(node)) / float(r_load) * 1e6
-
-
-@_batched("area_mm2")
-def _b_area(gr: _GroupRun, live: list[int], records: list) -> None:
-    from repro.layout.area import estimate_area_mm2
-
-    for u in live:
-        records[u]["area_mm2"] = estimate_area_mm2(
-            gr.builts[u].circuit, gr.techs[u]
-        ).total_mm2
-
-
-@_batched("gain_1khz_db")
-def _b_gain(gr: _GroupRun, live: list[int], records: list) -> None:
-    ctx = gr.ctx()
-    rhs = np.zeros((gr.n_units, ctx.n, 1), dtype=complex)
-    for u in live:
-        rhs[u, :, 0] = gr.unit_rhs_ac(u, {})
-    fwd, ok = ctx.solve_checked(1e3, rhs)
-    for u in live:
-        if not ok[u]:
-            event("campaign.unit_fallback", "warn",
-                  corner=gr.units[u].corner, temp_c=gr.units[u].temp_c,
-                  seed=gr.units[u].seed, measurement="gain_1khz_db",
-                  reason="batched small-signal residual rejection")
-            _serial_measure(gr, "gain_1khz_db", u, records)
-            continue
-        built = gr.builts[u]
-        h = abs(gr.probe_cols(fwd, u, built.out_p, built.out_n)[0])
-        gain_db = 20.0 * math.log10(max(h, 1e-30))
-        records[u]["gain_1khz_db"] = gain_db
-        if built.nominal_gain_db is not None:
-            records[u]["gain_error_db"] = gain_db - built.nominal_gain_db
-
-
-def _b_rejection(gr: _GroupRun, name: str, live: list[int], records: list,
-                 column_overrides) -> None:
-    """Shared PSRR/CMRR core: two RHS columns per unit, one factorization.
-
-    ``column_overrides(built)`` returns the two override dicts (or None
-    to route the unit through the serial measurement, which reproduces
-    the reference error or handles the odd configuration).
-    """
-    ctx = gr.ctx()
-    rhs = np.zeros((gr.n_units, ctx.n, 2), dtype=complex)
-    solved: list[int] = []
-    for u in live:
-        overrides = column_overrides(gr, u)
-        if overrides is None:
-            _serial_measure(gr, name, u, records)
-            continue
-        rhs[u, :, 0] = gr.unit_rhs_ac(u, overrides[0])
-        rhs[u, :, 1] = gr.unit_rhs_ac(u, overrides[1])
-        solved.append(u)
-    if not solved:
+def _measure_group(name: str, meas: UnitMeasurement, gr: _GroupRun,
+                   live: list[int], records: list) -> None:
+    """``meas`` over the group's live units: the probes of all units as
+    one residual-checked unit-axis solve; a rejected unit is re-measured
+    per unit."""
+    if meas.probe is None:
+        for u in live:
+            records[u].update(meas.fn(gr.reads[u]))
         return
-    fwd, ok = ctx.solve_checked(1e3, rhs)
-    for u in solved:
+    if not live:
+        return
+    reads = gr.reads
+    probes = {u: meas.probe(reads[u]) for u in live}
+    first = probes[live[0]]  # every unit's probe: same freq, same column count
+    ctx = gr.ctx
+    rhs = np.zeros((len(gr.units), ctx.n, len(first.columns)), dtype=complex)
+    for u in live:
+        els = gr.bs.unit_elements[u]
+        rhs[u] = probes[u].rhs(gr.pattern, els.vsources, els.isources)
+    fwd, ok = ctx.solve_checked(first.freq, rhs)
+    for u in live:
         if not ok[u]:
             event("campaign.unit_fallback", "warn",
                   corner=gr.units[u].corner, temp_c=gr.units[u].temp_c,
@@ -275,46 +156,17 @@ def _b_rejection(gr: _GroupRun, name: str, live: list[int], records: list,
                   reason="batched small-signal residual rejection")
             _serial_measure(gr, name, u, records)
             continue
-        built = gr.builts[u]
-        h = np.abs(gr.probe_cols(fwd, u, built.out_p, built.out_n))
-        h_sig, h_dist = float(h[0]), float(h[1])
-        ratio = h_sig / max(h_dist, 1e-30)
-        records[u][name] = 20.0 * float(np.log10(ratio))
+        # The per-unit read (SmallSignalContext.probe) on unit u's
+        # solution, through the pattern's node map.
+        values = SmallSignalContext.probe(reads[u], fwd[u:u + 1],
+                                          probes[u].out_p, probes[u].out_n)[0]
+        records[u].update(meas.fn(reads[u], values))
 
 
-def _psrr_overrides(gr: _GroupRun, u: int):
-    built = gr.builts[u]
-    ins = tuple(built.input_sources)
-    sup = built.supply_source
-    if not ins or not gr.ac_sources_valid(u, (*ins, sup)):
-        return None
-    # Column 0: configured stimulus, supply quiet (amplitude only —
-    # measure_psrr leaves the supply's phase untouched).
-    col0 = {sup: (0.0, None)}
-    # Column 1: unit ripple on the supply, inputs quiet.
-    col1 = {name: (0.0, None) for name in ins}
-    col1[sup] = (1.0, 0.0)
-    return col0, col1
-
-
-def _cmrr_overrides(gr: _GroupRun, u: int):
-    built = gr.builts[u]
-    ins = tuple(built.input_sources)
-    if len(ins) != 2 or not gr.ac_sources_valid(u, ins):
-        return None
-    # Column 0: configured (differential) stimulus; column 1: both
-    # inputs in phase at unit amplitude.
-    return {}, {name: (1.0, 0.0) for name in ins}
-
-
-@_batched("psrr_1khz_db")
-def _b_psrr(gr: _GroupRun, live: list[int], records: list) -> None:
-    _b_rejection(gr, "psrr_1khz_db", live, records, _psrr_overrides)
-
-
-@_batched("cmrr_1khz_db")
-def _b_cmrr(gr: _GroupRun, live: list[int], records: list) -> None:
-    _b_rejection(gr, "cmrr_1khz_db", live, records, _cmrr_overrides)
+# A name -> callable dict, not a type test per call: perfbench wraps each entry.
+_BATCHED: dict = {name: partial(_measure_group, name, meas)
+                  for name, meas in MEASUREMENTS.items()
+                  if isinstance(meas, UnitMeasurement)}
 
 
 # ----------------------------------------------------------------------
@@ -331,8 +183,7 @@ def _run_group(spec: CampaignSpec, units: list[WorkUnit], builts: list,
     diags: list[dict] = [{} for _ in units]
     converged, x, iterations = newton_batch(bs, bs.initial_guess(), bs.rhs_dc(),
                                             diags=diags)
-    gr = _GroupRun(spec, units, builts, techs, pattern, bs, converged, x,
-                   iterations)
+    gr = _GroupRun(spec, units, builts, techs, pattern, bs, x, iterations)
 
     records: list[dict] = [{} for _ in units]
     live = [u for u in range(len(units)) if converged[u]]
@@ -344,7 +195,6 @@ def _run_group(spec: CampaignSpec, units: list[WorkUnit], builts: list,
     # it enters the serial ladder at gmin stepping with that failure
     # record; its operating point, iteration count included, is the
     # per-unit solve's.
-    fallback_ops: dict[int, OperatingPoint] = {}
     for u in range(len(units)):
         if converged[u]:
             continue
@@ -356,19 +206,16 @@ def _run_group(spec: CampaignSpec, units: list[WorkUnit], builts: list,
         op = dc_operating_point(
             builts[u].circuit, temp_c=units[u].temp_c,
             plain_failure=PlainFailure(x[u], int(iterations[u]), diags[u]))
-        rt = UnitRuntime(spec=spec, unit=units[u], tech=techs[u],
-                         built=builts[u], op=op)
-        for name in spec.measurements:
-            records[u].update(MEASUREMENTS[name](rt))
-        fallback_ops[u] = op
+        gr.rts[u] = UnitRuntime(spec=spec, unit=units[u], tech=techs[u],
+                                built=builts[u], op=op)
 
     for name in spec.measurements:
         impl = _BATCHED.get(name)
-        if impl is None:
-            for u in live:
-                _serial_measure(gr, name, u, records)
-        else:
+        if impl is not None:
             impl(gr, live, records)
+        for u in range(len(units)):
+            if impl is None or not converged[u]:
+                _serial_measure(gr, name, u, records)
 
     # Health events only after the whole group succeeded — a later
     # measurement exception downgrades the group to run_unit, which
@@ -381,7 +228,7 @@ def _run_group(spec: CampaignSpec, units: list[WorkUnit], builts: list,
                                   "strategy": "newton",
                                   "worst_resid": None, "batched": True})
             else:
-                emit_unit_health(units[u], fallback_ops[u].health())
+                emit_unit_health(units[u], gr.rts[u].op.health())
     return records
 
 

@@ -36,7 +36,6 @@ from repro.spice.ac import ac_analysis, transfer_function
 from repro.spice.linsolve import (
     SmallSignalContext,
     SpectralSolver,
-    solve_looped,
     solve_stacked,
 )
 from repro.spice.transient import transient_analysis
@@ -73,7 +72,6 @@ __all__ = [
     "dc_operating_point",
     "dc_sweep",
     "noise_analysis",
-    "solve_looped",
     "solve_stacked",
     "transfer_function",
     "transient_analysis",

@@ -10,7 +10,6 @@ differential pairs and ``"i(element)"`` branch currents.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as sla
 
 from repro.spice.dc import OperatingPoint
 from repro.spice.netlist import is_ground
@@ -54,23 +53,6 @@ def ac_analysis(op: OperatingPoint, freqs: np.ndarray) -> AcResult:
     freqs = np.asarray(freqs, dtype=float)
     ctx = op.small_signal()
     return AcResult(op.system, freqs, ctx.ac_solutions(freqs))
-
-
-def _ac_analysis_looped(op: OperatingPoint, freqs: np.ndarray) -> AcResult:
-    """Seed-style reference path: re-linearize, one dense solve per
-    frequency.  Kept for the equivalence tests and the perf benchmark."""
-    system = op.system
-    n = system.size
-    freqs = np.asarray(freqs, dtype=float)
-    g = system.linearize(op.x)[:n, :n]
-    c = system.c_static[:n, :n]
-    b = system.rhs_ac()[:n]
-
-    solutions = np.zeros((len(freqs), system.size + 1), dtype=complex)
-    for k, f in enumerate(freqs):
-        a = g + 2j * np.pi * f * c
-        solutions[k, :n] = sla.solve(a, b)
-    return AcResult(system, freqs, solutions)
 
 
 def transfer_function(

@@ -24,9 +24,9 @@ matrix sizes:
   residual-verified at spread sample points plus the sweep's
   worst-conditioned frequency, falling back to :func:`solve_stacked` if
   the check fails.
-* :func:`solve_looped` is the reference path through the scipy wrappers
-  (``lu_factor``/``lu_solve``, the same LAPACK routines).  The tests pin
-  :func:`solve_stacked` to it bit for bit and the Schur path to
+* The tests keep a per-frequency reference loop through the scipy
+  wrappers (``lu_factor``/``lu_solve``, the same LAPACK routines) and
+  pin :func:`solve_stacked` to it bit for bit and the Schur path to
   ``rtol=1e-9``.
 * :class:`SmallSignalContext` caches the linearized ``G``/``C`` and the
   Schur decomposition of one operating point so AC, noise and PSRR stop
@@ -113,39 +113,6 @@ def solve_stacked(
             adj[k], _ = _lapack.zgetrs(lu, piv, ba, trans=1)
     prof_count("linsolve.lu_factor", nf)
     prof_count("linsolve.lu_solve", nf * ((bf is not None) + (ba is not None)))
-    return fwd, adj
-
-
-def solve_looped(
-    g: np.ndarray,
-    c: np.ndarray,
-    freqs: np.ndarray,
-    rhs: np.ndarray | None = None,
-    adjoint_rhs: np.ndarray | None = None,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Per-frequency reference path through scipy's ``lu_factor`` /
-    ``lu_solve`` (the seed implementation's loop).
-
-    Kept so the equivalence tests can pin the other paths against it;
-    same contract as :func:`solve_stacked`.
-    """
-    if rhs is None and adjoint_rhs is None:
-        raise ValueError("need at least one of rhs / adjoint_rhs")
-    freqs = np.asarray(freqs, dtype=float)
-    n = g.shape[0]
-    bf = _as_rhs_matrix(rhs, n) if rhs is not None else None
-    ba = _as_rhs_matrix(adjoint_rhs, n) if adjoint_rhs is not None else None
-    fwd = np.empty((freqs.size, n, bf.shape[1]), dtype=complex) if bf is not None else None
-    adj = np.empty((freqs.size, n, ba.shape[1]), dtype=complex) if ba is not None else None
-
-    for k, f in enumerate(freqs):
-        a = g + 2j * np.pi * f * c
-        lu, piv = sla.lu_factor(a)
-        prof_count("linsolve.lu_factor")
-        if bf is not None:
-            fwd[k] = sla.lu_solve((lu, piv), bf)
-        if ba is not None:
-            adj[k] = sla.lu_solve((lu, piv), ba, trans=1)
     return fwd, adj
 
 
@@ -284,9 +251,10 @@ class SmallSignalContext:
     """Linearization of one operating point, shared across analyses.
 
     ``G`` and ``C`` depend only on the operating point, so they are
-    computed once here; the AC excitation vector is re-read per solve
-    through the system's cached (and mutation-invalidated) ``rhs_ac``,
-    which keeps the PSRR-style "tweak a source, re-run" pattern correct.
+    computed once here; :meth:`rhs_ac` re-reads the configured AC
+    stimulus through the system's cached ``rhs_ac``.  PSRR/CMRR-style
+    excitations are RHS columns built with override dicts
+    (:func:`repro.spice.mna.ac_rhs`), not source mutations.
     ``cache`` is a scratch dict for per-analysis precomputations (the
     noise layer stores its source pack there).
     """
@@ -356,7 +324,7 @@ class SmallSignalContext:
         serving the forward and the transposed adjoint solves).  Below
         it, dense sweeps go through the cached Schur fast path and short
         probes use :func:`solve_stacked`; any rejected fast path falls
-        back down this ladder.  All paths agree with the looped
+        back down this ladder.  All paths agree with the tests' looped
         reference to well under 1e-9 (:func:`solve_stacked` bit for bit).
         """
         freqs = np.asarray(freqs, dtype=float)

@@ -203,9 +203,10 @@ def ac_rhs(system: MnaSystem, vsources: list[VoltageSource],
     """Complex AC excitation vector (extended) of one circuit's sources,
     stamped through ``system``'s source topology.
 
-    ``overrides`` maps source names to ``(ac, phase)`` the way the
-    PSRR/CMRR drivers temporarily set sources; ``phase=None`` keeps the
-    source's configured phase (the drivers only zero the amplitude then).
+    ``overrides`` maps source names to ``(ac, phase)`` in place of the
+    configured stimulus (one dict per PSRR/CMRR probe column, see
+    :class:`repro.analysis.psrr.Probe`); ``phase=None`` keeps the
+    source's configured phase (a quieted source's amplitude only).
     """
     b = np.zeros(system.size + 1, dtype=complex)
     for src, j in zip(vsources, system._vs_branch_idx):
@@ -694,8 +695,9 @@ class MnaSystem(StampedSystem):
         """Complex AC excitation vector (extended); cached, treat as read-only.
 
         Invalidation mirrors :meth:`rhs_dc`: the key snapshots every
-        source's ``(ac, ac_phase)`` pair, which the PSRR/CMRR drivers
-        mutate between solves.
+        source's ``(ac, ac_phase)`` pair, so a caller that edits a
+        source's stimulus sees the new vector.  (The PSRR/CMRR probes do
+        not edit sources; they pass overrides to :func:`ac_rhs`.)
         """
         key = (
             tuple((src.ac, src.ac_phase) for src in self.vsources),

@@ -22,10 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from repro.spice.dc import OperatingPoint
-from repro.spice.netlist import is_ground
 
 
 @dataclass
@@ -203,79 +201,6 @@ def noise_analysis(
     group_psd = np.zeros((len(pack.group_keys), n_freq))
     np.add.at(group_psd, pack.group_ids, contrib)
     by_key = {key: group_psd[i] for i, key in enumerate(pack.group_keys)}
-
-    return NoiseResult(
-        freqs=freqs,
-        output_psd=output_psd,
-        gain=gain,
-        input_psd=input_psd,
-        contributions=by_key,
-    )
-
-
-def _noise_analysis_looped(
-    op: OperatingPoint,
-    freqs: np.ndarray,
-    out_p: str,
-    out_n: str | None = None,
-) -> NoiseResult:
-    """Seed-style reference path: re-linearize, one LU per frequency and a
-    dict-merge grouping loop.  Kept for the equivalence tests and the
-    perf benchmark."""
-    system = op.system
-    n = system.size
-    freqs = np.asarray(freqs, dtype=float)
-
-    g = system.linearize(op.x)[:n, :n]
-    c = system.c_static[:n, :n]
-    b_in = system.rhs_ac()[:n]
-    if not np.any(b_in):
-        raise ValueError(
-            "no AC stimulus configured; set ac=1 on the input source so the "
-            "noise can be input-referred"
-        )
-
-    e_out = np.zeros(n)
-    if not is_ground(out_p):
-        e_out[system.node(out_p)] = 1.0
-    if out_n is not None and not is_ground(out_n):
-        e_out[system.node(out_n)] -= 1.0
-
-    sources = system.noise_sources(op.x)
-    idx_a = np.array([s.node_a for s in sources], dtype=np.intp)
-    idx_b = np.array([s.node_b for s in sources], dtype=np.intp)
-    psd_flat = np.array([s.psd_flat for s in sources])
-    psd_flicker = np.array([s.psd_flicker for s in sources])
-    af = np.array([s.af for s in sources])
-
-    n_freq = len(freqs)
-    output_psd = np.zeros(n_freq)
-    gain = np.zeros(n_freq)
-    contrib = np.zeros((len(sources), n_freq))
-
-    for k, f in enumerate(freqs):
-        a = g + 2j * np.pi * f * c
-        lu, piv = sla.lu_factor(a)
-        psi = sla.lu_solve((lu, piv), e_out.astype(complex), trans=1)
-        psi_ext = np.append(psi, 0.0)  # ground slot
-        gain[k] = abs(np.dot(psi, b_in))
-
-        transfer_sq = np.abs(psi_ext[idx_a] - psi_ext[idx_b]) ** 2
-        psd_f = psd_flat + psd_flicker / f**af
-        terms = transfer_sq * psd_f
-        contrib[:, k] = terms
-        output_psd[k] = terms.sum()
-
-    safe_gain_sq = np.maximum(gain, 1e-300) ** 2
-    input_psd = output_psd / safe_gain_sq
-
-    by_key: dict[tuple[str, str], np.ndarray] = {}
-    for j, s in enumerate(sources):
-        key = (s.device, s.mechanism)
-        if key in by_key:
-            by_key[key] = by_key[key] + contrib[j]
-        else:
-            by_key[key] = contrib[j].copy()
 
     return NoiseResult(
         freqs=freqs,

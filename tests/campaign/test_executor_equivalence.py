@@ -85,9 +85,10 @@ class TestBatchedEquivalence:
         assert "campaign.batch_group_fallbacks" not in counts
 
     def test_batched_with_serial_only_measurements(self):
-        """noise_voice / area_mm2 have no batched implementation: they
-        must run serially on the batch's bit-identical operating point
-        and still match the reference export byte for byte."""
+        """noise_voice is a plain per-unit measurement: it must run
+        serially on the batch's bit-identical operating point, beside
+        the batched offset_v and area_mm2 reads, and still match the
+        reference export byte for byte."""
         spec = CampaignSpec(
             builder="micamp", corners=("tt",), temps_c=(25.0, 85.0),
             seeds=(0, 1), gain_codes=(5,),
@@ -194,6 +195,37 @@ class TestSmallSignalRejection:
             "gain_1khz_db", "psrr_1khz_db", "cmrr_1khz_db"}
         assert {f["reason"] for f in fallbacks} == {
             "batched small-signal residual rejection"}
+
+
+class TestErrorPathEquivalence:
+    """A measurement that cannot run on a builder raises the per-unit
+    oracle's exception on the tensor path too: the group's probe or read
+    raises, the group falls back to ``run_unit``, which raises it."""
+
+    CASES = {
+        "psrr-without-inputs": CampaignSpec(
+            builder="bias", corners=("tt",), temps_c=(-20.0, 25.0, 85.0, 100.0),
+            measurements=("psrr_1khz_db",)),
+        "cmrr-without-inputs": CampaignSpec(
+            builder="bandgap", corners=("tt",), temps_c=(-20.0, 25.0, 85.0, 100.0),
+            measurements=("cmrr_1khz_db",)),
+        "bias-current-without-probes": CampaignSpec(
+            builder="micamp", corners=("tt", "ss"), temps_c=(25.0, 85.0),
+            seeds=(0, 1), gain_codes=(5,), measurements=("bias_current_ua",)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_exception_as_oracle(self, case):
+        spec = self.CASES[case]
+        assert spec.n_units >= batchrun.MIN_BATCH_UNITS
+        with pytest.raises(Exception) as oracle_exc:
+            run_chunk(spec, spec.expand())
+        rec = Recorder()
+        with rec.activate(), pytest.raises(Exception) as batched_exc:
+            run_campaign(spec)
+        assert type(batched_exc.value) is type(oracle_exc.value)
+        assert str(batched_exc.value) == str(oracle_exc.value)
+        assert rec.profile()["counts"]["batch.units_stamped"] > 0
 
 
 def _ingested_spec() -> CampaignSpec:

@@ -122,10 +122,10 @@ def naive_evaluate(x, space):
     from repro.circuits.micamp import build_mic_amp
     from repro.layout.area import estimate_area_mm2
     from repro.pga.design import mic_amp_parts_from_params
-    from repro.spice.ac import _ac_analysis_looped
     from repro.spice.analysis import log_freqs
     from repro.spice.dc import dc_operating_point
-    from repro.spice.noise import _noise_analysis_looped
+
+    from looped_reference import _ac_analysis_looped, _noise_analysis_looped
 
     try:
         sizes, gain = mic_amp_parts_from_params(CMOS12, space.as_dict(x))

@@ -13,10 +13,11 @@ from repro.analysis.psrr import _signal_sources, measure_psrr
 from repro.circuits.micamp import build_mic_amp
 from repro.process import CMOS12
 from repro.spice import Circuit, ac_analysis, dc_operating_point, noise_analysis
-from repro.spice.ac import _ac_analysis_looped
 from repro.spice.analysis import log_freqs
-from repro.spice.linsolve import SpectralSolver, solve_looped, solve_stacked
-from repro.spice.noise import _integrate_band, _noise_analysis_looped
+from repro.spice.linsolve import SpectralSolver, solve_stacked
+from repro.spice.noise import _integrate_band
+
+from looped_reference import _ac_analysis_looped, _noise_analysis_looped, solve_looped
 
 FREQS = log_freqs(10.0, 1e6, 10)
 

@@ -20,6 +20,8 @@ from repro.spice.batch import BatchedSystem, newton_batch
 from repro.spice.dc import ConvergenceError, NewtonOptions, dc_operating_point
 from repro.spice.mna import MnaSystem
 
+from looped_reference import solve_looped
+
 
 @pytest.fixture(autouse=True)
 def disarm_after():
@@ -225,7 +227,7 @@ class TestFloatingNode:
         with rec.activate():
             fwd, _ = ctx.solve(freqs, rhs=ctx.rhs_ac())
             again, _ = ctx.solve(freqs, rhs=ctx.rhs_ac())
-        ref, _ = linsolve.solve_looped(ctx.g, ctx.c, freqs, rhs=ctx.rhs_ac())
+        ref, _ = solve_looped(ctx.g, ctx.c, freqs, rhs=ctx.rhs_ac())
         assert fwd.tobytes() == ref.tobytes() == again.tobytes()
         reason = "eigendecomposition failed: LinAlgError: G^-1 C is not finite"
         assert ctx.latch_reasons() == {"spectral": reason}

@@ -1,32 +1,43 @@
-"""Measurement layer: the software equivalent of the authors' bench."""
+"""Measurement layer: the software equivalent of the authors' bench.
 
-from repro.analysis.distortion import (
-    StaticTransfer,
-    measure_static_transfer,
-    static_thd,
-    transient_thd,
-)
-from repro.analysis.dynamic_range import eq2_required_noise, snr_from_noise
-from repro.analysis.gain import GainMeasurement, measure_gain_codes
-from repro.analysis.noise_budget import MicAmpNoiseBudget, eq5_switch_noise
-from repro.analysis.psophometric import psophometric_weight, psophometric_rms
-from repro.analysis.psrr import measure_cmrr, measure_psrr
-from repro.analysis.slew import measure_slew_rate
+The names below load their module on first access (PEP 562), so
+importing one analysis module (the campaign layer needs only
+:mod:`repro.analysis.psrr`) does not import the others.
+"""
 
-__all__ = [
-    "GainMeasurement",
-    "MicAmpNoiseBudget",
-    "StaticTransfer",
-    "eq2_required_noise",
-    "eq5_switch_noise",
-    "measure_cmrr",
-    "measure_gain_codes",
-    "measure_psrr",
-    "measure_slew_rate",
-    "measure_static_transfer",
-    "psophometric_rms",
-    "psophometric_weight",
-    "snr_from_noise",
-    "static_thd",
-    "transient_thd",
-]
+from __future__ import annotations
+
+import importlib
+
+_HOMES = {
+    "StaticTransfer": "distortion",
+    "measure_static_transfer": "distortion",
+    "static_thd": "distortion",
+    "transient_thd": "distortion",
+    "eq2_required_noise": "dynamic_range",
+    "snr_from_noise": "dynamic_range",
+    "GainMeasurement": "gain",
+    "measure_gain_codes": "gain",
+    "MicAmpNoiseBudget": "noise_budget",
+    "eq5_switch_noise": "noise_budget",
+    "psophometric_rms": "psophometric",
+    "psophometric_weight": "psophometric",
+    "measure_cmrr": "psrr",
+    "measure_psrr": "psrr",
+    "measure_slew_rate": "slew",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -14,21 +14,29 @@ records are *byte-identical* to the per-unit oracle
 the serial code with a leading unit axis, not a copy of it:
 
 * compiling *is* replaying: :class:`~repro.spice.mna.MnaSystem` builds
-  its static matrices by replaying its stamp plan with
+  its static matrices by replaying the stamp plan of its cached
+  :class:`~repro.spice.mna.CircuitStructure` with
   :func:`~repro.spice.mna.linear_stamp_values` through ``np.add.at``
   (:func:`~repro.spice.mna.scatter_add`), and this module replays each
-  unit's values through the pattern's plan with the same call, so each
-  unit slice is that unit's compile; the unit-0 slice is still checked
-  ``array_equal`` against the genuinely compiled pattern;
-* device groups come from the serial constructors, fed per-unit element
+  unit's values through the pattern's structure with the same call, so
+  each unit slice is that unit's compile; the unit-0 slice is still
+  checked ``array_equal`` against the genuinely compiled pattern;
+* work the units share is done once: each distinct circuit object (the
+  temperature axis repeats one) is walked once for its linear values and
+  source levels, and only the resistor law runs per unit, over the unit
+  axis in ``Resistor.value_at``'s operation order;
+* device groups come from the serial constructors, fed per-unit device
   lists and temperatures (:mod:`repro.spice.devices.params`): the
   temperature laws (``vth_at``/``kp_at``/``is_at``/``UT^2``) stay the
-  *same Python scalar calls* per unit, because ``array ** float`` and
-  vectorised ``exp`` are not bit-identical to their scalar forms, and
-  the elementwise model math is shape-agnostic;
+  *same Python scalar calls*, one per distinct (model object,
+  temperature) pair, because ``array ** float`` and vectorised ``exp``
+  are not bit-identical to their scalar forms, and the elementwise model
+  math is shape-agnostic;
 * device stamps and the Newton assembly are
   :class:`~repro.spice.mna.StampedSystem`'s, and the right-hand sides
-  and start vectors are the serial functions applied per unit;
+  and start vectors are the serial functions
+  (:func:`~repro.spice.mna.dc_rhs`, :func:`~repro.spice.dc.start_vector`)
+  run with a leading axis over the distinct circuits;
 * :func:`newton_batch` replays the plain stage of
   :func:`repro.spice.dc.dc_operating_point` in lockstep: identical
   solve/jitter/fallback ladder, identical clamp, identical convergence
@@ -52,38 +60,18 @@ import numpy as np
 
 from repro.obs.recorder import active, event, prof_count
 from repro.spice.dc import NewtonOptions, start_vector
-from repro.spice.elements import Cccs, Ccvs
 from repro.spice.mna import (
-    CircuitElements,
     MnaSystem,
     StampedSystem,
-    circuit_elements,
+    circuit_signature,
     dc_rhs,
     linear_stamp_values,
     scatter_add,
 )
 from repro.spice.netlist import Circuit
 
-
 class BatchStructureError(RuntimeError):
     """The circuits of a batch do not share one MNA structure."""
-
-
-def circuit_signature(circuit: Circuit) -> tuple:
-    """Structural fingerprint: element types, names and node wiring
-    (:attr:`Element.nodes`, plus the controlling source of a CCCS/CCVS).
-
-    Two circuits with equal signatures compile to :class:`MnaSystem`\\ s
-    with identical node numbering, branch allocation, stamp-index arrays
-    and device-group layout — everything the batch replay shares across
-    units.  Values (resistances, model parameters, source levels) are
-    deliberately excluded: they are what a batch varies.
-    """
-    return tuple(
-        (type(el).__name__, el.name,
-         el.nodes + ((el.control,) if isinstance(el, (Ccvs, Cccs)) else ()))
-        for el in circuit
-    )
 
 
 def _take_units(group, units: np.ndarray):
@@ -106,14 +94,17 @@ class BatchedSystem(StampedSystem):
     """N same-topology circuits stamped into one ``(N, dim, dim)`` tensor.
 
     ``pattern`` is a genuinely compiled :class:`MnaSystem` of unit 0 —
-    it supplies the node numbering, the stamp plan, the source topology
-    and the ground-truth matrices the replayed unit-0 slice is verified
+    it supplies the cached :class:`~repro.spice.mna.CircuitStructure`
+    (node numbering, stamp plan, member positions, stamp indices) and
+    the ground-truth matrices the replayed unit-0 slice is verified
     against.  Stamping, device groups, assembly and the right-hand sides
     are the serial code run with a leading unit axis
     (:class:`~repro.spice.mna.StampedSystem`,
-    :func:`~repro.spice.mna.dc_rhs`); what this class adds is the unit
-    axis itself, the :meth:`take` views and the lockstep Newton
-    (:func:`newton_batch`).
+    :func:`~repro.spice.mna.dc_rhs`, :func:`~repro.spice.dc.start_vector`);
+    what this class adds is the unit axis itself, the :meth:`take` views
+    and the lockstep Newton (:func:`newton_batch`).  Work the units share
+    is done once: each distinct circuit object (units on the temperature
+    axis share one) is walked once for its values and source levels.
     """
 
     def __init__(self, pattern: MnaSystem, circuits: list[Circuit],
@@ -124,6 +115,7 @@ class BatchedSystem(StampedSystem):
         self.circuits = circuits
         self.temps = [float(t) for t in temps]
         self.n_units = n_units = len(circuits)
+        st = self.structure = pattern.structure
         self.size = pattern.size
         self.num_nodes = pattern.num_nodes
         self.ground_index = pattern.ground_index
@@ -132,42 +124,65 @@ class BatchedSystem(StampedSystem):
         if check_structure:
             # Callers that already grouped by signature (the batched
             # campaign runner) skip this O(units x elements) re-walk.
-            sig0 = circuit_signature(circuits[0])
-            for u, circ in enumerate(circuits[1:], start=1):
-                if circuit_signature(circ) != sig0:
+            for u, circ in enumerate(circuits):
+                if circuit_signature(circ) != st.signature:
                     raise BatchStructureError(
                         f"unit {u} circuit {circ.name!r} does not match the "
-                        f"batch topology of {circuits[0].name!r}"
+                        f"batch topology of {pattern.circuit.name!r}"
                     )
 
+        # ---- one value walk per distinct circuit object ----
+        first: dict[int, int] = {}
+        distinct: list[Circuit] = []
+        for circ in circuits:
+            if id(circ) not in first:
+                first[id(circ)] = len(distinct)
+                distinct.append(circ)
+        self._unit_circuit = unit = np.array([first[id(c)] for c in circuits])
+        self._distinct = distinct
+        self._members = [st.members(circ) for circ in distinct]
+
         # ---- linear stamps: the compile's replay, one row per unit ----
-        plan = pattern.plan
-        g_all: list[list[float]] = []
-        c_all: list[list[float]] = []
-        for u, circ in enumerate(circuits):
-            g_vals, c_vals = linear_stamp_values(circ, self.temps[u])
-            if len(g_vals) != plan.g_idx.size or len(c_vals) != plan.c_idx.size:
+        # Every slot but the resistors' is temperature-free, so the walk
+        # runs once per circuit; the resistor law then runs over the unit
+        # axis in value_at's operation order, and 1/r as the walk does.
+        plan = st.plan
+        g_rows, c_rows = [], []
+        for k, circ in enumerate(distinct):
+            g_vals, c_vals = linear_stamp_values(circ, 25.0)
+            if not st.counts_match(g_vals, c_vals):
+                u = int(np.flatnonzero(unit == k)[0])
                 raise BatchStructureError(
                     f"unit {u} circuit {circ.name!r} stamps a different "
                     "entry count than the batch pattern"
                 )
-            g_all.append(g_vals)
-            c_all.append(c_vals)
+            g_rows.append(g_vals)
+            c_rows.append(c_vals)
+        g_all = np.array(g_rows)[unit]
+        c_all = np.array(c_rows)[unit]
+        resistors = [m[5] for m in self._members]
+        value, tc1, tc2 = (
+            np.array([[getattr(r, attr) for r in rs] for rs in resistors],
+                     dtype=float)[unit]
+            for attr in ("value", "tc1", "tc2"))
+        dt = np.array(self.temps)[:, None] - 25.0
+        g_res = 1.0 / (value * (1.0 + tc1 * dt + tc2 * dt * dt))
+        slot = st.res_slot
+        g_all[:, slot] = g_res
+        g_all[:, slot + 1] = -g_res
+        g_all[:, slot + 2] = -g_res
+        g_all[:, slot + 3] = g_res
         g_t = np.zeros((n_units, dim * dim))
         c_t = np.zeros((n_units, dim * dim))
-        scatter_add(g_t, plan.g_idx, np.asarray(g_all))
-        scatter_add(c_t, plan.c_idx, np.asarray(c_all))
+        scatter_add(g_t, plan.g_idx, g_all)
+        scatter_add(c_t, plan.c_idx, c_all)
 
-        # ---- sources and stacked device groups ----
-        # Units sharing one circuit object (the temperature axis) share
-        # one element walk.
-        walks: dict[int, CircuitElements] = {}
-        for circ in circuits:
-            if id(circ) not in walks:
-                walks[id(circ)] = circuit_elements(circ)
-        self.unit_elements = [walks[id(circ)] for circ in circuits]
+        # ---- stacked device groups ----
+        # Units sharing one circuit share its device lists, so the model
+        # rows are read once per circuit (unit_rows).
+        mos, bjts, diodes = ([self._members[k][f] for k in unit] for f in (2, 3, 4))
         self.mos_group, self.bjt_group, self.diode_group = \
-            pattern._device_groups(self.unit_elements, self.temps)
+            st.device_groups(mos, bjts, diodes, self.temps)
         if self.mos_group is not None:
             self._stamp_mos_capacitances(c_t)
         self.g_t = g_t.reshape(n_units, dim, dim)
@@ -205,15 +220,41 @@ class BatchedSystem(StampedSystem):
         view._prepare_device_stamps((units.size,))
         return view
 
+    def probe_rhs(self, probes: dict) -> np.ndarray:
+        """``(N, n, k)`` RHS columns of each unit's small-signal probe
+        (``probes`` maps unit indices to
+        :class:`~repro.analysis.psrr.Probe` objects with ``k`` columns),
+        stamped through the pattern.  Units that share a circuit and an
+        equal probe (the temperature axis) share one stamping; the rows
+        of units not in ``probes`` stay zero."""
+        k = len(next(iter(probes.values())).columns)
+        rhs = np.zeros((self.n_units, self.size, k), dtype=complex)
+        stamped: dict[int, tuple] = {}
+        for u, probe in probes.items():
+            circuit = self._unit_circuit[u]
+            earlier = stamped.get(circuit)
+            if earlier is not None and earlier[0] == probe:
+                rhs[u] = rhs[earlier[1]]
+            else:
+                vsources, isources = self._members[circuit][:2]
+                rhs[u] = probe.rhs(self.pattern, vsources, isources)
+                stamped[circuit] = (probe, u)
+        return rhs
+
+    def _levels(self, family: int) -> np.ndarray:
+        """The DC levels of one source family (0: voltage, 1: current
+        sources), one row per distinct circuit."""
+        return np.array([[src.dc for src in m[family]] for m in self._members],
+                        dtype=float)
+
     def rhs_dc(self) -> np.ndarray:
         """Per-unit :meth:`MnaSystem.rhs_dc`, stacked ``(N, dim)``."""
-        return np.array([dc_rhs(self.pattern, els.vsources, els.isources)
-                         for els in self.unit_elements])
+        return dc_rhs(self, self._levels(0), self._levels(1))[self._unit_circuit]
 
     def initial_guess(self) -> np.ndarray:
         """Per-unit Newton start vectors, stacked ``(N, dim)``."""
-        return np.array([start_vector(self.pattern, els.vsources, circ.nodesets)
-                         for els, circ in zip(self.unit_elements, self.circuits)])
+        return start_vector(self.pattern, self._levels(0),
+                            [c.nodesets for c in self._distinct])[self._unit_circuit]
 
     def _static_part(self, x: np.ndarray,
                      rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -376,28 +376,32 @@ def _solver_event(name: str, severity: str, system: MnaSystem,
           cond1_est=system.cond1_estimate(x, rhs), **fields)
 
 
-def start_vector(system: MnaSystem, vsources: list[VoltageSource],
-                 nodesets: dict[str, float]) -> np.ndarray:
-    """Newton start for one circuit's sources and nodesets, indexed
-    through ``system``: zeros, overridden by grounded sources and
-    nodesets."""
-    x = np.zeros(system.size + 1)
+def start_vector(system: MnaSystem, vs_dc: np.ndarray,
+                 nodesets: dict[str, float] | list[dict[str, float]]) -> np.ndarray:
+    """Newton start for voltage-source levels ``vs_dc`` (the sources' DC
+    values, in circuit order) and ``nodesets``, indexed through
+    ``system``'s structure: zeros, overridden by grounded sources and
+    nodesets.  ``vs_dc`` may carry a leading axis, one row per circuit;
+    ``nodesets`` is then one dict per row."""
+    st = system.structure
+    x = np.zeros(vs_dc.shape[:-1] + (st.dim,))
     # Nodes tied to ground through a DC voltage source start at the source
-    # value; this makes supplies "appear" immediately.
-    for src in vsources:
-        if is_ground(src.nn) and not is_ground(src.np):
-            x[system.node(src.np)] = src.dc
-        elif is_ground(src.np) and not is_ground(src.nn):
-            x[system.node(src.nn)] = -src.dc
-    for node, volts in nodesets.items():
-        if not is_ground(node):
-            x[system.node(node)] = volts
+    # value; this makes supplies "appear" immediately.  Multiplying by the
+    # -1.0 sign is exact negation.
+    x[..., st.start_node] = vs_dc[..., st.start_src] * st.start_sign
+    rows = x.reshape(-1, st.dim)
+    for row, sets in zip(rows, [nodesets] if x.ndim == 1 else nodesets):
+        for node, volts in sets.items():
+            if not is_ground(node):
+                row[system.node(node)] = volts
     return x
 
 
 def _initial_guess(system: MnaSystem) -> np.ndarray:
     """Start vector: zeros, overridden by nodesets and grounded sources."""
-    return start_vector(system, system.vsources, system.circuit.nodesets)
+    return start_vector(system, np.array([src.dc for src in system.vsources],
+                                         dtype=float),
+                        system.circuit.nodesets)
 
 
 class PlainFailure(NamedTuple):

@@ -1,14 +1,21 @@
 """Compiled modified-nodal-analysis system.
 
-Compilation maps node names to indices, allocates branch-current unknowns,
-stamps the linear elements into static G/C matrices by replaying a COO
-plan (:class:`LinearStampPlan`) and groups the nonlinear devices for
-vectorised evaluation.  The device stamps and the Newton assembly
-(:class:`StampedSystem`) take an optional leading unit axis, so the
-tensor-batched systems of :mod:`repro.spice.batch` run this same code.
-The "extended matrix" trick keeps stamping branch-free: ground is the
-last index of an (n+1)-dim system and the solvers slice it off, so
-``np.add.at`` needs no masking.
+Compiling splits into what a circuit's *structure* fixes and what its
+*values* set.  The structure — node numbering, branch allocation, the COO
+plan of the linear stamps (:class:`LinearStampPlan`), the positions of
+the sources and devices in circuit order and every stamp-index array —
+depends only on :func:`circuit_signature`, so it is built once per
+signature (:class:`CircuitStructure`) and kept, read-only, in a bounded
+thread-safe cache (:data:`STRUCTURES`).  Every compile re-reads the
+values (linear stamp values, device sizes and models, temperature laws,
+source levels) and replays them through the cached plan with
+``np.add.at``, so a circuit edited after compiling stamps its new values
+and a structural edit changes the cache key.  The device stamps and the
+Newton assembly (:class:`StampedSystem`) take an optional leading unit
+axis, so the tensor-batched systems of :mod:`repro.spice.batch` run this
+same code over the same cached structure.  The "extended matrix" trick
+keeps stamping branch-free: ground is the last index of an (n+1)-dim
+system and the solvers slice it off, so ``np.add.at`` needs no masking.
 
 System convention:  G*x + C*dx/dt + I_nl(x) = b(t),
 with x = [node voltages | branch currents].
@@ -17,9 +24,10 @@ with x = [node voltages | branch currents].
 from __future__ import annotations
 
 import copy
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +54,10 @@ from repro.spice.elements import (
 )
 from repro.spice.netlist import Circuit, is_ground
 
+#: Distinct circuit structures :data:`STRUCTURES` keeps; the least
+#: recently used one is evicted first.
+STRUCTURE_CACHE_SIZE = 32
+
 
 @dataclass
 class NoiseSource:
@@ -70,6 +82,24 @@ class NoiseSource:
         return self.psd_flat + self.psd_flicker / freq**self.af
 
 
+def circuit_signature(circuit: Circuit) -> tuple:
+    """Structural fingerprint: element types, names and node wiring
+    (:attr:`Element.nodes`, plus the controlling source of a CCCS/CCVS).
+
+    Two circuits with equal signatures compile to :class:`MnaSystem`\\ s
+    with identical node numbering, branch allocation, stamp-index arrays
+    and device-group layout — everything :class:`CircuitStructure`
+    caches and the batch replay shares across units.  Values
+    (resistances, model parameters, source levels) are deliberately
+    excluded: they are what a compile re-reads and a batch varies.
+    """
+    return tuple([
+        (type(el).__name__, el.name,
+         el.nodes + ((el.control,) if isinstance(el, (Ccvs, Cccs)) else ()))
+        for el in circuit
+    ])
+
+
 @dataclass
 class LinearStampPlan:
     """COO replay plan of one topology's static linear stamps.
@@ -81,9 +111,9 @@ class LinearStampPlan:
     accumulates those values with ``np.add.at`` (:func:`scatter_add`),
     which sums duplicate slots in stamp order, and
     :class:`repro.spice.batch.BatchedSystem` replays N same-topology
-    circuits' values through one pattern's plan into an
-    ``(N, dim, dim)`` tensor with the same call.  Device (MOS)
-    capacitances are not part of the plan; they are stamped after it
+    circuits' values through the same plan into an ``(N, dim, dim)``
+    tensor with the same call.  Device (MOS) capacitances are not part
+    of the plan; they are stamped after it
     (:meth:`StampedSystem._stamp_mos_capacitances`).
     """
 
@@ -94,7 +124,7 @@ class LinearStampPlan:
 
 def linear_stamp_values(circuit: Circuit, temp_c: float) -> tuple[list[float], list[float]]:
     """Signed linear stamp values of ``circuit`` at ``temp_c``, in the
-    order of :meth:`MnaSystem.stamp_plan`.
+    order of :attr:`CircuitStructure.plan`.
 
     Walks the elements in circuit order and emits one value per planned
     entry; an entry that subtracts gets the exactly negated value, so
@@ -135,31 +165,259 @@ def linear_stamp_values(circuit: Circuit, temp_c: float) -> tuple[list[float], l
     return g_vals, c_vals
 
 
-class CircuitElements(NamedTuple):
-    """A circuit's sources and nonlinear devices, each in circuit order."""
-
-    vsources: list[VoltageSource]
-    isources: list[CurrentSource]
-    mos: list[Mosfet]
-    bjts: list[Bjt]
-    diodes: list[Diode]
+def _frozen(values, dtype=np.intp) -> np.ndarray:
+    """A read-only array: cached structure is shared between systems."""
+    arr = np.asarray(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
 
 
-def circuit_elements(circuit: Circuit) -> CircuitElements:
-    """The sources and devices of ``circuit`` (one element walk)."""
-    els = CircuitElements([], [], [], [], [])
-    for el in circuit:
-        if isinstance(el, VoltageSource):
-            els.vsources.append(el)
-        elif isinstance(el, CurrentSource):
-            els.isources.append(el)
-        elif isinstance(el, Mosfet):
-            els.mos.append(el)
-        elif isinstance(el, Bjt):
-            els.bjts.append(el)
-        elif isinstance(el, Diode):
-            els.diodes.append(el)
-    return els
+class CircuitStructure:
+    """Everything a compile derives from a circuit's structure alone.
+
+    Built once per :func:`circuit_signature` from one circuit of that
+    signature and shared by every system compiled from any of them:
+
+    * ``node_names`` and the node and branch index maps;
+    * ``plan``, the linear stamp plan, and ``res_slot``, the offset of
+      each resistor's four entries in it;
+    * ``member_pos``: the circuit-order positions of the voltage sources,
+      current sources, MOSFETs, BJTs, diodes and resistors, read by
+      :meth:`members` without a type dispatch;
+    * the device-terminal index arrays, the MOS-capacitance index array,
+      the BJT/diode stamp indices and the source stamp indices.
+
+    Every array is read-only.  What a system mutates (device stamp
+    buffers, right-hand-side caches) stays on the system.
+    """
+
+    def __init__(self, circuit: Circuit, signature: tuple) -> None:
+        self.signature = signature
+        self.node_names: tuple[str, ...] = tuple(circuit.nodes())
+        self.num_nodes = n = len(self.node_names)
+        self.node_index = {name: i for i, name in enumerate(self.node_names)}
+        branches = [el.name for el in circuit if el.has_branch_current]
+        self.branch_index = {name: n + k for k, name in enumerate(branches)}
+        self.size = n + len(branches)
+        self.ground_index = self.size   # dummy slot, sliced off by solvers
+        self.dim = dim = self.size + 1
+        node = self.node
+
+        # ---- one walk: linear stamp plan and member positions ----
+        g_idx: list[int] = []
+        c_idx: list[int] = []
+        res_slot: list[int] = []
+        vs, isrc, mos, bjts, diodes, res = [], [], [], [], [], []
+
+        def conduct(idx: list[int], n1: str, n2: str) -> None:
+            a, b = node(n1), node(n2)
+            idx += [a * dim + a, a * dim + b, b * dim + a, b * dim + b]
+
+        def vsource_topology(name: str, np_node: str, nn_node: str) -> int:
+            j = self.branch_index[name]
+            a, b = node(np_node), node(nn_node)
+            g_idx.extend([a * dim + j, b * dim + j, j * dim + a, j * dim + b])
+            return j
+
+        def control_branch(control: str) -> int:
+            el = circuit.element(control)
+            if not isinstance(el, (VoltageSource, Vcvs, Ccvs, Inductor)):
+                raise TypeError(
+                    f"control element {control!r} must carry a branch current "
+                    f"(voltage source or inductor), got {type(el).__name__}"
+                )
+            return self.branch_index[control]
+
+        # The common device types first, as in linear_stamp_values.
+        for k, el in enumerate(circuit):
+            if isinstance(el, Mosfet):
+                mos.append(k)
+            elif isinstance(el, Bjt):
+                bjts.append(k)
+            elif isinstance(el, Diode):
+                diodes.append(k)
+            elif isinstance(el, CurrentSource):
+                isrc.append(k)
+            elif isinstance(el, Resistor):
+                res.append(k)
+                res_slot.append(len(g_idx))
+                conduct(g_idx, el.n1, el.n2)
+            elif isinstance(el, Switch):
+                conduct(g_idx, el.n1, el.n2)
+            elif isinstance(el, Capacitor):
+                conduct(c_idx, el.n1, el.n2)
+            elif isinstance(el, Inductor):
+                j = self.branch_index[el.name]
+                a, b = node(el.n1), node(el.n2)
+                g_idx += [a * dim + j, b * dim + j, j * dim + a, j * dim + b]
+                c_idx += [j * dim + j]
+            elif isinstance(el, VoltageSource):
+                vs.append(k)
+                vsource_topology(el.name, el.np, el.nn)
+            elif isinstance(el, Vcvs):
+                j = vsource_topology(el.name, el.np, el.nn)
+                g_idx += [j * dim + node(el.ncp), j * dim + node(el.ncn)]
+            elif isinstance(el, Ccvs):
+                j = vsource_topology(el.name, el.np, el.nn)
+                g_idx += [j * dim + control_branch(el.control)]
+            elif isinstance(el, Vccs):
+                a, b = node(el.np), node(el.nn)
+                cp, cn = node(el.ncp), node(el.ncn)
+                g_idx += [a * dim + cp, a * dim + cn, b * dim + cp, b * dim + cn]
+            elif isinstance(el, Cccs):
+                a, b = node(el.np), node(el.nn)
+                jc = control_branch(el.control)
+                g_idx += [a * dim + jc, b * dim + jc]
+            else:
+                raise TypeError(f"unsupported element type {type(el).__name__}")
+        self.plan = LinearStampPlan(g_idx=_frozen(g_idx), c_idx=_frozen(c_idx),
+                                    dim=dim)
+        self.res_slot = _frozen(res_slot)
+        self.member_pos = tuple(tuple(pos) for pos in (vs, isrc, mos, bjts, diodes, res))
+
+        els = circuit.elements
+
+        def terminals(pos: list[int], *names: str) -> tuple[np.ndarray, ...]:
+            return tuple(_frozen([node(getattr(els[k], t)) for k in pos])
+                         for t in names)
+
+        def names(pos: list[int]) -> tuple[str, ...]:
+            return tuple(els[k].name for k in pos)
+
+        # ---- device stamps: flat (row*dim + col) indices ----
+        self.mos_names = names(mos)
+        self.mos_nodes = d, g, s, b = terminals(mos, "d", "g", "s", "b")
+        # MOS rows depend on the per-iteration source/drain swap, so only
+        # the row bases are static.
+        self.mos_row_d, self.mos_row_s = _frozen(d * dim), _frozen(s * dim)
+        # Cgs, Cgd and the two junctions of each device, device-major.
+        a4 = np.stack([g, g, d, s], axis=-1)
+        b4 = np.stack([s, d, b, b], axis=-1)
+        self.mos_cap_idx = _frozen(np.stack(
+            [a4 * dim + a4, a4 * dim + b4, b4 * dim + a4, b4 * dim + b4], axis=-1))
+        self.bjt_names = names(bjts)
+        self.bjt_nodes = c, b, e = terminals(bjts, "c", "b", "e")
+        c_, b_, e_ = c * dim, b * dim, e * dim
+        self.bjt_idx = _frozen(np.concatenate([
+            c_ + b, c_ + c, c_ + e, b_ + b, b_ + c, b_ + e, e_ + b, e_ + c, e_ + e,
+        ]))
+        self.diode_names = names(diodes)
+        self.diode_nodes = a, b = terminals(diodes, "np", "nn")
+        self.diode_idx = _frozen(np.concatenate([
+            a * dim + a, a * dim + b, b * dim + a, b * dim + b,
+        ]))
+
+        # ---- sources: RHS indices and the start vector's source nodes ----
+        self.vs_branch_idx = _frozen([self.branch_index[els[k].name] for k in vs])
+        self.is_np_idx, self.is_nn_idx = terminals(isrc, "np", "nn")
+        # The same slots as Python ints, for the per-source loops.
+        self.vs_slots = tuple(self.vs_branch_idx.tolist())
+        self.is_slots = tuple(zip(self.is_np_idx.tolist(), self.is_nn_idx.tolist()))
+        # A node tied to ground through a voltage source starts at the
+        # source value (negated when the node is the negative terminal);
+        # of several sources on one node the last one in circuit order
+        # holds, as in a per-source loop.
+        start: dict[int, tuple[int, float]] = {}
+        for i, k in enumerate(vs):
+            src = els[k]
+            if is_ground(src.nn) and not is_ground(src.np):
+                start[node(src.np)] = (i, 1.0)
+            elif is_ground(src.np) and not is_ground(src.nn):
+                start[node(src.nn)] = (i, -1.0)
+        self.start_node = _frozen(list(start))
+        self.start_src = _frozen([i for i, _ in start.values()])
+        self.start_sign = _frozen([sg for _, sg in start.values()], dtype=float)
+
+    def node(self, name: str) -> int:
+        """Extended index of node ``name`` (ground maps to the dummy slot);
+        ``KeyError`` if no element uses it."""
+        if is_ground(name):
+            return self.ground_index
+        return self.node_index[name]
+
+    def members(self, circuit: Circuit) -> tuple[list, ...]:
+        """``circuit``'s voltage sources, current sources, MOSFETs, BJTs,
+        diodes and resistors, each in circuit order, read at this
+        structure's positions."""
+        els = circuit.elements
+        return tuple([els[k] for k in pos] for pos in self.member_pos)
+
+    def device_groups(self, mos: list, bjts: list, diodes: list,
+                      temp_c: float | list[float]) -> tuple:
+        """The MOS, BJT and diode groups (``None`` where empty): of one
+        circuit's devices at ``temp_c``, or, unit-stacked, of one device
+        list per unit at per-unit temperatures (``temp_c`` a list)."""
+        stacked = isinstance(temp_c, list)
+
+        def values(devs: list, attr: str) -> np.ndarray:
+            return np.array(unit_rows(devs, attrgetter(attr), stacked))
+
+        def models(devs: list) -> list:
+            return unit_rows(devs, attrgetter("model"), stacked)
+
+        # Each group gets its own name list; the structure's stays shared.
+        return (
+            MosGroup(list(self.mos_names), *self.mos_nodes, w=values(mos, "w"),
+                     l=values(mos, "l"), m=values(mos, "m").astype(float),
+                     models=models(mos), temp_c=temp_c)
+            if self.mos_names else None,
+            BjtGroup(list(self.bjt_names), *self.bjt_nodes, area=values(bjts, "area"),
+                     models=models(bjts), temp_c=temp_c)
+            if self.bjt_names else None,
+            DiodeGroup(list(self.diode_names), *self.diode_nodes,
+                       area=values(diodes, "area"), models=models(diodes),
+                       temp_c=temp_c)
+            if self.diode_names else None,
+        )
+
+    def counts_match(self, g_vals: list, c_vals: list) -> bool:
+        """Whether a value walk emits exactly the plan's entry counts."""
+        return (len(g_vals) == self.plan.g_idx.size
+                and len(c_vals) == self.plan.c_idx.size)
+
+
+class StructureCache:
+    """Bounded, thread-safe LRU map from :func:`circuit_signature` to
+    :class:`CircuitStructure`, with hit and miss counts."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self.hits = 0
+        self.misses = 0
+        self._entries: OrderedDict[tuple, CircuitStructure] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, signature: tuple) -> bool:
+        return signature in self._entries
+
+    def get(self, circuit: Circuit, signature: tuple | None = None) -> CircuitStructure:
+        """The structure of ``circuit``, built on a miss; a caller that
+        already holds the circuit's signature passes it."""
+        if signature is None:
+            signature = circuit_signature(circuit)
+        with self._lock:
+            st = self._entries.get(signature)
+            if st is not None:
+                self._entries.move_to_end(signature)
+                self.hits += 1
+                return st
+            self.misses += 1
+        # Built outside the lock: two threads that miss together build
+        # equal structures, and the later insert wins.
+        st = CircuitStructure(circuit, signature)
+        with self._lock:
+            self._entries[signature] = st
+            self._entries.move_to_end(signature)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+        return st
+
+
+#: The process-wide structure cache every compile goes through.
+STRUCTURES = StructureCache(STRUCTURE_CACHE_SIZE)
 
 
 def scatter_add(target: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
@@ -183,47 +441,51 @@ def scatter_add(target: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
     np.add.at(target.reshape(-1), (idx + off).reshape(-1), vals.reshape(-1))
 
 
-def dc_rhs(system: MnaSystem, vsources: list[VoltageSource],
-           isources: list[CurrentSource]) -> np.ndarray:
-    """DC excitation vector (extended) of one circuit's sources,
-    stamped through ``system``'s source topology."""
-    b = np.zeros(system.size + 1)
-    if vsources:
-        b[system._vs_branch_idx] = np.array([src.dc for src in vsources])
-    if isources:
-        vals = np.array([src.dc for src in isources])
-        np.subtract.at(b, system._is_np_idx, vals)
-        np.add.at(b, system._is_nn_idx, vals)
-    b[system.ground_index] = 0.0
+def dc_rhs(system: StampedSystem, vs_dc: np.ndarray, is_dc: np.ndarray) -> np.ndarray:
+    """DC excitation vector (extended) of source levels ``vs_dc`` and
+    ``is_dc`` (the voltage and current sources' DC values, in circuit
+    order), stamped through ``system``'s structure.  The levels may carry
+    a leading axis, one row per circuit; so does the result.
+
+    Each current source's level is subtracted at its positive node, all
+    of them, then added at the negative nodes (``x - v`` is ``x + -v``
+    exactly).
+    """
+    st = system.structure
+    b = np.zeros(vs_dc.shape[:-1] + (st.dim,))
+    b[..., st.vs_branch_idx] = vs_dc
+    if st.is_np_idx.size:
+        scatter_add(b, st.is_np_idx, -is_dc)
+        scatter_add(b, st.is_nn_idx, is_dc)
+    b[..., st.ground_index] = 0.0
     return b
 
 
-def ac_rhs(system: MnaSystem, vsources: list[VoltageSource],
+def ac_rhs(system: StampedSystem, vsources: list[VoltageSource],
            isources: list[CurrentSource], overrides: dict) -> np.ndarray:
     """Complex AC excitation vector (extended) of one circuit's sources,
-    stamped through ``system``'s source topology.
+    stamped through ``system``'s structure.
 
     ``overrides`` maps source names to ``(ac, phase)`` in place of the
     configured stimulus (one dict per PSRR/CMRR probe column, see
     :class:`repro.analysis.psrr.Probe`); ``phase=None`` keeps the
-    source's configured phase (a quieted source's amplitude only).
+    source's configured phase (a quieted source's amplitude only).  A
+    loop over the few sources, on the structure's Python-int slots, is
+    cheaper here than array ops.
     """
-    b = np.zeros(system.size + 1, dtype=complex)
-    for src, j in zip(vsources, system._vs_branch_idx):
+    st = system.structure
+    b = np.zeros(st.dim, dtype=complex)
+    for src, j in zip(vsources, st.vs_slots):
         ac, ph = overrides.get(src.name, (src.ac, src.ac_phase))
-        if ph is None:
-            ph = src.ac_phase
         if ac != 0.0:
-            b[j] += ac * np.exp(1j * ph)
-    for src, a, c in zip(isources, system._is_np_idx, system._is_nn_idx):
+            b[j] += ac * np.exp(1j * (src.ac_phase if ph is None else ph))
+    for src, (a, c) in zip(isources, st.is_slots):
         ac, ph = overrides.get(src.name, (src.ac, src.ac_phase))
-        if ph is None:
-            ph = src.ac_phase
         if ac != 0.0:
-            phasor = ac * np.exp(1j * ph)
+            phasor = ac * np.exp(1j * (src.ac_phase if ph is None else ph))
             b[a] -= phasor
             b[c] += phasor
-    b[system.ground_index] = 0.0
+    b[st.ground_index] = 0.0
     return b
 
 
@@ -236,11 +498,12 @@ class StampedSystem:
     ``(N, dim, dim)`` from ``(N, dim)``.  Device groups evaluate either
     shape with the same elementwise ops, and :func:`scatter_add` keeps
     each unit's accumulation order, so a batched unit's rows are its
-    serial assembly bit for bit.  A subclass sets ``ground_index``, the
-    device groups and calls :meth:`_prepare_device_stamps`; it supplies
-    :meth:`_static_part`.
+    serial assembly bit for bit.  A subclass sets ``structure``,
+    ``ground_index`` and the device groups and calls
+    :meth:`_prepare_device_stamps`; it supplies :meth:`_static_part`.
     """
 
+    structure: CircuitStructure
     num_nodes: int
     ground_index: int
     mos_group: MosGroup | None
@@ -253,60 +516,36 @@ class StampedSystem:
         raise NotImplementedError
 
     def _prepare_device_stamps(self, lead: tuple[int, ...] = ()) -> None:
-        """Flat COO stamp indices of the device groups, and the MOS
-        scratch buffers for ``lead`` units (``()`` for a serial system).
+        """The MOS scratch buffers for ``lead`` units (``()`` for a serial
+        system), owned by this system alone.
 
         Jacobian entries are addressed as flat indices into the extended
         (dim x dim) matrix: ``row*dim + col``.  BJT and diode stamp
-        positions are fully static, so their 9/4 per-device entries
-        collapse into one concatenated index array and a single
-        ``np.add.at`` per Newton iteration.  MOS rows depend on the
-        source/drain swap, so the row bases ``d*dim``/``s*dim`` are
-        cached and the per-iteration work is a ``where`` selection into
-        preallocated ``(..., 8, n_mos)`` buffers, written through
-        per-row views.
+        positions are fully static, so the structure holds them as one
+        concatenated index array each, for a single ``np.add.at`` per
+        Newton iteration.  MOS rows depend on the source/drain swap, so
+        the structure holds the row bases ``d*dim``/``s*dim`` and the
+        per-iteration work is a ``where`` selection into these
+        preallocated ``(..., 8, n_mos)`` buffers, written through per-row
+        views.
         """
-        dim = self.ground_index + 1
         if self.mos_group is not None:
-            grp = self.mos_group
-            self._mos_row_d = grp.d * dim
-            self._mos_row_s = grp.s * dim
-            self._mos_idx_buf = np.empty(lead + (8, len(grp)), dtype=np.intp)
-            self._mos_val_buf = np.empty(lead + (8, len(grp)))
+            n_mos = len(self.mos_group)
+            self._mos_idx_buf = np.empty(lead + (8, n_mos), dtype=np.intp)
+            self._mos_val_buf = np.empty(lead + (8, n_mos))
             self._mos_idx_rows = [self._mos_idx_buf[..., r, :] for r in range(8)]
             self._mos_val_rows = [self._mos_val_buf[..., r, :] for r in range(8)]
-
-        if self.bjt_group is not None:
-            grp = self.bjt_group
-            c, b, e = grp.c * dim, grp.b * dim, grp.e * dim
-            self._bjt_idx = np.concatenate([
-                c + grp.b, c + grp.c, c + grp.e,
-                b + grp.b, b + grp.c, b + grp.e,
-                e + grp.b, e + grp.c, e + grp.e,
-            ])
-
-        if self.diode_group is not None:
-            grp = self.diode_group
-            a, b = grp.np_idx, grp.nn_idx
-            self._diode_idx = np.concatenate([
-                a * dim + a, a * dim + b, b * dim + a, b * dim + b,
-            ])
 
     def _stamp_mos_capacitances(self, c_flat: np.ndarray) -> None:
         """Add the constant MOS capacitances to the flat dynamic matrix
         ``c_flat`` (``(dim*dim,)`` or ``(N, dim*dim)``), device-major:
         Cgs, Cgd and the drain and source junctions of device 0, then of
         device 1, and so on."""
-        grp = self.mos_group
-        dim = self.ground_index + 1
-        cgs, cgd, cjun = grp.gate_capacitances()
-        a = np.stack([grp.g, grp.g, grp.d, grp.s], axis=-1)      # (n, 4)
-        b = np.stack([grp.s, grp.d, grp.b, grp.b], axis=-1)
-        idx = np.stack([a * dim + a, a * dim + b, b * dim + a, b * dim + b],
-                       axis=-1)                                 # (n, 4, 4)
+        cgs, cgd, cjun = self.mos_group.gate_capacitances()
         cap = np.stack([cgs, cgd, cjun, cjun], axis=-1)[..., None]
         # Multiplying by -1.0 is exact negation: the stamp's ``-=``.
-        scatter_add(c_flat, idx, cap * np.array([1.0, -1.0, -1.0, 1.0]))
+        scatter_add(c_flat, self.structure.mos_cap_idx,
+                    cap * np.array([1.0, -1.0, -1.0, 1.0]))
 
     # ------------------------------------------------------------------
     # Nonlinear assembly
@@ -340,13 +579,14 @@ class StampedSystem:
             ev = self.bjt_group.evaluate(x_ext)
             evals["bjt"] = ev
             self._bjt_residual(resid, ev)
-            scatter_add(jac_flat, self._bjt_idx, self._bjt_jac_vals(ev))
+            scatter_add(jac_flat, self.structure.bjt_idx, self._bjt_jac_vals(ev))
 
         if self.diode_group is not None:
             ev = self.diode_group.evaluate(x_ext)
             evals["diode"] = ev
             self._diode_residual(resid, ev)
-            scatter_add(jac_flat, self._diode_idx, self._diode_jac_vals(ev))
+            scatter_add(jac_flat, self.structure.diode_idx,
+                        self._diode_jac_vals(ev))
 
         # Zero the dummy ground row/column so it never feeds back.
         gi = self.ground_index
@@ -377,10 +617,11 @@ class StampedSystem:
         gss = gm + gds + gmb
 
         # Only the effective row/column selection depends on the per-
-        # iteration swap state; the row bases and scratch buffers come
-        # precomputed from _prepare_device_stamps.
-        rows_d = np.where(sw, self._mos_row_s, self._mos_row_d)
-        rows_s = np.where(sw, self._mos_row_d, self._mos_row_s)
+        # iteration swap state; the row bases come from the structure and
+        # the scratch buffers from _prepare_device_stamps.
+        st = self.structure
+        rows_d = np.where(sw, st.mos_row_s, st.mos_row_d)
+        rows_s = np.where(sw, st.mos_row_d, st.mos_row_s)
         idx, vals = self._mos_idx_rows, self._mos_val_rows
         np.add(rows_d, eff_d, out=idx[0])
         np.add(rows_d, grp.g, out=idx[1])
@@ -433,186 +674,47 @@ class MnaSystem(StampedSystem):
     #: bit-identical to the historical behaviour.
     sparse_threshold: int = 500
 
-    def __init__(self, circuit: Circuit, temp_c: float = 25.0) -> None:
+    def __init__(self, circuit: Circuit, temp_c: float = 25.0,
+                 signature: tuple | None = None) -> None:
+        """Compile ``circuit`` at ``temp_c``; a caller that already holds
+        the circuit's :func:`circuit_signature` passes it."""
         self.circuit = circuit
         self.temp_c = temp_c
 
-        # ---------------- node numbering ----------------
-        self.node_names = circuit.nodes()
-        self.num_nodes = len(self.node_names)
-        branch_elements = [el for el in circuit if el.has_branch_current]
-        self.num_branches = len(branch_elements)
-        self.size = self.num_nodes + self.num_branches
-        self.ground_index = self.size  # dummy slot, sliced off by solvers
+        # ---------------- structure (cached per signature) ----------------
+        # A miss raises TypeError on an unsupported element.
+        st = self.structure = STRUCTURES.get(circuit, signature)
+        self.node_names = st.node_names
+        self.num_nodes = st.num_nodes
+        self.num_branches = st.size - st.num_nodes
+        self.size = st.size
+        self.ground_index = st.ground_index
+        self.plan = st.plan
 
-        self._node_index: dict[str, int] = {
-            name: i for i, name in enumerate(self.node_names)
-        }
-        self._branch_index: dict[str, int] = {
-            el.name: self.num_nodes + k for k, el in enumerate(branch_elements)
-        }
-
-        # ---------------- static stamps ----------------
-        # The plan walk raises TypeError on an unsupported element.
-        dim = self.size + 1
-        self.plan = self.stamp_plan()
+        # ---------------- values, replayed through the plan ----------------
+        dim = st.dim
         g_vals, c_vals = linear_stamp_values(circuit, temp_c)
+        if not st.counts_match(g_vals, c_vals):
+            raise RuntimeError(
+                f"circuit {circuit.name!r} stamps {len(g_vals)}/{len(c_vals)} "
+                f"G/C entries where its cached structure plans "
+                f"{st.plan.g_idx.size}/{st.plan.c_idx.size}: two structures "
+                "share one circuit_signature"
+            )
         g = np.zeros(dim * dim)
         c = np.zeros(dim * dim)
-        scatter_add(g, self.plan.g_idx, np.asarray(g_vals))
-        scatter_add(c, self.plan.c_idx, np.asarray(c_vals))
+        scatter_add(g, st.plan.g_idx, np.asarray(g_vals))
+        scatter_add(c, st.plan.c_idx, np.asarray(c_vals))
 
-        els = circuit_elements(circuit)
-        self.vsources: list[VoltageSource] = els.vsources
-        self.isources: list[CurrentSource] = els.isources
+        self.vsources, self.isources, mos, bjts, diodes, _ = st.members(circuit)
         self.mos_group, self.bjt_group, self.diode_group = \
-            self._device_groups(els, temp_c)
+            st.device_groups(mos, bjts, diodes, temp_c)
         if self.mos_group is not None:
             self._stamp_mos_capacitances(c)
         self.g_static = g.reshape(dim, dim)
         self.c_static = c.reshape(dim, dim)
 
-        # index arrays reused every Newton iteration
         self._prepare_device_stamps()
-        self._prepare_source_stamps()
-        prof_count("mna.systems_built")
-
-    # ------------------------------------------------------------------
-    # Index helpers
-    # ------------------------------------------------------------------
-    def node(self, name: str) -> int:
-        """Extended index for node ``name`` (ground maps to the dummy slot)."""
-        if is_ground(name):
-            return self.ground_index
-        try:
-            return self._node_index[name]
-        except KeyError:
-            raise KeyError(f"unknown node {name!r} in circuit {self.circuit.name!r}") from None
-
-    def branch(self, element_name: str) -> int:
-        """Extended index of a branch-current unknown."""
-        try:
-            return self._branch_index[element_name]
-        except KeyError:
-            raise KeyError(f"element {element_name!r} has no branch current") from None
-
-    def _control_branch(self, control: str) -> int:
-        el = self.circuit.element(control)
-        if not isinstance(el, (VoltageSource, Vcvs, Ccvs, Inductor)):
-            raise TypeError(
-                f"control element {control!r} must carry a branch current "
-                f"(voltage source or inductor), got {type(el).__name__}"
-            )
-        return self._branch_index[control]
-
-    def _device_groups(self, els: CircuitElements | list[CircuitElements],
-                       temp_c: float | list[float]) -> tuple:
-        """The MOS, BJT and diode groups (``None`` where empty) of this
-        topology: of one circuit's elements ``els`` at ``temp_c``, or,
-        unit-stacked, of one element walk per unit at per-unit
-        temperatures (both lists)."""
-        stacked = isinstance(temp_c, list)
-        first = els[0] if stacked else els
-
-        def devices(kind: str) -> list:
-            return [getattr(e, kind) for e in els] if stacked else getattr(els, kind)
-
-        def values(kind: str, attr: str) -> np.ndarray:
-            return np.array(unit_rows(devices(kind), attrgetter(attr), stacked))
-
-        def models(kind: str) -> list:
-            return unit_rows(devices(kind), attrgetter("model"), stacked)
-
-        def nodes(devs: list, terminal: str) -> np.ndarray:
-            return np.array([self.node(getattr(el, terminal)) for el in devs])
-
-        mos, bjts, diodes = first.mos, first.bjts, first.diodes
-        return (
-            MosGroup([el.name for el in mos], *(nodes(mos, t) for t in "dgsb"),
-                     w=values("mos", "w"), l=values("mos", "l"),
-                     m=values("mos", "m").astype(float), models=models("mos"),
-                     temp_c=temp_c) if mos else None,
-            BjtGroup([el.name for el in bjts], *(nodes(bjts, t) for t in "cbe"),
-                     area=values("bjts", "area"), models=models("bjts"),
-                     temp_c=temp_c) if bjts else None,
-            DiodeGroup([el.name for el in diodes], nodes(diodes, "np"),
-                       nodes(diodes, "nn"), area=values("diodes", "area"),
-                       models=models("diodes"), temp_c=temp_c)
-            if diodes else None,
-        )
-
-    def stamp_plan(self) -> LinearStampPlan:
-        """Flat COO indices of this topology's linear stamps.
-
-        Walks the circuit and records, per stamp entry into
-        ``g_static``/``c_static``, the flat extended index
-        ``row*dim + col``, in stamping order.  ``__init__`` replays it
-        with this circuit's :func:`linear_stamp_values` (kept as
-        :attr:`plan`), and :mod:`repro.spice.batch` with a sibling's of
-        the same topology.
-        """
-        dim = self.size + 1
-        g_idx: list[int] = []
-        c_idx: list[int] = []
-
-        def conduct(idx: list[int], n1: str, n2: str) -> None:
-            a, b = self.node(n1), self.node(n2)
-            idx += [a * dim + a, a * dim + b, b * dim + a, b * dim + b]
-
-        def vsource_topology(name: str, np_node: str, nn_node: str) -> int:
-            j = self._branch_index[name]
-            a, b = self.node(np_node), self.node(nn_node)
-            g_idx.extend([a * dim + j, b * dim + j, j * dim + a, j * dim + b])
-            return j
-
-        # The common device types first, as in linear_stamp_values.
-        for el in self.circuit:
-            if isinstance(el, (Mosfet, Bjt, Diode, CurrentSource)):
-                pass
-            elif isinstance(el, (Resistor, Switch)):
-                conduct(g_idx, el.n1, el.n2)
-            elif isinstance(el, Capacitor):
-                conduct(c_idx, el.n1, el.n2)
-            elif isinstance(el, Inductor):
-                j = self._branch_index[el.name]
-                a, b = self.node(el.n1), self.node(el.n2)
-                g_idx += [a * dim + j, b * dim + j, j * dim + a, j * dim + b]
-                c_idx += [j * dim + j]
-            elif isinstance(el, VoltageSource):
-                vsource_topology(el.name, el.np, el.nn)
-            elif isinstance(el, Vcvs):
-                j = vsource_topology(el.name, el.np, el.nn)
-                g_idx += [j * dim + self.node(el.ncp), j * dim + self.node(el.ncn)]
-            elif isinstance(el, Ccvs):
-                j = vsource_topology(el.name, el.np, el.nn)
-                g_idx += [j * dim + self._control_branch(el.control)]
-            elif isinstance(el, Vccs):
-                a, b = self.node(el.np), self.node(el.nn)
-                cp, cn = self.node(el.ncp), self.node(el.ncn)
-                g_idx += [a * dim + cp, a * dim + cn, b * dim + cp, b * dim + cn]
-            elif isinstance(el, Cccs):
-                a, b = self.node(el.np), self.node(el.nn)
-                jc = self._control_branch(el.control)
-                g_idx += [a * dim + jc, b * dim + jc]
-            else:
-                raise TypeError(f"unsupported element type {type(el).__name__}")
-        return LinearStampPlan(
-            g_idx=np.asarray(g_idx, dtype=np.intp),
-            c_idx=np.asarray(c_idx, dtype=np.intp),
-            dim=dim,
-        )
-
-    def _prepare_source_stamps(self) -> None:
-        """Source topology and caches of the right-hand sides."""
-        self._vs_branch_idx = np.array(
-            [self.branch(src.name) for src in self.vsources], dtype=np.intp
-        )
-        self._is_np_idx = np.array(
-            [self.node(src.np) for src in self.isources], dtype=np.intp
-        )
-        self._is_nn_idx = np.array(
-            [self.node(src.nn) for src in self.isources], dtype=np.intp
-        )
         self._rhs_dc_key: tuple | None = None
         self._rhs_dc_cache: np.ndarray | None = None
         self._rhs_ac_key: tuple | None = None
@@ -620,6 +722,24 @@ class MnaSystem(StampedSystem):
         # Static COO triplets of the reduced g_static, built lazily on the
         # first assemble_csc call (dense-only systems never pay for it).
         self._coo_static: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        prof_count("mna.systems_built")
+
+    # ------------------------------------------------------------------
+    # Index helpers
+    # ------------------------------------------------------------------
+    def node(self, name: str) -> int:
+        """Extended index for node ``name`` (ground maps to the dummy slot)."""
+        try:
+            return self.structure.node(name)
+        except KeyError:
+            raise KeyError(f"unknown node {name!r} in circuit {self.circuit.name!r}") from None
+
+    def branch(self, element_name: str) -> int:
+        """Extended index of a branch-current unknown."""
+        try:
+            return self.structure.branch_index[element_name]
+        except KeyError:
+            raise KeyError(f"element {element_name!r} has no branch current") from None
 
     def companion(self, c_over_h: np.ndarray) -> MnaSystem:
         """This system with ``c_over_h`` added to ``g_static``: the
@@ -685,7 +805,8 @@ class MnaSystem(StampedSystem):
         if self._rhs_dc_cache is not None and key == self._rhs_dc_key:
             return self._rhs_dc_cache
 
-        b = dc_rhs(self, self.vsources, self.isources)
+        b = dc_rhs(self, np.array(key[0], dtype=float),
+                   np.array(key[1], dtype=float))
         b.setflags(write=False)  # callers must copy() before mutating
         self._rhs_dc_key = key
         self._rhs_dc_cache = b
@@ -714,11 +835,11 @@ class MnaSystem(StampedSystem):
 
     def rhs_transient(self, t: float) -> np.ndarray:
         """Time-domain excitation vector at time ``t`` (extended)."""
+        st = self.structure
         b = np.zeros(self.size + 1)
-        for src in self.vsources:
-            b[self.branch(src.name)] += src.value_at(t)
-        for src in self.isources:
-            a, c = self.node(src.np), self.node(src.nn)
+        for src, j in zip(self.vsources, st.vs_slots):
+            b[j] += src.value_at(t)
+        for src, (a, c) in zip(self.isources, st.is_slots):
             value = src.value_at(t)
             b[a] -= value
             b[c] += value
@@ -794,12 +915,12 @@ class MnaSystem(StampedSystem):
             ev = self.bjt_group.evaluate(x_ext)
             evals["bjt"] = ev
             self._bjt_residual(resid, ev)
-            device(self._bjt_idx, self._bjt_jac_vals(ev))
+            device(self.structure.bjt_idx, self._bjt_jac_vals(ev))
         if self.diode_group is not None:
             ev = self.diode_group.evaluate(x_ext)
             evals["diode"] = ev
             self._diode_residual(resid, ev)
-            device(self._diode_idx, self._diode_jac_vals(ev))
+            device(self.structure.diode_idx, self._diode_jac_vals(ev))
 
         resid[self.ground_index] = 0.0
         a = sparse.coo_matrix(

@@ -115,9 +115,7 @@ class _GroupRun:
         A unit that failed lockstep Newton has its ladder solve here."""
         rt = self.rts.get(u)
         if rt is None:
-            system = self.builts[u].circuit.compile(
-                temp_c=self.units[u].temp_c,
-                signature=self.pattern.structure.signature)
+            system = self.builts[u].circuit.compile(temp_c=self.units[u].temp_c)
             op = OperatingPoint(system, self.x[u].copy(),
                                 int(self.iterations[u]), "newton")
             rt = UnitRuntime(spec=self.spec, unit=self.units[u],
@@ -171,10 +169,10 @@ _BATCHED: dict = {name: partial(_measure_group, name, meas)
 # Group execution
 # ----------------------------------------------------------------------
 def _run_group(spec: CampaignSpec, units: list[WorkUnit], builts: list,
-               techs: list, signature: tuple) -> list[dict]:
+               techs: list) -> list[dict]:
     circuits = [b.circuit for b in builts]
     temps = [u.temp_c for u in units]
-    pattern = circuits[0].compile(temp_c=temps[0], signature=signature)
+    pattern = circuits[0].compile(temp_c=temps[0])
     # Structure was already grouped by signature in run_chunk_batched;
     # the unit-0 replay guard inside BatchedSystem still applies.
     bs = BatchedSystem(pattern, circuits, temps, check_structure=False)
@@ -230,19 +228,17 @@ def _run_group(spec: CampaignSpec, units: list[WorkUnit], builts: list,
     return records
 
 
-def _run_tensor_group(spec: CampaignSpec, members: list, cache: ChunkCache,
-                      signature: tuple) -> list[dict]:
-    """One structure group (of circuit signature ``signature``) through
-    the tensor engine; any exception (structure surprise, injected fault)
-    re-runs the whole group through :func:`run_unit` on the circuits
-    already built."""
+def _run_tensor_group(spec: CampaignSpec, members: list,
+                      cache: ChunkCache) -> list[dict]:
+    """One structure group through the tensor engine; any exception
+    (structure surprise, injected fault) re-runs the whole group through
+    :func:`run_unit` on the circuits already built."""
     units = [m[0] for m in members]
     builts = [m[1] for m in members]
     with span("campaign.batch_group", n_units=len(members)) as sp:
         try:
             fault_point("campaign.batch_group", n_units=len(members))
-            records = _run_group(spec, units, builts, [m[2] for m in members],
-                                 signature)
+            records = _run_group(spec, units, builts, [m[2] for m in members])
             prof_count("campaign.batch_groups")
         except Exception as exc:
             prof_count("campaign.fallback_units", len(members))
@@ -291,9 +287,9 @@ def run_chunk_batched(spec: CampaignSpec, units: list[WorkUnit],
             done()
         return records
 
-    def flush(members: list, signature: tuple) -> None:
+    def flush(members: list) -> None:
         if len(members) >= MIN_BATCH_UNITS:
-            records.extend(_run_tensor_group(spec, members, cache, signature))
+            records.extend(_run_tensor_group(spec, members, cache))
         else:
             records.extend(run_unit(spec, unit, cache, built)
                            for unit, built, _tech in members)
@@ -310,11 +306,11 @@ def run_chunk_batched(spec: CampaignSpec, units: list[WorkUnit],
             last_sig = circuit_signature(built.circuit)
             last_built = built
         if members and (last_sig != group_sig or len(members) >= batch_size):
-            flush(members, group_sig)
+            flush(members)
             members = []
         if not members:
             group_sig = last_sig
         members.append((unit, built, tech))
     if members:
-        flush(members, group_sig)
+        flush(members)
     return records

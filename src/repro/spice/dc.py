@@ -377,20 +377,18 @@ def _solver_event(name: str, severity: str, system: MnaSystem,
 
 
 def start_vector(system: MnaSystem, vs_dc: np.ndarray,
-                 nodesets: dict[str, float] | list[dict[str, float]]) -> np.ndarray:
-    """Newton start for voltage-source levels ``vs_dc`` (the sources' DC
-    values, in circuit order) and ``nodesets``, indexed through
-    ``system``'s structure: zeros, overridden by grounded sources and
-    nodesets.  ``vs_dc`` may carry a leading axis, one row per circuit;
-    ``nodesets`` is then one dict per row."""
+                 nodesets: list[dict[str, float]]) -> np.ndarray:
+    """Newton start vectors, one row per row of ``vs_dc`` (the voltage
+    sources' DC levels, in circuit order) and per ``nodesets`` dict,
+    indexed through ``system``'s structure: zeros, overridden by
+    grounded sources and nodesets."""
     st = system.structure
-    x = np.zeros(vs_dc.shape[:-1] + (st.dim,))
+    x = np.zeros((len(vs_dc), st.dim))
     # Nodes tied to ground through a DC voltage source start at the source
     # value; this makes supplies "appear" immediately.  Multiplying by the
     # -1.0 sign is exact negation.
-    x[..., st.start_node] = vs_dc[..., st.start_src] * st.start_sign
-    rows = x.reshape(-1, st.dim)
-    for row, sets in zip(rows, [nodesets] if x.ndim == 1 else nodesets):
+    x[:, st.start_node] = vs_dc[:, st.start_src] * st.start_sign
+    for row, sets in zip(x, nodesets):
         for node, volts in sets.items():
             if not is_ground(node):
                 row[system.node(node)] = volts
@@ -399,9 +397,9 @@ def start_vector(system: MnaSystem, vs_dc: np.ndarray,
 
 def _initial_guess(system: MnaSystem) -> np.ndarray:
     """Start vector: zeros, overridden by nodesets and grounded sources."""
-    return start_vector(system, np.array([src.dc for src in system.vsources],
+    return start_vector(system, np.array([[src.dc for src in system.vsources]],
                                          dtype=float),
-                        system.circuit.nodesets)
+                        [system.circuit.nodesets])[0]
 
 
 class PlainFailure(NamedTuple):

@@ -393,11 +393,10 @@ class StructureCache:
     def __contains__(self, signature: tuple) -> bool:
         return signature in self._entries
 
-    def get(self, circuit: Circuit, signature: tuple | None = None) -> CircuitStructure:
-        """The structure of ``circuit``, built on a miss; a caller that
-        already holds the circuit's signature passes it."""
-        if signature is None:
-            signature = circuit_signature(circuit)
+    def get(self, circuit: Circuit) -> CircuitStructure:
+        """The structure of ``circuit``, keyed by the signature computed
+        here from ``circuit`` itself and built on a miss."""
+        signature = circuit_signature(circuit)
         with self._lock:
             st = self._entries.get(signature)
             if st is not None:
@@ -674,16 +673,13 @@ class MnaSystem(StampedSystem):
     #: bit-identical to the historical behaviour.
     sparse_threshold: int = 500
 
-    def __init__(self, circuit: Circuit, temp_c: float = 25.0,
-                 signature: tuple | None = None) -> None:
-        """Compile ``circuit`` at ``temp_c``; a caller that already holds
-        the circuit's :func:`circuit_signature` passes it."""
+    def __init__(self, circuit: Circuit, temp_c: float = 25.0) -> None:
         self.circuit = circuit
         self.temp_c = temp_c
 
         # ---------------- structure (cached per signature) ----------------
         # A miss raises TypeError on an unsupported element.
-        st = self.structure = STRUCTURES.get(circuit, signature)
+        st = self.structure = STRUCTURES.get(circuit)
         self.node_names = st.node_names
         self.num_nodes = st.num_nodes
         self.num_branches = st.size - st.num_nodes

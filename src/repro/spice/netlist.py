@@ -228,12 +228,11 @@ class Circuit:
         parts = ", ".join(f"{n} {k}" for k, n in sorted(counts.items()))
         return f"{self.name}: {len(self.nodes())} nodes, {parts}"
 
-    def compile(self, temp_c: float = 25.0, signature: tuple | None = None):
-        """Compile to an MNA system at the given temperature; a caller that
-        already holds this circuit's ``circuit_signature`` passes it."""
+    def compile(self, temp_c: float = 25.0):
+        """Compile to an MNA system at the given temperature."""
         from repro.spice.mna import MnaSystem
 
-        return MnaSystem(self, temp_c=temp_c, signature=signature)
+        return MnaSystem(self, temp_c=temp_c)
 
 
 class SubCircuit:

@@ -190,44 +190,29 @@ class Spectrum:
         return float(np.max(self.amplitude[mask]))
 
 
-def _goertzel_tail(y: list[float], a1: float) -> tuple[float, float]:
-    """The last two outputs of ``scipy.signal.lfilter([1.0], [1.0, a1,
-    1.0], y)``: its direct-form II transposed update (``b`` padded to
-    ``[1.0, 0.0, 0.0]``), operation for operation, so each output is
-    lfilter's bit for bit without importing ``scipy.signal``."""
-    z0 = z1 = 0.0
-    prev = cur = 0.0
-    for x in y:
-        prev = cur
-        cur = z0 + 1.0 * x
-        z0 = z1 + x * 0.0 - cur * a1
-        z1 = x * 0.0 - cur * 1.0
-    return prev, cur
-
-
 def goertzel_dft(y: np.ndarray, freqs_norm) -> np.ndarray:
     """DTFT of ``y`` at arbitrary normalised frequencies via Goertzel.
 
     Returns ``sum_n y[n] * exp(-2j*pi*f*n)`` for each ``f`` in
-    ``freqs_norm`` (cycles/sample).  The second-order recurrence runs on
-    Python floats (:func:`_goertzel_tail`); the closing step is the
+    ``freqs_norm`` (cycles/sample).  The second-order recurrence runs in
+    C through ``scipy.signal.lfilter``; the closing step is the
     generalised (non-integer-bin) form, so harmonics can be read at
     exactly ``k*f0`` instead of the nearest FFT grid bin — the FFT pick
     leaks badly whenever the record does not hold an integer number of
     fundamental cycles, which is the usual case for a transient segment.
     """
+    from scipy.signal import lfilter
+
     y = np.asarray(y, dtype=float)
     n = y.size
     if n < 4:
         raise ValueError("need at least 4 samples for a harmonic readout")
-    samples = y.tolist()
     freqs_norm = np.atleast_1d(np.asarray(freqs_norm, dtype=float))
     out = np.empty(freqs_norm.size, dtype=complex)
     for i, f in enumerate(freqs_norm):
         w = 2.0 * np.pi * f
-        prev, last = map(np.float64,
-                         _goertzel_tail(samples, float(-2.0 * np.cos(w))))
-        out[i] = (last - np.exp(-1j * w) * prev) * np.exp(-1j * w * (n - 1))
+        s = lfilter([1.0], [1.0, -2.0 * np.cos(w), 1.0], y)
+        out[i] = (s[-1] - np.exp(-1j * w) * s[-2]) * np.exp(-1j * w * (n - 1))
     return out
 
 

@@ -6,7 +6,8 @@ every stamp-index array from a :class:`CircuitStructure` cached by
 
 * hit and miss counts, the read-only arrays and the LRU bound;
 * that systems sharing one cache entry share no mutable buffer;
-* that values are re-read on every compile and a structural edit misses;
+* that values are re-read on every compile, a structural edit misses
+  and a same-count rewiring compiles through an entry of its own;
 * that a signature collision with a different entry count raises;
 * that the source replay (``dc_rhs``, ``ac_rhs``, ``start_vector`` and
   the batched ``rhs_dc``/``initial_guess``) equals frozen copies of the
@@ -149,14 +150,33 @@ def test_same_structure_hits_and_new_structure_misses():
     assert STRUCTURES.misses == misses + 2
 
 
-def test_a_passed_signature_is_the_key():
-    circuit = _chain(2, _unique_tag())
-    sig = circuit_signature(circuit)
-    system = MnaSystem(circuit, signature=sig)
-    assert system.structure.signature is sig
-    hits = STRUCTURES.hits
-    assert circuit.compile(signature=sig).structure is system.structure
-    assert STRUCTURES.hits == hits + 1
+def _rewired_pair(tag: str) -> tuple[Circuit, Circuit]:
+    """Two circuits with the same element names, types and node set, and
+    so the same stamp-entry counts, wired differently."""
+    a, b = Circuit(f"ladder_{tag}"), Circuit(f"ladder_{tag}")
+    for c, (n1, n2) in ((a, ("b", "c")), (b, ("c", "b"))):
+        c.vsource("v", f"{tag}a", "gnd", dc=1.0)
+        c.resistor("r0", f"{tag}a", f"{tag}{n1}", 1e3)
+        c.resistor("r1", f"{tag}{n1}", f"{tag}{n2}", 2e3)
+        c.resistor("rl", f"{tag}{n2}", "gnd", 3e3)
+        c.isource("i", f"{tag}{n1}", "gnd", dc=1e-4)
+    return a, b
+
+
+def test_a_same_count_rewiring_compiles_through_its_own_entry(monkeypatch):
+    a, b = _rewired_pair(_unique_tag())
+    assert circuit_signature(a) != circuit_signature(b)
+    first = a.compile()
+    rewired = b.compile()
+    assert rewired.structure is not first.structure
+    assert rewired.structure.signature == circuit_signature(b)
+    ref = _fresh_compile(monkeypatch, b)
+    _same(rewired.g_static, ref.g_static, "G of the rewired circuit")
+    _same(rewired.rhs_dc(), ref.rhs_dc(), "rhs of the rewired circuit")
+    _same(_initial_guess(rewired), _initial_guess(ref), "start vector")
+    # And the first circuit still stamps through its own entry.
+    again = _fresh_compile(monkeypatch, a)
+    _same(a.compile().g_static, again.g_static, "G of the first circuit")
 
 
 def test_cached_arrays_are_read_only():
@@ -191,12 +211,16 @@ def test_the_bound_evicts_the_least_recently_used():
     assert cache.misses == 5
 
 
-def test_a_colliding_signature_with_other_entry_counts_raises():
+def test_a_colliding_signature_with_other_entry_counts_raises(monkeypatch):
     tag = _unique_tag()
     small, large = _chain(1, tag), _chain(2, tag)
-    small.compile()
-    with pytest.raises(RuntimeError, match="circuit_signature"):
-        MnaSystem(large, signature=circuit_signature(small))
+    with monkeypatch.context() as m:
+        # Every circuit collides on one key, in a cache of its own.
+        m.setattr(mna, "STRUCTURES", StructureCache(4))
+        m.setattr(mna, "circuit_signature", lambda circuit: ("collision",))
+        small.compile()
+        with pytest.raises(RuntimeError, match="circuit_signature"):
+            MnaSystem(large)
     pattern = small.compile()
     with pytest.raises(BatchStructureError):
         BatchedSystem(pattern, [small, large], [25.0, 25.0], check_structure=False)

@@ -17,7 +17,10 @@ Every path is anchored to the serial reference:
   :mod:`repro.campaign.measurements`, not copies: an operating-point
   read runs on unit ``u``'s row of the batch solution, a probed
   measurement's probes go through one residual-checked unit-axis solve
-  and then its own reduction per unit.  Plain ``fn(rt)`` measurements
+  and then its own reduction per unit, and ``noise_voice`` runs its
+  adjoint sweep for all units in one unit-axis Schur pass on the
+  batch's own ``G``/``C`` (:func:`~repro.spice.noise.noise_units`)
+  before the per-unit reduction.  Plain ``fn(rt)`` measurements
   — and units the batch cannot carry (plain-Newton non-convergence,
   residual-check rejections) — run per unit on an operating point
   wrapped around the batch's bit-identical solution (or, for a unit
@@ -47,7 +50,13 @@ from functools import cached_property, partial
 import numpy as np
 
 from repro.campaign.builders import BUILDERS
-from repro.campaign.measurements import MEASUREMENTS, UnitMeasurement, UnitReads
+from repro.campaign.measurements import (
+    MEASUREMENTS,
+    UnitMeasurement,
+    UnitReads,
+    noise_voice_freqs,
+    noise_voice_values,
+)
 from repro.campaign.runner import (
     ChunkCache,
     UnitRuntime,
@@ -61,6 +70,7 @@ from repro.spice.batch import BatchedSystem, circuit_signature, newton_batch
 from repro.spice.dc import OperatingPoint, PlainFailure, dc_operating_point
 from repro.spice.linsolve import BatchedSmallSignalContext, SmallSignalContext
 from repro.spice.mna import MnaSystem
+from repro.spice.noise import noise_units
 
 #: Units per tensor group.  Large enough to amortise the Python-side
 #: stamping, small enough that the (N, dim, dim) tensors of the paper's
@@ -68,18 +78,28 @@ from repro.spice.mna import MnaSystem
 DEFAULT_BATCH_SIZE = 64
 
 #: Smallest structure group worth a tensor solve; smaller groups run
-#: ``run_unit``.  Tensor-path CPU time over ``run_unit`` for healthy
-#: micamp Table-1 groups (2-CPU host, 1 BLAS thread, median of 12
-#: paired runs, byte-equal records): 1 unit 1.40x, 2 units 0.84x,
-#: 3 units 0.66x, 4 units 0.59x, 12 units 0.48x.  The robust
-#: optimizer's 3-unit groups are a different input: many DE candidates
-#: fail lockstep Newton.  While such a unit re-ran the plain stage from
-#: scratch those groups cost 1.22x on the tensor path; entering the
-#: ladder at gmin stepping they cost 1.00x (IQR 0.88-1.09; 12 paired
-#: robust searches, budget 150, seeds 101-112; the same searches took
-#: 1.21x before, on the same host), no clear win, so the threshold
-#: stays above 3.
-MIN_BATCH_UNITS = 4
+#: ``run_unit``.  Tensor-path CPU time over ``run_unit`` (2-CPU host,
+#: 1 BLAS thread, byte-equal records):
+#:
+#: ==========================================  ======  =====================
+#: input                                       ratio   spread
+#: ==========================================  ======  =====================
+#: healthy micamp Table-1 groups, 1 unit       1.40x   median of 12 pairs
+#: ... 2 units                                 0.84x
+#: ... 3 units                                 0.66x
+#: ... 4 units                                 0.59x
+#: ... 12 units                                0.48x
+#: robust 3-unit (tt/ss/ff) DE candidates,     1.04x   IQR 1.01-1.09
+#: ``noise_voice`` solved unit by unit
+#: the same, ``noise_voice`` on the unit axis  0.74x   IQR 0.70-0.76
+#: ==========================================  ======  =====================
+#:
+#: The robust rows time the 124 successful candidates of four robust
+#: searches (budget 60, seeds 301-304) as 3-unit groups, serial and
+#: tensor passes alternating, 8 pairs.  Until the noise solve had a
+#: unit axis each unit re-compiled and re-linearised for it, which ate
+#: the group's gain; now 3-unit groups pay, so the threshold is 3.
+MIN_BATCH_UNITS = 3
 
 
 @dataclass
@@ -159,10 +179,36 @@ def _measure_group(name: str, meas: UnitMeasurement, gr: _GroupRun,
         records[u].update(meas.fn(reads[u], values))
 
 
+def _measure_noise(gr: _GroupRun, live: list[int], records: list) -> None:
+    """``noise_voice`` over the group's live units: one unit-axis Schur
+    sweep on the batch's own ``G``/``C`` (no per-unit compile); a unit
+    the residual gate rejects is measured per unit, as is every unit of
+    a group above the sparse threshold (whose serial sweep is sparse)."""
+    if not live:
+        return
+    if gr.pattern.prefer_sparse:
+        results = dict.fromkeys(live)
+    else:
+        built = gr.builts[live[0]]   # one builder, one structure: one port pair
+        results = noise_units(gr.bs, gr.x, gr.ctx.g, gr.ctx.c, live,
+                              noise_voice_freqs(), built.out_p, built.out_n)
+    for u in live:
+        if results[u] is not None:
+            records[u].update(noise_voice_values(results[u]))
+            continue
+        if not gr.pattern.prefer_sparse:
+            event("campaign.unit_fallback", "warn",
+                  corner=gr.units[u].corner, temp_c=gr.units[u].temp_c,
+                  seed=gr.units[u].seed, measurement="noise_voice",
+                  reason="batched noise residual rejection")
+        _serial_measure(gr, "noise_voice", u, records)
+
+
 # A name -> callable dict, not a type test per call: perfbench wraps each entry.
 _BATCHED: dict = {name: partial(_measure_group, name, meas)
                   for name, meas in MEASUREMENTS.items()
                   if isinstance(meas, UnitMeasurement)}
+_BATCHED["noise_voice"] = _measure_noise
 
 
 # ----------------------------------------------------------------------

@@ -23,8 +23,9 @@ error; ``fn(m, values)`` is then its *reduction* of the probed complex
 outputs, one per column.
 
 A plain ``fn(rt)`` runs per unit on both runtimes (the tensor group
-wraps the batch's operating point for it).  A measurement may emit
-several columns (the noise measurement emits the 1 kHz spot density and
+wraps the batch's operating point for it); ``noise_voice`` is plain
+here and has its own unit-axis executor in the tensor group.  A
+measurement may emit several columns (the noise measurement emits the 1 kHz spot density and
 the voice-band average); the union of emitted keys defines the metric
 columns of the campaign's :class:`~repro.campaign.result.CampaignResult`.
 """
@@ -164,15 +165,27 @@ def _cmrr(m: UnitReads, values: np.ndarray) -> dict[str, float]:
     return {"cmrr_1khz_db": rejection(1e3, values).ratio_db}
 
 
+def noise_voice_freqs() -> np.ndarray:
+    """The ``noise_voice`` sweep: 10 Hz to 100 kHz, 12 points a decade."""
+    from repro.spice.analysis import log_freqs
+
+    return log_freqs(10.0, 100e3, 12)
+
+
 @register_measurement("noise_voice")
 def _noise(rt: UnitRuntime) -> dict[str, float]:
     """Input-referred noise: 300 Hz / 1 kHz spot densities and the
-    300..3400 Hz band average [nV/sqrt(Hz)] (Table 1 rows 3-5)."""
-    from repro.spice.analysis import log_freqs
+    300..3400 Hz band average [nV/sqrt(Hz)] (Table 1 rows 3-5).  The
+    tensor group measures it through its own executor
+    (:mod:`repro.campaign.batchrun`) and the same reduction."""
     from repro.spice.noise import noise_analysis
 
-    freqs = log_freqs(10.0, 100e3, 12)
-    nr = noise_analysis(rt.op, freqs, rt.built.out_p, rt.built.out_n)
+    return noise_voice_values(noise_analysis(rt.op, noise_voice_freqs(),
+                                             rt.built.out_p, rt.built.out_n))
+
+
+def noise_voice_values(nr) -> dict[str, float]:
+    """``noise_voice``'s columns of one :class:`~repro.spice.noise.NoiseResult`."""
     return {
         "vnin_300hz_nv": nr.input_nv_at(300.0),
         "vnin_1khz_nv": nr.input_nv_at(1e3),

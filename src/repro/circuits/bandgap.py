@@ -149,10 +149,8 @@ def build_bandgap(
     ckt.vsource("vss_src", "vss", "gnd", dc=vss)
 
     def mos(name, d, g, s, model, w, l, m=1):
-        dvt, dbeta = sampler.mos_deltas(model.polarity, w, l)
-        mdl = replace(model, vth0=model.vth0 + dvt, kp=model.kp * (1.0 + dbeta))
         bulk = "vdd" if model.polarity == "pmos" else "vss"
-        ckt.mosfet(name, d, g, s, bulk, mdl, w=w, l=l, m=m)
+        sampler.add_mosfet(ckt, name, d, g, s, bulk, model, w, l, m)
 
     def pnp(name, e_node, area=1.0):
         d_is = sampler.bjt_is_delta(area)

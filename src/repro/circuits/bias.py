@@ -95,12 +95,8 @@ def build_bias_circuit(
     ckt.vsource("vsup", "vdd", "gnd", dc=vsup)
 
     def mos(name, d, g, s, model, w, l):
-        dvt, dbeta = sampler.mos_deltas(model.polarity, w, l)
-        from dataclasses import replace
-
-        mdl = replace(model, vth0=model.vth0 + dvt, kp=model.kp * (1.0 + dbeta))
         bulk = "vdd" if model.polarity == "pmos" else "gnd"
-        ckt.mosfet(name, d, g, s, bulk, mdl, w=w, l=l)
+        sampler.add_mosfet(ckt, name, d, g, s, bulk, model, w, l)
 
     # PMOS mirror rail (MP1 diode on branch 1).
     mos("mp1", "x1", "x1", "vdd", tech.pmos, w_mirror, l_mirror)

@@ -28,7 +28,7 @@ Table 1 budget: gm of T1..T4 maximised (thermal), large gate areas
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.pga.gain_control import GainControl
 from repro.process.mismatch import MismatchSampler
@@ -181,9 +181,7 @@ def build_mic_amp(
     ckt.vsource("vin_n", "inn", "gnd", dc=0.0, ac=0.5, ac_phase=3.141592653589793)
 
     def mos(name, d, g, s, b, model, w, l):
-        dvt, dbeta = sampler.mos_deltas(model.polarity, w, l)
-        mdl = replace(model, vth0=model.vth0 + dvt, kp=model.kp * (1.0 + dbeta))
-        ckt.mosfet(name, d, g, s, b, mdl, w=w, l=l)
+        sampler.add_mosfet(ckt, name, d, g, s, b, model, w, l)
 
     # ------------------------------------------------------------------
     # Bias distribution (central generator feeds this cell; modelled as

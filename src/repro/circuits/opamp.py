@@ -20,7 +20,7 @@ characterised in its own right (gain, GBW, phase margin, IQ).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.process.mismatch import MismatchSampler
 from repro.process.technology import Technology
@@ -105,9 +105,7 @@ def build_modulator_opamp(
                 ac_phase=3.141592653589793)
 
     def mos(name, d, g, s, b, model, w, l):
-        dvt, dbeta = sampler.mos_deltas(model.polarity, w, l)
-        mdl = replace(model, vth0=model.vth0 + dvt, kp=model.kp * (1.0 + dbeta))
-        ckt.mosfet(name, d, g, s, b, mdl, w=w, l=l)
+        sampler.add_mosfet(ckt, name, d, g, s, b, model, w, l)
 
     if open_loop:
         ckt.resistor("rtie_p", "src_p", "inp", 1.0, noisy=False)

@@ -28,7 +28,7 @@ reproduces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.process.mismatch import MismatchSampler
 from repro.process.technology import Technology
@@ -125,9 +125,7 @@ def _add_core(
     """Stamp the amplifier core between nodes vip/vin and outp/outn."""
 
     def mos(name, d, g, s, b, model, w, l):
-        dvt, dbeta = sampler.mos_deltas(model.polarity, w, l)
-        mdl = replace(model, vth0=model.vth0 + dvt, kp=model.kp * (1.0 + dbeta))
-        ckt.mosfet(name, d, g, s, b, mdl, w=w, l=l)
+        sampler.add_mosfet(ckt, name, d, g, s, b, model, w, l)
 
     # ------------------------------------------------------------------
     # Bias rails: master current into NMOS and PMOS diodes.

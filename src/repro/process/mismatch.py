@@ -77,6 +77,13 @@ class MismatchSampler:
         dbeta = float(self.rng.normal(0.0, model.sigma_beta(w, l)))
         return dvt, dbeta
 
+    def add_mosfet(self, ckt, name: str, d: str, g: str, s: str, b: str,
+                   model, w: float, l: float, m: int = 1):
+        """Add one matched MOSFET to ``ckt`` carrying this trial's
+        :meth:`mos_deltas` as its ``dvt``/``dbeta`` instance deltas."""
+        dvt, dbeta = self.mos_deltas(model.polarity, w, l)
+        return ckt.mosfet(name, d, g, s, b, model, w=w, l=l, m=m, dvt=dvt, dbeta=dbeta)
+
     def resistor_delta(self, resistance: float, width_um: float | None = None) -> float:
         """Relative resistance error for one poly resistor."""
         if not self.enabled:

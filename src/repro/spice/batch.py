@@ -63,9 +63,11 @@ from repro.spice.dc import NewtonOptions, start_vector
 from repro.spice.mna import (
     MnaSystem,
     StampedSystem,
+    ac_rhs,
     circuit_signature,
     dc_rhs,
     linear_stamp_values,
+    resistor_law,
     scatter_add,
 )
 from repro.spice.netlist import Circuit
@@ -160,13 +162,8 @@ class BatchedSystem(StampedSystem):
             c_rows.append(c_vals)
         g_all = np.array(g_rows)[unit]
         c_all = np.array(c_rows)[unit]
-        resistors = [m[5] for m in self._members]
-        value, tc1, tc2 = (
-            np.array([[getattr(r, attr) for r in rs] for rs in resistors],
-                     dtype=float)[unit]
-            for attr in ("value", "tc1", "tc2"))
-        dt = np.array(self.temps)[:, None] - 25.0
-        g_res = 1.0 / (value * (1.0 + tc1 * dt + tc2 * dt * dt))
+        self.res_law = resistor_law([m[5] for m in self._members], self.temps, unit)
+        g_res = 1.0 / self.res_law
         slot = st.res_slot
         g_all[:, slot] = g_res
         g_all[:, slot + 1] = -g_res
@@ -250,6 +247,14 @@ class BatchedSystem(StampedSystem):
     def rhs_dc(self) -> np.ndarray:
         """Per-unit :meth:`MnaSystem.rhs_dc`, stacked ``(N, dim)``."""
         return dc_rhs(self, self._levels(0), self._levels(1))[self._unit_circuit]
+
+    def rhs_ac(self) -> np.ndarray:
+        """Per-unit :meth:`MnaSystem.rhs_ac`, stacked ``(N, dim)``."""
+        return np.stack([ac_rhs(self, m[0], m[1], {})
+                         for m in self._members])[self._unit_circuit]
+
+    def _noise_values(self) -> tuple:
+        return self.temps, self._distinct, self._unit_circuit, self.res_law
 
     def initial_guess(self) -> np.ndarray:
         """Per-unit Newton start vectors, stacked ``(N, dim)``."""

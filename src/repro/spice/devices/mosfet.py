@@ -91,8 +91,12 @@ class MosModel:
 
     def kp_at(self, temp_c: float) -> float:
         """Transconductance factor at temperature (mobility degradation)."""
+        return self.kp * self.mobility_factor(temp_c)
+
+    def mobility_factor(self, temp_c: float) -> float:
+        """``kp_at(temp_c) / kp``: the mobility temperature law."""
         t_ratio = kelvin(temp_c) / kelvin(25.0)
-        return self.kp * t_ratio**self.bex
+        return t_ratio**self.bex
 
 
 def _softlog_sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,20 +165,27 @@ class MosGroup:
         m: np.ndarray,
         models: list[MosModel],
         temp_c: float | list[float],
+        dvt: np.ndarray | float = 0.0,
+        dbeta: np.ndarray | float = 0.0,
     ) -> None:
         """One circuit's MOSFETs at ``temp_c`` [degC]; for a unit-stacked
         group ``w``/``l``/``m`` are ``(N, n)``, ``models`` one list per
         unit and ``temp_c`` one temperature per unit (see
-        :mod:`repro.spice.devices.params`)."""
-        p = UnitParams(models, temp_c)
+        :mod:`repro.spice.devices.params`).  ``dvt``/``dbeta`` are the
+        devices' mismatch deltas (:attr:`Mosfet.dvt`/:attr:`Mosfet.dbeta`),
+        shaped like ``w``."""
+        p = self._params = UnitParams(models, temp_c)
         self.names = names
         self.d, self.g, self.s, self.b = d, g, s, b
         self.w, self.l, self.m = w, l, m
         self.models = models
         self.temp_c = temp_c
         self.sign = p.model("sign")
-        self.vth0 = p.at_temp("vth_at")
-        self.kp = p.at_temp("kp_at")
+        # MosModel.vth_at/kp_at of a model whose vth0/kp carry the
+        # deltas, in their operation order.
+        self.vth0 = (p.model("vth0") + dvt) - p.model("tcv") * p.per_unit(
+            lambda t: t - 25.0)
+        self.kp = (p.model("kp") * (1.0 + dbeta)) * p.at_temp("mobility_factor")
         self.gamma = p.model("gamma")
         self.phi = p.model("phi")
         self.lam = p.model("clm") / l
@@ -187,6 +198,7 @@ class MosGroup:
         self.ut = p.per_unit(thermal_voltage)
         self.isat = 2.0 * self.n_slope * self.beta * p.per_unit(
             lambda t: thermal_voltage(t) ** 2)
+        self.kt4 = p.per_unit(lambda t: 4.0 * BOLTZMANN * kelvin(t))
         self._hoist_constants()
 
     def _hoist_constants(self) -> None:
@@ -264,8 +276,7 @@ class MosGroup:
 
     def thermal_noise_psd(self, ev: MosEval) -> np.ndarray:
         """Channel thermal-noise current PSD per device [A^2/Hz]."""
-        kt4 = 4.0 * BOLTZMANN * kelvin(self.temp_c)
-        return kt4 * (2.0 / 3.0 * ev.gm + ev.gds_channel)
+        return self.kt4 * (2.0 / 3.0 * ev.gm + ev.gds_channel)
 
     def flicker_noise_psd(self, ev: MosEval, freq: float) -> np.ndarray:
         """Flicker-noise current PSD per device at ``freq`` [A^2/Hz]."""
@@ -281,7 +292,7 @@ class MosGroup:
         for audio-band circuits whose bandwidth is set by the explicit
         compensation network.
         """
-        p = UnitParams(self.models, self.temp_c)
+        p = self._params
         cgso, cgdo = p.model("cgso"), p.model("cgdo")
         cj, ldiff = p.model("cj"), p.model("ldiff")
         cgs = (2.0 / 3.0) * self.w * self.l * self.cox * self.m + cgso * self.w * self.m

@@ -335,7 +335,14 @@ class Switch(Element):
 
 @dataclass
 class Mosfet(Element):
-    """Four-terminal MOSFET referencing a :class:`MosModel`."""
+    """Four-terminal MOSFET referencing a :class:`MosModel`.
+
+    ``dvt``/``dbeta`` are instance mismatch deltas (SPICE's DELVTO-style
+    instance parameters): the device behaves as its model with
+    ``vth0 + dvt`` and ``kp * (1 + dbeta)``, so a Monte Carlo trial
+    shares the technology's model objects instead of copying one per
+    device.
+    """
 
     d: str = ""
     g: str = ""
@@ -345,6 +352,8 @@ class Mosfet(Element):
     w: float = 10e-6
     l: float = 1.2e-6
     m: int = 1
+    dvt: float = 0.0
+    dbeta: float = 0.0
 
     def __post_init__(self) -> None:
         if self.w <= 0.0 or self.l <= 0.0:

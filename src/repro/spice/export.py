@@ -2,8 +2,9 @@
 
 Writes a :class:`~repro.spice.netlist.Circuit` as a standard ``.cir``
 netlist (SPICE3/ngspice dialect) with ``.model`` cards for every device
-flavour in use.  The point is auditability: anyone with a real SPICE can
-re-run this package's circuits and cross-check the MNA engine.  The
+flavour in use, plus one card per MOSFET that carries mismatch deltas.
+The point is auditability: anyone with a real SPICE can re-run this
+package's circuits and cross-check the MNA engine.  The
 export is lossy only where the engines differ (our EKV-style MOS maps to
 LEVEL=1 cards with the same VTO/KP/GAMMA/PHI/LAMBDA; flicker/overlap
 parameters carry over as KF/CGSO/CGDO).
@@ -12,6 +13,7 @@ parameters carry over as KF/CGSO/CGDO).
 from __future__ import annotations
 
 import io
+from dataclasses import replace
 
 from repro.spice.devices.bjt import BjtModel
 from repro.spice.devices.diode import DiodeModel
@@ -117,6 +119,17 @@ def _mos_model_card(model: MosModel) -> str:
     )
 
 
+def _instance_model(el: Mosfet) -> MosModel:
+    """The model ``el`` simulates with.  A device carrying mismatch
+    deltas gets its own card, ``<model>_<device>`` with ``VTO``/``KP``
+    of ``vth0 + dvt`` and ``kp * (1 + dbeta)``, so a Monte Carlo deck
+    keeps every device's values; a nominal device shares its model's."""
+    if el.dvt == 0.0 and el.dbeta == 0.0:
+        return el.model
+    return replace(el.model, name=f"{el.model.name}_{el.name}",
+                   vth0=el.model.vth0 + el.dvt, kp=el.model.kp * (1.0 + el.dbeta))
+
+
 def _bjt_model_card(model: BjtModel) -> str:
     kind = "NPN" if model.polarity == "npn" else "PNP"
     return (
@@ -182,9 +195,10 @@ def export_netlist(circuit: Circuit, title: str | None = None) -> str:
                       f"{_fmt(el.resistance)} ; switch "
                       f"({'on' if el.closed else 'off'})\n")
         elif isinstance(el, Mosfet):
-            mos_models[el.model.name] = el.model
+            model = _instance_model(el)
+            mos_models[model.name] = model
             out.write(f"M{el.name} {_node(el.d)} {_node(el.g)} "
-                      f"{_node(el.s)} {_node(el.b)} {el.model.name} "
+                      f"{_node(el.s)} {_node(el.b)} {model.name} "
                       f"W={_fmt(el.w)} L={_fmt(el.l)} M={el.m}\n")
         elif isinstance(el, Bjt):
             bjt_models[el.model.name] = el.model

@@ -20,18 +20,26 @@ matrix sizes:
   complex Schur decomposition ``M = Q T Q^H`` (unconditionally stable —
   ``Q`` unitary, unlike an eigenbasis of the typically *defective* MNA
   ``M``) turns every frequency point into an O(n^2) triangular
-  substitution, vectorised over the whole frequency axis.  Solutions are
-  residual-verified at spread sample points plus the sweep's
-  worst-conditioned frequency, falling back to :func:`solve_stacked` if
-  the check fails.
+  substitution, vectorised over the whole frequency axis *and* a
+  leading unit axis: one operating point is ``N = 1``, a tensor group's
+  noise sweep runs every unit in one pass (each unit's bits are its
+  serial ones).  Solutions are residual-verified per unit at spread
+  sample points plus the sweep's worst-conditioned frequency, falling
+  back to :func:`solve_stacked` (or, in a tensor group, to the unit's
+  serial measurement) if the check fails.
 * The tests keep a per-frequency reference loop through the scipy
   wrappers (``lu_factor``/``lu_solve``, the same LAPACK routines) and
   pin :func:`solve_stacked` to it bit for bit and the Schur path to
-  ``rtol=1e-9``.
-* :class:`SmallSignalContext` caches the linearized ``G``/``C`` and the
-  Schur decomposition of one operating point so AC, noise and PSRR stop
-  re-calling ``system.linearize(op.x)`` per metric.  It is created
-  lazily through :meth:`repro.spice.dc.OperatingPoint.small_signal`.
+  ``rtol=1e-9``; a frozen copy of the one-unit Schur solver pins the
+  unit-axis one bit for bit.
+* :class:`SmallSignalContext` caches the linearized ``G``/``C``, the
+  Schur decomposition and each probe frequency's LU factors of one
+  operating point so AC, noise and PSRR stop re-calling
+  ``system.linearize(op.x)`` (and refactoring ``A(1 kHz)``) per metric.
+  It is created lazily through
+  :meth:`repro.spice.dc.OperatingPoint.small_signal`.
+  :class:`BatchedSmallSignalContext` is its unit-axis analogue for the
+  probes of a tensor group.
 """
 
 from __future__ import annotations
@@ -82,13 +90,17 @@ def solve_stacked(
     freqs: np.ndarray,
     rhs: np.ndarray | None = None,
     adjoint_rhs: np.ndarray | None = None,
+    factors: dict | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Per-frequency LU solve of ``A x = rhs`` and ``A^T psi = adjoint_rhs``.
 
     One ``zgetrf`` factorization per frequency serves every forward RHS
     column and every adjoint column (plain transpose, not conjugate —
     the adjoint noise method needs ``A^T``, and the ``trans=1`` solve
-    reuses the factors of ``A`` directly).
+    reuses the factors of ``A`` directly).  ``factors``, when given,
+    keeps each frequency's factors across calls (keyed by the frequency
+    as a float), so later probes at that frequency solve without
+    refactoring.
 
     Returns ``(fwd, adj)`` with shapes ``(n_freq, n, k_fwd)`` and
     ``(n_freq, n, k_adj)``; an entry is ``None`` when the corresponding
@@ -105,93 +117,226 @@ def solve_stacked(
     adj = np.empty((nf, n, ba.shape[1]), dtype=complex) if ba is not None else None
 
     w = 2j * np.pi * freqs
+    factored = 0
     for k in range(nf):
-        lu, piv = _getrf(g + w[k] * c)
+        ent = None if factors is None else factors.get(float(freqs[k]))
+        if ent is None:
+            ent = _getrf(g + w[k] * c)
+            factored += 1
+            if factors is not None:
+                factors[float(freqs[k])] = ent
+        lu, piv = ent
         if bf is not None:
             fwd[k], _ = _lapack.zgetrs(lu, piv, bf)
         if ba is not None:
             adj[k], _ = _lapack.zgetrs(lu, piv, ba, trans=1)
-    prof_count("linsolve.lu_factor", nf)
+    prof_count("linsolve.lu_factor", factored)
     prof_count("linsolve.lu_solve", nf * ((bf is not None) + (ba is not None)))
     return fwd, adj
 
 
 class SpectralSolver:
-    """Shared-factorization solver for dense frequency sweeps.
+    """Shared-factorization solver for dense frequency sweeps, over a
+    leading *unit* axis.
 
     ``(G + 2j*pi*f*C) x = b`` is rewritten as ``G (I + jw*M) x = b`` with
     ``M = G^{-1} C``; one complex Schur decomposition ``M = Q T Q^H``
-    then reduces every frequency to a triangular substitution in the
-    Schur basis, vectorised across the whole sweep.  The adjoint system
-    ``A^T psi = e`` reuses the *same* decomposition (``I + jw*T^T`` is
-    lower triangular), so AC gain, noise transimpedances and any number
-    of injections all ride on a single factorization.
+    per unit then reduces every frequency to a triangular substitution
+    in the Schur basis.  The adjoint system ``A^T psi = e`` reuses the
+    *same* decomposition (``I + jw*T^T`` is lower triangular), so AC
+    gain, noise transimpedances and any number of injections all ride
+    on a single factorization.
+
+    ``g``/``c`` are one system's ``(n, n)`` matrices (a serial context,
+    ``N = 1``) or a unit-stacked ``(N, n, n)`` pair (a tensor group).
+    The per-unit ``lu_factor``/``lu_solve``/``schur`` stay scipy calls
+    and keep their own layouts; the substitution runs over the unit and
+    frequency axes together, so one pass serves every unit.  Each unit's
+    arithmetic is the serial solver's, elementwise and kernel for
+    kernel, so a unit's solution is its serial solution bit for bit.
 
     Accuracy: Schur with a unitary ``Q`` is backward stable, and
-    :meth:`solve` checks scaled residuals at spread samples plus the
-    sweep's worst-conditioned frequency, returning ``None`` so the
-    caller can fall back to :func:`solve_stacked` on any doubt.
+    :meth:`solve_units` checks each unit's scaled residuals at spread
+    samples plus the sweep's worst-conditioned frequency; a rejected
+    unit is left to the caller's fallback (:func:`solve_stacked` for a
+    serial context, the unit's serial measurement for a tensor group).
+    A unit whose decomposition fails raises for a serial context; in a
+    stacked one its solutions are non-finite, so the gate rejects it.
     """
 
     def __init__(self, g: np.ndarray, c: np.ndarray) -> None:
-        self.g = g
-        self.c = c
-        self.n = g.shape[0]
-        self.lu_g = sla.lu_factor(g)
-        m = sla.lu_solve(self.lu_g, c)
-        if not np.all(np.isfinite(m)):
-            raise np.linalg.LinAlgError("G^-1 C is not finite")
-        self.t, self.q = sla.schur(m, output="complex")
-        self.t_diag = self.t.diagonal().copy()
+        stacked = g.ndim == 3
+        self.g = g if stacked else g[None]
+        self.c = c if stacked else c[None]
+        self.n_units, self.n = n_units, n = self.g.shape[:2]
+        # scipy returns Fortran-ordered factors; each unit keeps that
+        # layout (the substitution reads T's columns contiguously).
+        self.t = np.empty((n_units, n, n), dtype=complex).transpose(0, 2, 1)
+        self.q = np.empty((n_units, n, n), dtype=complex).transpose(0, 2, 1)
+        self.lu_g: list = []     # None for a unit whose decomposition failed
+        for u in range(n_units):
+            try:
+                lu_g = sla.lu_factor(self.g[u])
+                m = sla.lu_solve(lu_g, self.c[u])
+                if not np.all(np.isfinite(m)):
+                    raise np.linalg.LinAlgError("G^-1 C is not finite")
+                self.t[u], self.q[u] = sla.schur(m, output="complex")
+            except (np.linalg.LinAlgError, ValueError):
+                if not stacked:
+                    raise
+                self.t[u] = self.q[u] = np.nan
+                lu_g = None
+            self.lu_g.append(lu_g)
+        self.t_diag = np.diagonal(self.t, axis1=1, axis2=2).copy()
         self.q_conj = self.q.conj()
         # Inf-norms for the scaled residual check (row sums for A,
-        # column sums for the transposed adjoint system).
-        self._g_norm = float(np.abs(g).sum(axis=1).max())
-        self._c_norm = float(np.abs(c).sum(axis=1).max())
-        self._gt_norm = float(np.abs(g).sum(axis=0).max())
-        self._ct_norm = float(np.abs(c).sum(axis=0).max())
+        # column sums for the transposed adjoint system), per unit.
+        self._g_norm = np.abs(self.g).sum(axis=2).max(axis=1)
+        self._c_norm = np.abs(self.c).sum(axis=2).max(axis=1)
+        self._gt_norm = np.abs(self.g).sum(axis=1).max(axis=1)
+        self._ct_norm = np.abs(self.c).sum(axis=1).max(axis=1)
+
+    def _rhs(self, rhs: np.ndarray) -> np.ndarray:
+        """One ``(n,)``/``(n, k)`` RHS spec, shared by every unit, as a
+        read-only ``(N, n, k)`` view."""
+        b = _as_rhs_matrix(rhs, self.n)
+        return np.broadcast_to(b, (self.n_units,) + b.shape)
+
+    def _per_unit(self, fn, arrays) -> np.ndarray:
+        """``fn(u, *rows)`` for every unit, stacked; NaN for a unit whose
+        decomposition failed."""
+        out = None
+        for u in range(self.n_units):
+            if self.lu_g[u] is None:
+                continue
+            val = fn(u, *(a[u] for a in arrays))
+            if out is None:
+                out = np.full((self.n_units,) + val.shape, np.nan, dtype=complex)
+            out[u] = val
+        if out is None:
+            raise np.linalg.LinAlgError("no unit has a Schur decomposition")
+        return out
 
     def _substitute(self, r: np.ndarray, jw: np.ndarray,
                     inv_diag: np.ndarray, lower: bool) -> np.ndarray:
         """Solve ``(I + jw*T) z = r`` (or the lower-triangular transpose)
-        for every frequency at once; ``r`` is (n, k), result (nf, k, n)."""
-        n, nf, k = self.n, jw.size, r.shape[1]
+        for every unit and frequency at once; ``r`` is (N, n, k), result
+        (N, nf, k, n)."""
+        n, nf, k = self.n, jw.size, r.shape[2]
         t = self.t
-        z = np.empty((nf, k, n), dtype=complex)
+        z = np.empty((self.n_units, nf, k, n), dtype=complex)
         jw_col = jw[:, None]
         order = range(n) if lower else range(n - 1, -1, -1)
         for i in order:
+            # Column (lower) or row (upper) i of each unit's T as a
+            # (N, 1, len, 1) stack: one matrix-vector product per unit
+            # and frequency, the serial kernel's.
             if lower:
-                coupled = z[:, :, :i] @ t[:i, i] if i else 0.0
+                coupled = (z[..., :i] @ t[:, None, :i, i, None])[..., 0] if i else 0.0
             else:
-                coupled = z[:, :, i + 1:] @ t[i, i + 1:] if i < n - 1 else 0.0
-            z[:, :, i] = (r[i][None, :] - jw_col * coupled) * inv_diag[:, i][:, None]
+                coupled = (z[..., i + 1:] @ t[:, None, i, i + 1:, None])[..., 0] \
+                    if i < n - 1 else 0.0
+            z[..., i] = (r[:, i][:, None, :] - jw_col * coupled) \
+                * inv_diag[:, :, i][:, :, None]
         return z
 
-    def _scaled_residual(self, freqs: np.ndarray, jw: np.ndarray,
-                         x: np.ndarray, b: np.ndarray, adjoint: bool,
+    def _scaled_residual(self, u: int, freqs: np.ndarray, jw: np.ndarray,
+                         x_raw: np.ndarray, b: np.ndarray, adjoint: bool,
                          worst_idx: int) -> float:
-        """Max scaled residual over a spread of sample frequencies plus
-        the worst-conditioned point of the sweep (where ``1 + jw*t_ii``
-        comes closest to zero — the one place the triangular substitution
-        could lose accuracy between evenly spaced samples)."""
+        """Max scaled residual of unit ``u`` over a spread of sample
+        frequencies plus the worst-conditioned point of the sweep (where
+        ``1 + jw*t_ii`` comes closest to zero — the one place the
+        triangular substitution could lose accuracy between evenly
+        spaced samples).  ``x_raw`` is the unit's (nf, k, n) solution.
+        Every sample's ``A_s`` is formed at once and multiplied in one
+        stacked matmul, each sample's product the serial one's."""
         nf = freqs.size
         samples = np.unique(np.append(
             np.linspace(0, nf - 1, min(nf, 8)).astype(int), worst_idx
         ))
-        a_base = (self.g.T if adjoint else self.g).astype(complex)
-        c_base = self.c.T if adjoint else self.c
-        g_norm = self._gt_norm if adjoint else self._g_norm
-        c_norm = self._ct_norm if adjoint else self._c_norm
-        b_norm = np.abs(b).max(axis=0) + 1e-300          # per RHS column
-        worst = 0.0
-        for s in samples:
-            a = a_base + jw[s] * c_base
-            resid = np.abs(a @ x[s] - b).max(axis=0)
-            a_norm = g_norm + np.abs(jw[s]) * c_norm
-            x_norm = np.abs(x[s]).max(axis=0)
-            worst = max(worst, float(np.max(resid / (a_norm * x_norm + b_norm))))
-        return worst
+        # A_s = jw_s C + G (IEEE addition commutes, so these are the bits
+        # of G + jw_s C), or its transpose for the adjoint system, in the
+        # layout the serial gate's one-sample matrix had.
+        a = np.multiply(jw[samples][:, None, None], self.c[u])
+        a += self.g[u]
+        if adjoint:
+            a = a.transpose(0, 2, 1)
+        g_norm = (self._gt_norm if adjoint else self._g_norm)[u]
+        c_norm = (self._ct_norm if adjoint else self._c_norm)[u]
+        x = x_raw[samples].transpose(0, 2, 1)                  # (S, n, k)
+        b_norm = np.abs(b).max(axis=0) + 1e-300                # per RHS column
+        resid = np.abs(a @ x - b).max(axis=1)                  # (S, k)
+        a_norm = g_norm + np.abs(jw[samples]) * c_norm          # (S,)
+        x_norm = np.abs(x).max(axis=1)
+        return float(np.max(resid / (a_norm[:, None] * x_norm + b_norm)))
+
+    def _gate(self, freqs, jw, raw, b, adjoint, worst_idx) -> np.ndarray:
+        """Per-unit scaled residual of one solution set; NaN where the
+        solution is not finite."""
+        res = np.full(self.n_units, np.nan)
+        finite = np.isfinite(raw).all(axis=(1, 2, 3))
+        for u in np.flatnonzero(finite):
+            res[u] = self._scaled_residual(u, freqs, jw, raw[u], b[u],
+                                           adjoint, worst_idx[u])
+        return res
+
+    def solve_units(
+        self,
+        freqs: np.ndarray,
+        rhs: np.ndarray | None = None,
+        adjoint_rhs: np.ndarray | None = None,
+    ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
+        """Forward and adjoint sweeps of every unit.
+
+        Returns ``(fwd, adj, resid)``: ``fwd``/``adj`` are ``(N, nf, n,
+        k)`` (``None`` where not requested) and ``resid[u]`` is unit
+        *u*'s gate value: its worst scaled residual, or the first one
+        over :data:`SPECTRAL_RESIDUAL_TOL` in forward-then-adjoint
+        order, NaN for a non-finite solution.  A unit is accepted iff
+        ``resid[u] <= SPECTRAL_RESIDUAL_TOL``.
+        """
+        if rhs is None and adjoint_rhs is None:
+            raise ValueError("need at least one of rhs / adjoint_rhs")
+        freqs = np.asarray(freqs, dtype=float)
+        jw = 2j * np.pi * freqs
+        nf, n = freqs.size, self.n
+        with np.errstate(invalid="ignore"):     # NaN rows of a failed unit
+            inv_diag = 1.0 / (1.0 + jw[:, None] * self.t_diag[:, None, :])  # (N, nf, n)
+        worst_idx = np.abs(inv_diag).max(axis=2).argmax(axis=1)
+
+        fwd = adj = None
+        gates = []
+        if rhs is not None:
+            bf = self._rhs(rhs)
+            # x = Q (I + jw T)^-1 Q^H G^-1 b
+            r = self._per_unit(
+                lambda u, q, b: q.conj().T @ sla.lu_solve(self.lu_g[u], b),
+                (self.q, bf))
+            z = self._substitute(r, jw, inv_diag, lower=False)
+            raw = z @ self.q.transpose(0, 2, 1)[:, None]        # (N, nf, k, n)
+            fwd = raw.transpose(0, 1, 3, 2)
+            gates.append(self._gate(freqs, jw, raw, bf, False, worst_idx))
+        if adjoint_rhs is not None:
+            ba = self._rhs(adjoint_rhs)
+            k = ba.shape[2]
+            # psi = G^-T conj(Q) (I + jw T^T)^-1 Q^T e
+            u_ = self._per_unit(lambda u, q, b: q.T @ b, (self.q, ba))
+            y = self._substitute(u_, jw, inv_diag, lower=True)
+            p0 = y @ self.q_conj.transpose(0, 2, 1)[:, None]
+            raw = self._per_unit(
+                lambda u, p: sla.lu_solve(self.lu_g[u], p.reshape(nf * k, n).T,
+                                          trans=1).T.reshape(nf, k, n),
+                (p0,))
+            adj = raw.transpose(0, 1, 3, 2)
+            gates.append(self._gate(freqs, jw, raw, ba, True, worst_idx))
+
+        # A unit rejected by the forward gate keeps that value.
+        resid = np.zeros(self.n_units)
+        rejected = np.zeros(self.n_units, dtype=bool)
+        for res in gates:
+            resid = np.where(rejected, resid, np.maximum(resid, res))
+            rejected |= ~(resid <= SPECTRAL_RESIDUAL_TOL)
+        return fwd, adj, resid
 
     #: The scaled residual that last rejected this solver's fast path
     #: (``None`` if never rejected, or rejected on a non-finite result).
@@ -203,48 +348,26 @@ class SpectralSolver:
         rhs: np.ndarray | None = None,
         adjoint_rhs: np.ndarray | None = None,
     ) -> tuple[np.ndarray | None, np.ndarray | None] | None:
-        """Same contract as :func:`solve_stacked`; ``None`` means the
-        residual check rejected the fast path (caller should fall back)."""
-        if rhs is None and adjoint_rhs is None:
-            raise ValueError("need at least one of rhs / adjoint_rhs")
-        freqs = np.asarray(freqs, dtype=float)
-        jw = 2j * np.pi * freqs
-        nf, n = freqs.size, self.n
-        inv_diag = 1.0 / (1.0 + jw[:, None] * self.t_diag[None, :])  # (nf, n)
-        worst_idx = int(np.argmax(np.abs(inv_diag).max(axis=1)))
+        """A serial (``N = 1``) solver's sweep, with the contract of
+        :func:`solve_stacked`; ``None`` means the residual check
+        rejected the fast path (caller should fall back)."""
+        fwd, adj, resid = self.solve_units(freqs, rhs, adjoint_rhs)
+        res = float(resid[0])
+        if not res <= SPECTRAL_RESIDUAL_TOL:
+            self.last_rejected_residual = None if np.isnan(res) else res
+            return None
+        return (None if fwd is None else fwd[0]), (None if adj is None else adj[0])
 
-        fwd = adj = None
-        if rhs is not None:
-            bf = _as_rhs_matrix(rhs, n)
-            # x = Q (I + jw T)^-1 Q^H G^-1 b
-            r = self.q.conj().T @ sla.lu_solve(self.lu_g, bf)
-            z = self._substitute(r, jw, inv_diag, lower=False)
-            fwd = (z @ self.q.T).transpose(0, 2, 1)
-            if not np.all(np.isfinite(fwd)):
-                self.last_rejected_residual = None
-                return None
-            res = self._scaled_residual(
-                freqs, jw, fwd, bf, adjoint=False, worst_idx=worst_idx)
-            if res > SPECTRAL_RESIDUAL_TOL:
-                self.last_rejected_residual = res
-                return None
-        if adjoint_rhs is not None:
-            ba = _as_rhs_matrix(adjoint_rhs, n)
-            # psi = G^-T conj(Q) (I + jw T^T)^-1 Q^T e
-            u = self.q.T @ ba
-            y = self._substitute(u, jw, inv_diag, lower=True)
-            p0 = (y @ self.q_conj.T).reshape(nf * ba.shape[1], n)
-            adj = sla.lu_solve(self.lu_g, p0.T, trans=1).T.reshape(nf, ba.shape[1], n)
-            adj = adj.transpose(0, 2, 1)
-            if not np.all(np.isfinite(adj)):
-                self.last_rejected_residual = None
-                return None
-            res = self._scaled_residual(
-                freqs, jw, adj, ba, adjoint=True, worst_idx=worst_idx)
-            if res > SPECTRAL_RESIDUAL_TOL:
-                self.last_rejected_residual = res
-                return None
-        return fwd, adj
+
+def output_selector(system, out_p: str, out_n: str | None = None) -> np.ndarray:
+    """Unit selector ``e_out`` of ``system`` for a (differential) output,
+    reduced size."""
+    e_out = np.zeros(system.size)
+    if not is_ground(out_p):
+        e_out[system.node(out_p)] = 1.0
+    if out_n is not None and not is_ground(out_n):
+        e_out[system.node(out_n)] -= 1.0
+    return e_out
 
 
 class SmallSignalContext:
@@ -267,6 +390,7 @@ class SmallSignalContext:
         self.g = np.ascontiguousarray(self.system.linearize(op.x)[:n, :n])
         self.c = np.ascontiguousarray(self.system.c_static[:n, :n])
         self.cache: dict = {}
+        self._factors: dict[float, tuple] = {}
         self._spectral: SpectralSolver | None = None
         self._spectral_dead = False
         self._spectral_dead_reason: str | None = None
@@ -323,7 +447,8 @@ class SmallSignalContext:
         frequency SuperLU factorization first (one CSC factorization
         serving the forward and the transposed adjoint solves).  Below
         it, dense sweeps go through the cached Schur fast path and short
-        probes use :func:`solve_stacked`; any rejected fast path falls
+        probes use :func:`solve_stacked`, a single-frequency probe on
+        factors cached per frequency; any rejected fast path falls
         back down this ladder.  All paths agree with the tests' looped
         reference to well under 1e-9 (:func:`solve_stacked` bit for bit).
         """
@@ -348,7 +473,10 @@ class SmallSignalContext:
                       n_freqs=int(freqs.size),
                       resid=solver.last_rejected_residual)
         prof_count("linsolve.path.stacked")
-        return solve_stacked(self.g, self.c, freqs, rhs, adjoint_rhs)
+        # Single-frequency probes (gain, PSRR, CMRR at 1 kHz) share one
+        # factorization per frequency; sweeps are not kept.
+        return solve_stacked(self.g, self.c, freqs, rhs, adjoint_rhs,
+                             factors=self._factors if freqs.size == 1 else None)
 
     def _solve_sparse(
         self,
@@ -438,12 +566,7 @@ class SmallSignalContext:
 
     def output_selector(self, out_p: str, out_n: str | None = None) -> np.ndarray:
         """Unit selector ``e_out`` for a (differential) output, reduced size."""
-        e_out = np.zeros(self.n)
-        if not is_ground(out_p):
-            e_out[self.system.node(out_p)] = 1.0
-        if out_n is not None and not is_ground(out_n):
-            e_out[self.system.node(out_n)] -= 1.0
-        return e_out
+        return output_selector(self.system, out_p, out_n)
 
     def probe(self, solutions: np.ndarray, out_p: str, out_n: str | None = None) -> np.ndarray:
         """Read a (differential) voltage out of reduced solution columns.

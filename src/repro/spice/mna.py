@@ -26,7 +26,7 @@ from __future__ import annotations
 import copy
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 
 import numpy as np
@@ -60,26 +60,43 @@ STRUCTURE_CACHE_SIZE = 32
 
 
 @dataclass
-class NoiseSource:
-    """A single current-noise generator between two nodes.
+class NoiseSources:
+    """The noise generators of the units that share one source layout.
 
-    ``psd_of`` maps frequency [Hz] to a one-sided PSD [A^2/Hz]; ``device``
-    and ``mechanism`` label the contribution for the paper-style noise
-    budget breakdown ("T1 thermal", "Ra thermal", "T5 flicker", ...).
+    Every array is in pack order (see :meth:`StampedSystem.noise_sources`);
+    ``keys`` labels each source ``(device, mechanism)`` for the paper-style
+    budget ("T1 thermal", "Ra thermal", "T5 flicker", ...).  A source's
+    one-sided current PSD at ``f`` is ``psd_flat + psd_flicker / f**af``
+    [A^2/Hz], the 1/f part only where ``flicker`` is set.
     """
 
-    device: str
-    mechanism: str
-    node_a: int
-    node_b: int
-    psd_flat: float          # frequency-independent part [A^2/Hz]
-    psd_flicker: float = 0.0  # coefficient of 1/f^af part [A^2/Hz * Hz^af]
-    af: float = 1.0
+    units: np.ndarray          # the system's unit rows with this layout
+    keys: list[tuple[str, str]]
+    node_a: np.ndarray         # (ns,) extended node index of the + node
+    node_b: np.ndarray
+    psd_flat: np.ndarray       # (n_units, ns) frequency-independent part
+    psd_flicker: np.ndarray    # (n_units, ns) coefficient of the 1/f^af part
+    af: np.ndarray             # (n_units, ns)
+    flicker: np.ndarray        # (ns,) sources with a nonzero 1/f part
 
-    def psd(self, freq: float) -> float:
-        if self.psd_flicker == 0.0:
-            return self.psd_flat
-        return self.psd_flat + self.psd_flicker / freq**self.af
+    def rows(self, sel) -> NoiseSources:
+        """These sources for the units ``sel`` picks (a slice or mask)."""
+        return replace(self, units=self.units[sel], psd_flat=self.psd_flat[sel],
+                       psd_flicker=self.psd_flicker[sel], af=self.af[sel])
+
+
+def resistor_law(resistors: list[list], temps: list[float],
+                 unit: np.ndarray) -> np.ndarray:
+    """Each unit's resistances at its temperature, ``(N, n_res)``, in
+    :meth:`Resistor.value_at`'s operation order over the unit axis.
+    ``resistors`` holds one list per distinct circuit, in circuit order,
+    and ``unit[u]`` picks unit *u*'s list."""
+    value, tc1, tc2 = (
+        np.array([[getattr(r, attr) for r in rs] for rs in resistors],
+                 dtype=float)[unit]
+        for attr in ("value", "tc1", "tc2"))
+    dt = np.array(temps)[:, None] - 25.0
+    return value * (1.0 + tc1 * dt + tc2 * dt * dt)
 
 
 def circuit_signature(circuit: Circuit) -> tuple:
@@ -185,7 +202,9 @@ class CircuitStructure:
       current sources, MOSFETs, BJTs, diodes and resistors, read by
       :meth:`members` without a type dispatch;
     * the device-terminal index arrays, the MOS-capacitance index array,
-      the BJT/diode stamp indices and the source stamp indices.
+      the BJT/diode stamp indices and the source stamp indices;
+    * ``noise_pos``: the positions, names and terminals of the resistors
+      and switches, the candidate thermal-noise sources, in circuit order.
 
     Every array is read-only.  What a system mutates (device stamp
     buffers, right-hand-side caches) stays on the system.
@@ -208,6 +227,7 @@ class CircuitStructure:
         c_idx: list[int] = []
         res_slot: list[int] = []
         vs, isrc, mos, bjts, diodes, res = [], [], [], [], [], []
+        noisy_pos: list[int] = []   # resistors and switches, circuit order
 
         def conduct(idx: list[int], n1: str, n2: str) -> None:
             a, b = node(n1), node(n2)
@@ -240,9 +260,11 @@ class CircuitStructure:
                 isrc.append(k)
             elif isinstance(el, Resistor):
                 res.append(k)
+                noisy_pos.append(k)
                 res_slot.append(len(g_idx))
                 conduct(g_idx, el.n1, el.n2)
             elif isinstance(el, Switch):
+                noisy_pos.append(k)
                 conduct(g_idx, el.n1, el.n2)
             elif isinstance(el, Capacitor):
                 conduct(c_idx, el.n1, el.n2)
@@ -307,6 +329,13 @@ class CircuitStructure:
             a * dim + a, a * dim + b, b * dim + a, b * dim + b,
         ]))
 
+        # ---- thermal noise of resistors and switches, circuit order ----
+        self.noise_pos = tuple(noisy_pos)
+        self.noise_names = names(noisy_pos)
+        self.noise_nodes = terminals(noisy_pos, "n1", "n2")
+        self.noise_is_res = _frozen([isinstance(els[k], Resistor) for k in noisy_pos],
+                                    dtype=bool)
+
         # ---- sources: RHS indices and the start vector's source nodes ----
         self.vs_branch_idx = _frozen([self.branch_index[els[k].name] for k in vs])
         self.is_np_idx, self.is_nn_idx = terminals(isrc, "np", "nn")
@@ -359,7 +388,8 @@ class CircuitStructure:
         return (
             MosGroup(list(self.mos_names), *self.mos_nodes, w=values(mos, "w"),
                      l=values(mos, "l"), m=values(mos, "m").astype(float),
-                     models=models(mos), temp_c=temp_c)
+                     models=models(mos), temp_c=temp_c, dvt=values(mos, "dvt"),
+                     dbeta=values(mos, "dbeta"))
             if self.mos_names else None,
             BjtGroup(list(self.bjt_names), *self.bjt_nodes, area=values(bjts, "area"),
                      models=models(bjts), temp_c=temp_c)
@@ -662,6 +692,111 @@ class StampedSystem:
     def _diode_jac_vals(self, ev) -> np.ndarray:
         return np.concatenate([ev.gd, -ev.gd, -ev.gd, ev.gd], axis=-1)
 
+    # ------------------------------------------------------------------
+    # Noise sources
+    # ------------------------------------------------------------------
+    def _noise_values(self) -> tuple:
+        """``(temps, circuits, unit_circuit, res_law)``: each unit's
+        temperature, the distinct circuits and each unit's index into
+        them, and each unit's resistances (:func:`resistor_law`)."""
+        raise NotImplementedError
+
+    def noise_sources(self, x_ext: np.ndarray,
+                      units: np.ndarray | None = None) -> list[NoiseSources]:
+        """The noise generators at solution ``x_ext`` (``(dim,)``, or
+        ``(N, dim)`` for a stacked system), one :class:`NoiseSources`
+        per source layout among ``units`` (default: every unit).
+
+        Pack order: the noisy resistors and the closed noisy switches
+        in circuit order, then each MOSFET's channel thermal source and,
+        where its coefficient is positive, its flicker source, then each
+        BJT's collector and base shot sources, then each diode's shot
+        source.  The arrays come straight from the device groups, whose
+        stacked rows equal their units' serial arrays bit for bit.
+        Which switches are closed and which flicker sources exist are
+        per-unit values (gain codes switch the network), so units are
+        grouped by layout, never padded: a zero source would change the
+        pairwise order of the PSD sum.
+        """
+        st = self.structure
+        temps, circuits, unit_circuit, res_law = self._noise_values()
+        lead = len(temps)
+        groups = (self.mos_group, self.bjt_group, self.diode_group)
+        n_dev = [0 if grp is None else len(grp) for grp in groups]
+        n_lin = len(st.noise_pos)
+        size = n_lin + 2 * n_dev[0] + 2 * n_dev[1] + n_dev[2]
+        # Every candidate source, present or not; a source is flat unless
+        # its psd_flicker is set, and af defaults to 1.
+        keys = [(name, "thermal") for name in st.noise_names]
+        node_a = np.empty(size, dtype=np.intp)
+        node_b = np.empty(size, dtype=np.intp)
+        psd_flat = np.zeros((lead, size))
+        psd_flicker = np.zeros((lead, size))
+        af = np.ones((lead, size))
+        present = np.ones((lead, size), dtype=bool)
+
+        # Resistors (kT4 / r on the resistor law) and switches (kT4 / ron).
+        kt4 = np.array([4.0 * BOLTZMANN * kelvin(t) for t in temps])[:, None]
+        is_res = st.noise_is_res
+        on, ron = [], []
+        for circ in circuits:
+            els = circ.elements
+            row = [els[k] for k in st.noise_pos]
+            on.append([el.noisy and (r or el.closed) for el, r in zip(row, is_res)])
+            ron.append([1.0 if r else el.ron for el, r in zip(row, is_res)])
+        denom = np.array(ron, dtype=float).reshape(len(circuits), n_lin)[unit_circuit]
+        denom[:, is_res] = res_law
+        psd_flat[:, :n_lin] = kt4 / denom
+        present[:, :n_lin] = np.array(on, dtype=bool).reshape(len(circuits), n_lin)[unit_circuit]
+        node_a[:n_lin], node_b[:n_lin] = st.noise_nodes
+        o = n_lin
+
+        if self.mos_group is not None:
+            grp = self.mos_group
+            ev = grp.evaluate(x_ext)
+            flicker = grp.kf / (grp.cox * grp.w * grp.l * grp.m) * ev.gm**2
+            th, fl = slice(o, o + 2 * n_dev[0], 2), slice(o + 1, o + 2 * n_dev[0], 2)
+            keys += [(name, mech) for name in grp.names for mech in ("thermal", "flicker")]
+            node_a[th] = node_a[fl] = grp.d
+            node_b[th] = node_b[fl] = grp.s
+            psd_flat[:, th] = grp.thermal_noise_psd(ev)
+            psd_flicker[:, fl] = flicker
+            af[:, fl] = grp.af
+            present[:, fl] = flicker > 0.0
+            o += 2 * n_dev[0]
+        if self.bjt_group is not None:
+            grp = self.bjt_group
+            ev = grp.evaluate(x_ext)
+            sc, sb = slice(o, o + 2 * n_dev[1], 2), slice(o + 1, o + 2 * n_dev[1], 2)
+            keys += [(name, mech) for name in grp.names for mech in ("shot_c", "shot_b")]
+            node_a[sc], node_a[sb] = grp.c, grp.b
+            node_b[sc] = node_b[sb] = grp.e
+            psd_flat[:, sc], psd_flat[:, sb] = grp.shot_noise_psd(ev)
+            psd_flicker[:, sb] = grp.kf * np.power(np.abs(ev.ib), grp.af)
+            af[:, sb] = grp.af
+            o += 2 * n_dev[1]
+        if self.diode_group is not None:
+            grp = self.diode_group
+            keys += [(name, "shot") for name in grp.names]
+            node_a[o:], node_b[o:] = grp.np_idx, grp.nn_idx
+            psd_flat[:, o:] = grp.shot_noise_psd(grp.evaluate(x_ext))
+        flicker = psd_flicker != 0.0
+
+        layouts: dict[bytes, list[int]] = {}
+        for u in range(lead) if units is None else units:
+            layouts.setdefault(present[u].tobytes() + flicker[u].tobytes(), []).append(u)
+        out = []
+        for members in layouts.values():
+            rows = np.array(members, dtype=np.intp)
+            cols = np.flatnonzero(present[members[0]])
+            out.append(NoiseSources(
+                units=rows, keys=[keys[j] for j in cols],
+                node_a=node_a[cols], node_b=node_b[cols],
+                psd_flat=psd_flat[rows][:, cols],
+                psd_flicker=psd_flicker[rows][:, cols],
+                af=af[rows][:, cols], flicker=flicker[members[0], cols]))
+        return out
+
 
 class MnaSystem(StampedSystem):
     """A circuit compiled at a fixed temperature, ready for the solvers."""
@@ -936,100 +1071,9 @@ class MnaSystem(StampedSystem):
         jac, _, _ = self.assemble(x_ext, np.zeros(self.size + 1))
         return jac
 
-    def noise_sources(self, x_ext: np.ndarray) -> list[NoiseSource]:
-        """Enumerate every noise generator at the operating point."""
-        sources: list[NoiseSource] = []
-        kt4 = 4.0 * BOLTZMANN * kelvin(self.temp_c)
-
-        for el in self.circuit:
-            if isinstance(el, Resistor) and el.noisy:
-                sources.append(
-                    NoiseSource(
-                        device=el.name,
-                        mechanism="thermal",
-                        node_a=self.node(el.n1),
-                        node_b=self.node(el.n2),
-                        psd_flat=kt4 / el.value_at(self.temp_c),
-                    )
-                )
-            elif isinstance(el, Switch) and el.noisy and el.closed:
-                sources.append(
-                    NoiseSource(
-                        device=el.name,
-                        mechanism="thermal",
-                        node_a=self.node(el.n1),
-                        node_b=self.node(el.n2),
-                        psd_flat=kt4 / el.ron,
-                    )
-                )
-
-        if self.mos_group is not None:
-            grp = self.mos_group
-            ev = grp.evaluate(x_ext)
-            thermal = grp.thermal_noise_psd(ev)
-            flicker_coeff = grp.kf / (grp.cox * grp.w * grp.l * grp.m) * ev.gm**2
-            for k, name in enumerate(grp.names):
-                sources.append(
-                    NoiseSource(
-                        device=name,
-                        mechanism="thermal",
-                        node_a=int(grp.d[k]),
-                        node_b=int(grp.s[k]),
-                        psd_flat=float(thermal[k]),
-                    )
-                )
-                if flicker_coeff[k] > 0.0:
-                    sources.append(
-                        NoiseSource(
-                            device=name,
-                            mechanism="flicker",
-                            node_a=int(grp.d[k]),
-                            node_b=int(grp.s[k]),
-                            psd_flat=0.0,
-                            psd_flicker=float(flicker_coeff[k]),
-                            af=float(grp.af[k]),
-                        )
-                    )
-
-        if self.bjt_group is not None:
-            grp = self.bjt_group
-            ev = grp.evaluate(x_ext)
-            sic, sib = grp.shot_noise_psd(ev)
-            fl = grp.kf * np.power(np.abs(ev.ib), grp.af)
-            for k, name in enumerate(grp.names):
-                sources.append(
-                    NoiseSource(
-                        device=name,
-                        mechanism="shot_c",
-                        node_a=int(grp.c[k]),
-                        node_b=int(grp.e[k]),
-                        psd_flat=float(sic[k]),
-                    )
-                )
-                sources.append(
-                    NoiseSource(
-                        device=name,
-                        mechanism="shot_b",
-                        node_a=int(grp.b[k]),
-                        node_b=int(grp.e[k]),
-                        psd_flat=float(sib[k]),
-                        psd_flicker=float(fl[k]),
-                        af=float(grp.af[k]),
-                    )
-                )
-
-        if self.diode_group is not None:
-            grp = self.diode_group
-            ev = grp.evaluate(x_ext)
-            shot = grp.shot_noise_psd(ev)
-            for k, name in enumerate(grp.names):
-                sources.append(
-                    NoiseSource(
-                        device=name,
-                        mechanism="shot",
-                        node_a=int(grp.np_idx[k]),
-                        node_b=int(grp.nn_idx[k]),
-                        psd_flat=float(shot[k]),
-                    )
-                )
-        return sources
+    def _noise_values(self) -> tuple:
+        """This system as one unit, for :meth:`noise_sources`."""
+        els = self.circuit.elements
+        resistors = [els[k] for k in self.structure.member_pos[5]]
+        return ([self.temp_c], [self.circuit], np.zeros(1, dtype=np.intp),
+                resistor_law([resistors], [self.temp_c], np.zeros(1, dtype=np.intp)))

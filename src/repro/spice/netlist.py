@@ -197,8 +197,11 @@ class Circuit:
         w: float,
         l: float,
         m: int = 1,
+        dvt: float = 0.0,
+        dbeta: float = 0.0,
     ) -> Mosfet:
-        return self.add(Mosfet(name, d=d, g=g, s=s, b=b, model=model, w=w, l=l, m=m))
+        return self.add(Mosfet(name, d=d, g=g, s=s, b=b, model=model, w=w, l=l, m=m,
+                               dvt=dvt, dbeta=dbeta))
 
     def bjt(
         self, name: str, c: str, b: str, e: str, model: BjtModel, area: float = 1.0

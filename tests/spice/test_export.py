@@ -2,6 +2,7 @@
 
 import pathlib
 
+import numpy as np
 import pytest
 
 from repro.spice import Circuit, Pulse, Sine
@@ -172,3 +173,37 @@ def by_name_model(deck: str, name: str) -> str:
         if line.startswith(f".model {name} "):
             return line.rstrip(")")
     raise AssertionError(f"model {name} not in deck")
+
+
+class TestMismatchDeck:
+    """A Monte Carlo trial's devices carry their mismatch as instance
+    deltas; the deck writes each such device's own VTO/KP card."""
+
+    def test_every_device_keeps_its_own_values(self, tech):
+        from repro.circuits.micamp import build_mic_amp
+        from repro.process.mismatch import MismatchSampler
+
+        circuit = build_mic_amp(
+            tech, gain_code=5,
+            mismatch=MismatchSampler(tech, np.random.default_rng(3))).circuit
+        deck = export_netlist(circuit)
+        cards = {line.split()[1]: line for line in deck.splitlines()
+                 if line.startswith(".model")}
+        devices = {line.split()[0][1:]: line.split()[5]
+                   for line in deck.splitlines() if line.startswith("M")}
+        mismatched = [el for el in circuit.mosfets() if el.dvt or el.dbeta]
+        assert mismatched
+        for el in circuit.mosfets():
+            card = cards[devices[el.name]]
+            fields = dict(f.split("=") for f in card.rstrip(")").split("(")[1].split())
+            vto = float(fields["VTO"])
+            vth0 = el.model.vth0 + el.dvt
+            assert vto == (vth0 if el.model.polarity == "nmos" else -vth0)
+            assert float(fields["KP"]) == el.model.kp * (1.0 + el.dbeta)
+        assert len({devices[el.name] for el in mismatched}) == len(mismatched)
+
+    def test_nominal_deck_shares_model_cards(self, mic_amp_40db):
+        deck = export_netlist(mic_amp_40db.circuit)
+        names = {el.model.name for el in mic_amp_40db.circuit.mosfets()}
+        assert [line.split()[1] for line in deck.splitlines()
+                if line.startswith(".model")] == sorted(names)

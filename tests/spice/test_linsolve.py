@@ -11,6 +11,7 @@ import pytest
 
 from repro.analysis.psrr import _signal_sources, measure_psrr
 from repro.circuits.micamp import build_mic_amp
+from repro.obs import Recorder
 from repro.process import CMOS12
 from repro.spice import Circuit, ac_analysis, dc_operating_point, noise_analysis
 from repro.spice.analysis import log_freqs
@@ -106,6 +107,28 @@ class TestSpectralSolver:
         assert_solutions_close(fwd, ref)
 
 
+class TestProbeFactorCache:
+    """Single-frequency probes on one context share one factorization
+    per frequency; the cached factors give the uncached bytes."""
+
+    def test_probes_at_one_frequency_factor_once(self, mic_amp_40db):
+        ctx = dc_operating_point(mic_amp_40db.circuit).small_signal()
+        one = np.array([1e3])
+        b = ctx.rhs_ac()
+        e = ctx.output_selector(mic_amp_40db.outp, mic_amp_40db.outn)
+        rec = Recorder()
+        with rec.activate():
+            fwd, _ = ctx.solve(one, rhs=b)
+            again, adj = ctx.solve(one, rhs=np.stack([b, 2 * b], axis=1),
+                                   adjoint_rhs=e)
+        assert rec.profile()["counts"]["linsolve.lu_factor"] == 1
+        ref, ref_adj = solve_stacked(ctx.g, ctx.c, one,
+                                     rhs=np.stack([b, 2 * b], axis=1), adjoint_rhs=e)
+        assert fwd.tobytes() == ref[:, :, :1].tobytes()
+        assert again.tobytes() == ref.tobytes()
+        assert adj.tobytes() == ref_adj.tobytes()
+
+
 class TestSpectralFallback:
     """The residual check -> LU fallback path: an ill-conditioned sweep
     must be *rejected* by the Schur fast path and silently served by
@@ -140,6 +163,17 @@ class TestSpectralFallback:
         fwd_ref, psi_ref = solve_looped(g, c, freqs, rhs=rhs, adjoint_rhs=adj)
         assert_solutions_close(fwd, fwd_ref)
         assert_solutions_close(psi, psi_ref)
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_a_stacked_unit_whose_decomposition_fails_is_rejected_alone(
+            self, mic_amp_op):
+        ctx = mic_amp_op.small_signal()
+        g = np.stack([ctx.g, np.zeros_like(ctx.g)])
+        fwd, _, resid = SpectralSolver(g, np.stack([ctx.c, ctx.c])).solve_units(
+            FREQS, rhs=ctx.rhs_ac())
+        assert resid[0] <= 1e-10 and np.isnan(resid[1])
+        ref, _ = SpectralSolver(ctx.g, ctx.c).solve(FREQS, rhs=ctx.rhs_ac())
+        assert fwd[0].tobytes() == ref.tobytes()
 
     def test_adjoint_rejection_also_falls_back(self):
         g, c, rhs = self._ill_conditioned(seed=3)

@@ -17,8 +17,8 @@ leading unit axis:
   and directly on a group's batched ``G``/``C`` (:func:`noise_units`);
 * the sources are array packs straight from the device groups
   (:meth:`repro.spice.mna.StampedSystem.noise_sources`), one per source
-  layout, and the PSD reduction (:func:`_reduce`) runs over the units of
-  a layout at once;
+  layout, and the sweep and the PSD reduction (:func:`_reduce`) run over
+  up to :data:`NOISE_CHUNK_UNITS` units of a layout at once;
 * the per-(device, mechanism) breakdown is computed only when
   :attr:`NoiseResult.contributions` is first read.
 

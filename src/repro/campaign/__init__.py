@@ -36,7 +36,7 @@ from repro.campaign.batchrun import run_chunk_batched
 from repro.campaign.builders import BUILDERS, BuiltUnit, register_builder
 from repro.campaign.measurements import MEASUREMENTS, register_measurement
 from repro.campaign.result import AXIS_COLUMNS, CampaignResult
-from repro.campaign.runner import UnitRuntime, run_campaign, run_chunk
+from repro.campaign.runner import UnitRuntime, run_campaign, run_campaigns, run_chunk
 from repro.campaign.spec import CampaignSpec, WorkUnit, mc_seeds
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "register_builder",
     "register_measurement",
     "run_campaign",
+    "run_campaigns",
     "run_chunk",
     "run_chunk_batched",
 ]

@@ -20,7 +20,10 @@ so grouping cannot change any value.  :func:`run_campaign` executes
 through :func:`repro.campaign.batchrun.run_chunk_batched`, and its
 export is byte-identical to the per-unit oracle :func:`run_chunk`
 (``tests/campaign/test_executor_equivalence.py`` pins it for every
-registered builder).
+registered builder).  :func:`run_campaigns` runs several specs that
+differ only in ``builder_kwargs`` (an optimizer generation's candidate
+sizings) through the same grouping walk, each with the records its own
+:func:`run_campaign` would give.
 """
 
 from __future__ import annotations
@@ -57,6 +60,11 @@ class UnitRuntime:
 @dataclass
 class ChunkCache:
     """Per-run reuse of techs and built circuits.
+
+    ``techs`` maps corner names to ``spec.tech`` skewed to that corner;
+    a caller that runs many campaigns on one technology (the optimizer's
+    evaluator) passes one dict to all of them, so each corner is
+    derived once.
 
     The circuit cache holds a *single* entry: the expansion order is
     temperature-innermost, so once the circuit key changes the previous
@@ -138,7 +146,8 @@ def run_chunk(spec: CampaignSpec,
 
 
 def run_campaign(spec: CampaignSpec, store=None,
-                 units: list[WorkUnit] | None = None, progress=None):
+                 units: list[WorkUnit] | None = None, progress=None,
+                 techs: dict | None = None):
     """Expand, execute and collect a campaign into a ``CampaignResult``.
 
     Execution has one path: :func:`~repro.campaign.batchrun.
@@ -175,6 +184,9 @@ def run_campaign(spec: CampaignSpec, store=None,
     computed records are still returned — persistence is best-effort.
     Either event is surfaced on ``result.store_stats["store_errors"]``;
     the records themselves are identical either way.
+
+    ``techs`` is a caller's cache of ``spec.tech``'s corner technologies
+    (see :class:`ChunkCache`), filled on demand.
     """
     import sqlite3
 
@@ -186,7 +198,8 @@ def run_campaign(spec: CampaignSpec, store=None,
     with span("campaign.run", builder=spec.builder,
               n_units=len(units)) as run_span:
         if store is None:
-            records = run_chunk_batched(spec, units, progress=progress)
+            records = run_chunk_batched(spec, units, progress=progress,
+                                        techs=techs)
             result = CampaignResult.from_units(spec, units, records)
         else:
             from repro.store import UnitKeyer
@@ -207,7 +220,7 @@ def run_campaign(spec: CampaignSpec, store=None,
                 progress(reused, len(units))
                 inner = lambda done, _total: progress(reused + done, len(units))
             fresh = run_chunk_batched(spec, [u for u, _ in missing],
-                                      progress=inner)
+                                      progress=inner, techs=techs)
             fresh_by_key = {}
             entries = []
             for (unit, key), record in zip(missing, fresh):
@@ -245,6 +258,41 @@ def run_campaign(spec: CampaignSpec, store=None,
             "events": rec.event_totals(),
         }
     return result
+
+
+def run_campaigns(specs: list[CampaignSpec],
+                  techs: dict | None = None) -> list:
+    """Every spec's campaign through one grouping walk
+    (:func:`~repro.campaign.batchrun.run_jobs`): a ``CampaignResult``
+    per spec, in order, or the exception that ended that spec's
+    campaign, where :func:`run_campaign` would have raised it (its
+    traceback dropped).
+
+    The specs may differ only in ``builder_kwargs`` — the candidate
+    sizings of an optimizer generation — so same-structure units of
+    different specs share one tensor group.  Each result's records are
+    byte-identical to its own :func:`run_campaign`.  ``techs`` is shared
+    by every spec (see :class:`ChunkCache`).
+    """
+    from repro.campaign.batchrun import CampaignJob, run_jobs
+    from repro.campaign.result import CampaignResult
+
+    techs = {} if techs is None else techs
+    jobs = [CampaignJob(ChunkCache(spec, techs), spec.expand()) for spec in specs]
+    run_jobs(jobs)
+    out: list = []
+    for job in jobs:
+        # Exceptions go out without their tracebacks: this frame, an
+        # ancestor of the frames a traceback holds, keeps them in
+        # ``out`` — a cycle that would hold the failed units' arrays.
+        if job.error is not None:
+            out.append(job.take_error().with_traceback(None))
+            continue
+        try:
+            out.append(CampaignResult.from_units(job.spec, job.units, job.records))
+        except Exception as exc:
+            out.append(exc.with_traceback(None))
+    return out
 
 
 def solver_health_sidecar(records: list[dict]) -> dict:

@@ -20,6 +20,18 @@ coordinate-descent probes — cost a dict lookup instead of a Newton
 solve.  ``tests/optimize/test_evaluate.py`` checks the metrics against
 a naive per-candidate rebuild loop to ``rtol=1e-6``.
 
+:meth:`CandidateEvaluator.evaluate` scores one design through its own
+campaign (:func:`~repro.campaign.runner.run_campaign`).
+:meth:`CandidateEvaluator.evaluate_population` scores a population —
+one DE generation of the optimizer — by running
+the campaigns of all its distinct uncached designs through one grouping
+walk (:func:`~repro.campaign.runner.run_campaigns`), so same-structure
+units of different candidates share a tensor group; it then hands out
+the rows in order through :meth:`~CandidateEvaluator.evaluate`, so the
+counters, the memo and the store advance exactly as in a loop of
+single evaluations.  Both paths give each candidate the same bytes and
+share the evaluator's corner technologies, each derived once.
+
 Passing ``store=`` (a :class:`repro.store.ResultStore`) adds a
 **persistent backend** beneath the in-memory memo: every measured
 candidate is written to disk under a content-addressed key (quantized
@@ -39,11 +51,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.campaign import CampaignSpec, run_campaign
+from repro.campaign import CampaignSpec, run_campaign, run_campaigns
 from repro.obs.recorder import prof_count
 from repro.optimize.objective import Objective
 from repro.optimize.space import DesignSpace
@@ -144,6 +156,12 @@ class CandidateEvaluator:
         self.store_hits = 0
         self.store_misses = 0
         self._store_context: str | None = None
+        #: ``tech`` skewed per corner, shared by every campaign this
+        #: evaluator runs, serial or batched.
+        self._techs: dict[str, Technology] = {}
+        # Prefetched by evaluate_population for its rows' evaluate().
+        self._stored: dict = {}
+        self._measured: dict = {}
 
     # ------------------------------------------------------------------
     @property
@@ -195,27 +213,57 @@ class CandidateEvaluator:
                 for metric in result.metrics}
 
     def _measure(self, x: np.ndarray) -> Evaluation:
+        """One candidate's own campaign (the serial path)."""
+        params = self.space.as_dict(x)
+        try:
+            result = run_campaign(self._campaign_spec(params), techs=self._techs)
+        except Exception as exc:
+            # Scored inside the handler: a frame that kept the exception
+            # would sit in its own traceback, a cycle holding the failed
+            # solve's arrays until the cyclic collector runs.
+            return self._scored(x, exc)
+        return self._scored(x, result)
+
+    def _measure_many(self, qs: list[np.ndarray]) -> list[Evaluation]:
+        """Several candidates' campaigns through one grouping walk
+        (:func:`~repro.campaign.runner.run_campaigns`), each scored as
+        :meth:`_measure` scores it alone."""
+        evs: list = [None] * len(qs)
+        specs, where = [], []
+        for i, q in enumerate(qs):
+            params = self.space.as_dict(q)
+            try:
+                specs.append(self._campaign_spec(params))
+                where.append(i)
+            except Exception as exc:
+                evs[i] = self._scored(q, exc)
+        for i, outcome in zip(where, run_campaigns(specs, self._techs)):
+            evs[i] = self._scored(qs[i], outcome)
+        return evs
+
+    def _scored(self, x: np.ndarray, outcome) -> Evaluation:
+        """Score a campaign outcome: its result, or the exception that
+        ended it."""
         from repro.faults import TRANSIENT_INFRA_ERRORS
 
-        params = self.space.as_dict(x)
-        transient = False
-        try:
-            result = run_campaign(self._campaign_spec(params))
-            metrics = self._aggregate(result)
-            error = None
-        except Exception as exc:  # infeasible region: no operating point,
-            # switch overdrive collapse, budget split > 1, ...
-            metrics = {}
-            error = f"{type(exc).__name__}: {exc}"
-            # ... unless the *infrastructure* failed, which says nothing
-            # about the design and must not become its cached verdict
-            # (the shared taxonomy in repro.faults).
-            transient = isinstance(exc, TRANSIENT_INFRA_ERRORS)
+        metrics: dict[str, float] = {}
+        error = outcome if isinstance(outcome, Exception) else None
+        if error is None:
+            try:
+                metrics = self._aggregate(outcome)
+            except Exception as exc:
+                error = exc
+        # An error marks the infeasible region (no operating point,
+        # switch overdrive collapse, budget split > 1, ...) unless the
+        # *infrastructure* failed, which says nothing about the design
+        # and must not become its cached verdict (the shared taxonomy in
+        # repro.faults).
         score = self.objective.score(metrics) if metrics else math.inf
         feasible = bool(metrics) and self.objective.feasible(metrics)
-        return Evaluation(x=x, metrics=metrics, score=score,
-                          feasible=feasible, error=error,
-                          transient=transient)
+        return Evaluation(
+            x=x, metrics=metrics, score=score, feasible=feasible,
+            error=None if error is None else f"{type(error).__name__}: {error}",
+            transient=isinstance(error, TRANSIENT_INFRA_ERRORS))
 
     # ------------------------------------------------------------------
     # Persistent backend (repro.store)
@@ -285,7 +333,10 @@ class CandidateEvaluator:
     # ------------------------------------------------------------------
     def evaluate(self, x: np.ndarray) -> Evaluation:
         """Score one design vector: quantize, then consult the in-memory
-        memo, then the persistent store (if any), then simulate."""
+        memo, then the persistent store (if any), then simulate.  Inside
+        :meth:`evaluate_population` the store read and the simulation
+        may already have been made for this design; they are taken from
+        there."""
         q = self.space.quantize(np.asarray(x, dtype=float))
         key = self.space.key(q)
         hit = self.cache.get(key)
@@ -296,7 +347,10 @@ class CandidateEvaluator:
         self.cache_misses += 1
         prof_count("optimize.memo_misses")
         if self.store is not None:
-            payload = self.store.get(self._design_key(key))
+            if key in self._stored:
+                payload = self._stored.pop(key)
+            else:
+                payload = self.store.get(self._design_key(key))
             if payload is not None:
                 self.store_hits += 1
                 prof_count("optimize.store_hits")
@@ -306,7 +360,9 @@ class CandidateEvaluator:
             self.store_misses += 1
             prof_count("optimize.store_misses")
         prof_count("optimize.simulated")
-        ev = self._measure(q)
+        ev = self._measured.pop(key, None)
+        if ev is None:
+            ev = self._measure(q)
         if not ev.transient:
             # An infrastructure failure is no verdict on the design:
             # keep it out of both cache levels so a revisit retries.
@@ -315,10 +371,54 @@ class CandidateEvaluator:
                 self._persist(key, ev)
         return ev
 
-    def evaluate_population(self, xs: np.ndarray) -> list[Evaluation]:
-        """Score a ``(n, d)`` population (row order preserved)."""
+    def evaluate_population(self, xs: np.ndarray) -> Iterator[Evaluation]:
+        """Score a ``(n, d)`` population, yielding row by row in order.
+
+        First every distinct design among the rows that neither cache
+        level holds is simulated, all in one grouping walk
+        (:meth:`_measure_many`), so same-structure units of different
+        candidates share tensor groups.  Then each row goes through
+        :meth:`evaluate`, which takes its prefetched store read and
+        simulation: hit and miss counts, the memo (each fresh result at
+        its own row) and store writes advance row by row exactly as a
+        loop of :meth:`evaluate` calls would, and each row is yielded
+        once they have.  A transient failure is not cached, so a later
+        duplicate of it is simulated again, by itself.
+        """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return [self.evaluate(row) for row in xs]
+        self._stored, self._measured = self._prefetch(xs)
+        try:
+            for row in xs:
+                yield self.evaluate(row)
+        finally:
+            self._stored, self._measured = {}, {}
+
+    def _prefetch(self, xs: np.ndarray) -> tuple[dict, dict]:
+        """``(stored, measured)`` for the rows ``xs``: the store payload
+        (or ``None``) of each distinct design the memo lacks, and the
+        simulated :class:`Evaluation` of each the store lacks too.  A
+        design whose store read raises is left out of both: its row's
+        own :meth:`evaluate` reads again, and raises at its index."""
+        stored: dict = {}
+        todo: dict = {}
+        seen: set = set()
+        for row in xs:
+            q = self.space.quantize(row)
+            key = self.space.key(q)
+            if key in self.cache or key in seen:
+                continue
+            seen.add(key)
+            if self.store is not None:
+                try:
+                    payload = self.store.get(self._design_key(key))
+                except Exception:
+                    continue
+                stored[key] = payload
+                if payload is not None:
+                    continue
+            todo[key] = q
+        measured = dict(zip(todo, self._measure_many(list(todo.values()))))
+        return stored, measured
 
     def scores(self, xs: np.ndarray) -> np.ndarray:
         return np.array([ev.score for ev in self.evaluate_population(xs)])

@@ -3,9 +3,22 @@ coordinate-descent refinement.
 
 The search runs in the unit cube of a :class:`~repro.optimize.space.DesignSpace`
 and is NumPy-vectorised over the population: stratified seeding, DE
-mutation/crossover and selection all operate on ``(n, d)`` arrays —
-only the circuit simulations themselves walk candidate by candidate,
-and those are deduplicated by the evaluator's quantized-vector cache.
+mutation/crossover and selection all operate on ``(n, d)`` arrays.  The
+DE simulations are batched too: each generation is scored as one
+population
+(:meth:`~repro.optimize.evaluate.CandidateEvaluator.evaluate_population`),
+whose same-structure units share tensor groups.  Every trial of a
+generation depends only on the population and the best member, both
+fixed when the generation starts, so batching changes no proposal; the
+budget, the best-so-far, the history, the Pareto front and ``progress``
+are then updated candidate by candidate in index order, exactly as a
+one-at-a-time walk would.  The Latin-hypercube population is scored one
+candidate at a time: a batch of it would save a few percent of the
+search's time, but would hold back every progress report, the caller's
+warm starts included, until the whole population is done, so each
+search would open with one long silent step.  The closing pattern
+search is serial too: each probe depends on the one before.  Revisited
+grid cells cost a lookup in the evaluator's quantized-vector cache.
 
 Determinism is a hard contract, matching the campaign engine's: every
 random draw comes from one ``np.random.default_rng(seed)``, candidates
@@ -106,7 +119,17 @@ class _SearchState:
 
     def evaluate(self, u: np.ndarray) -> Evaluation:
         """One budgeted evaluation of a unit-cube candidate."""
-        ev = self.evaluator.evaluate(self.space.from_unit(u))
+        return self._record(self.evaluator.evaluate(self.space.from_unit(u)))
+
+    def evaluate_batch(self, us: np.ndarray) -> list[Evaluation]:
+        """Budgeted evaluations of the unit-cube rows ``us``, scored as
+        one population (:meth:`CandidateEvaluator.evaluate_population`)
+        and recorded row by row in order."""
+        xs = np.array([self.space.from_unit(u) for u in us])
+        return [self._record(ev)
+                for ev in self.evaluator.evaluate_population(xs)]
+
+    def _record(self, ev: Evaluation) -> Evaluation:
         self.calls += 1
         if self.progress is not None:
             self.progress(self.calls, self.budget)
@@ -158,7 +181,10 @@ def optimize(
     receives ``(evaluations_done, budget)`` after *every* budgeted
     evaluation (cache hits included) — the hook job-wrapped runs (the
     serve layer) use to report live search progress.  Neither affects
-    the search trajectory.
+    the search trajectory.  A DE generation has simulated all of its
+    candidates before the first of them reports, and the evaluator's
+    counters and memo then advance candidate by candidate, so at each
+    call they read as after a one-at-a-time walk.
     """
     if budget < 2:
         raise ValueError(f"budget must be >= 2, got {budget}")
@@ -201,13 +227,11 @@ def optimize(
         cross = rng.random((n, d)) < de_cr
         cross[np.arange(n), rng.integers(d, size=n)] = True  # j_rand
         trial_u = np.where(cross, mutant, pop_u)
-        for i in range(n):
-            if state.calls >= budget - refine_reserve:
-                break
-            trial_score = state.evaluate(trial_u[i]).score
-            if trial_score <= scores[i]:
+        m = min(n, budget - refine_reserve - state.calls)
+        for i, ev in enumerate(state.evaluate_batch(trial_u[:m])):
+            if ev.score <= scores[i]:
                 pop_u[i] = trial_u[i]
-                scores[i] = trial_score
+                scores[i] = ev.score
 
     # --- stage 3: pattern search on the winner, down to the grid ---
     # Start at ``refine_scale`` quantization steps and halve on stalled

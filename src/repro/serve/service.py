@@ -36,7 +36,9 @@ Failure policy (the robustness contract, attacked by ``tests/faults``):
   (after each group of at most ``DEFAULT_BATCH_SIZE`` units for
   campaigns, after each evaluation for optimize); an
   overrun fails the job with a one-line timeout error, never wedges a
-  worker forever.
+  worker forever.  An optimize job overruns by at most one generation:
+  the search simulates a whole DE generation (at most its population
+  size of candidates) before the first of its evaluations reports.
 * **watchdog** — a background thread replaces dead worker threads
   (an escaped ``BaseException``) and retires-and-replaces hung ones
   (running past the cooperative deadline); a dying worker's job is
@@ -509,7 +511,9 @@ class CharacterizationService:
     def _deadline_progress(self, job: J.Job, update) -> "callable":
         """Wrap a job's progress updater with the cooperative deadline
         check: every progress step (campaign group / evaluation) both
-        reports and gives the timeout a chance to fire."""
+        reports and gives the timeout a chance to fire.  An optimize
+        job's evaluations report after their generation was simulated
+        as one batch, so it can run one generation past the deadline."""
         start = job.started_at or time.time()   # anchored at dequeue
         deadline = (None if self.job_timeout is None
                     else start + self.job_timeout)

@@ -266,8 +266,10 @@ class BatchedSystem(StampedSystem):
         return self.g_t.copy(), (self.g_t @ x[:, :, None])[:, :, 0] - rhs
 
     def linearize(self, x: np.ndarray) -> np.ndarray:
-        """Batched small-signal conductance tensors at solutions ``x``."""
-        jac, _, _ = self.assemble(x, np.zeros((self.n_units, self.dim)))
+        """Batched small-signal conductance tensors at solutions ``x``
+        (their device evaluations kept for :meth:`noise_sources`)."""
+        jac, _, evals = self.assemble(x, np.zeros((self.n_units, self.dim)))
+        self._linear_point = (x.tobytes(), evals)
         return jac
 
 

@@ -538,6 +538,10 @@ class StampedSystem:
     mos_group: MosGroup | None
     bjt_group: BjtGroup | None
     diode_group: DiodeGroup | None
+    #: ``(solution bytes, device evaluations)`` of the last
+    #: :meth:`linearize`, which :meth:`noise_sources` reuses at the same
+    #: solution instead of evaluating the devices again.
+    _linear_point: tuple[bytes, dict] | None = None
 
     def _static_part(self, x_ext: np.ndarray,
                      rhs_ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -720,6 +724,10 @@ class StampedSystem:
         """
         st = self.structure
         temps, circuits, unit_circuit, res_law = self._noise_values()
+        # The evaluations linearize() made at this very solution, if any:
+        # the same calls on the same bytes.
+        point = self._linear_point
+        evals = point[1] if point is not None and point[0] == x_ext.tobytes() else {}
         lead = len(temps)
         groups = (self.mos_group, self.bjt_group, self.diode_group)
         n_dev = [0 if grp is None else len(grp) for grp in groups]
@@ -753,7 +761,7 @@ class StampedSystem:
 
         if self.mos_group is not None:
             grp = self.mos_group
-            ev = grp.evaluate(x_ext)
+            ev = evals["mos"] if "mos" in evals else grp.evaluate(x_ext)
             flicker = grp.kf / (grp.cox * grp.w * grp.l * grp.m) * ev.gm**2
             th, fl = slice(o, o + 2 * n_dev[0], 2), slice(o + 1, o + 2 * n_dev[0], 2)
             keys += [(name, mech) for name in grp.names for mech in ("thermal", "flicker")]
@@ -766,7 +774,7 @@ class StampedSystem:
             o += 2 * n_dev[0]
         if self.bjt_group is not None:
             grp = self.bjt_group
-            ev = grp.evaluate(x_ext)
+            ev = evals["bjt"] if "bjt" in evals else grp.evaluate(x_ext)
             sc, sb = slice(o, o + 2 * n_dev[1], 2), slice(o + 1, o + 2 * n_dev[1], 2)
             keys += [(name, mech) for name in grp.names for mech in ("shot_c", "shot_b")]
             node_a[sc], node_a[sb] = grp.c, grp.b
@@ -779,7 +787,8 @@ class StampedSystem:
             grp = self.diode_group
             keys += [(name, "shot") for name in grp.names]
             node_a[o:], node_b[o:] = grp.np_idx, grp.nn_idx
-            psd_flat[:, o:] = grp.shot_noise_psd(grp.evaluate(x_ext))
+            ev = evals["diode"] if "diode" in evals else grp.evaluate(x_ext)
+            psd_flat[:, o:] = grp.shot_noise_psd(ev)
         flicker = psd_flicker != 0.0
 
         layouts: dict[bytes, list[int]] = {}
@@ -1068,7 +1077,8 @@ class MnaSystem(StampedSystem):
     # ------------------------------------------------------------------
     def linearize(self, x_ext: np.ndarray) -> np.ndarray:
         """Small-signal conductance matrix at operating point ``x_ext``."""
-        jac, _, _ = self.assemble(x_ext, np.zeros(self.size + 1))
+        jac, _, evals = self.assemble(x_ext, np.zeros(self.size + 1))
+        self._linear_point = (x_ext.tobytes(), evals)
         return jac
 
     def _noise_values(self) -> tuple:

@@ -148,6 +148,51 @@ class TestSelectionRule:
         assert "campaign.units_run" not in counts
 
 
+class TestRegisteredMeasurement:
+    """A :class:`UnitMeasurement` registered after import is resolved per
+    group, so it takes the tensor path like a built-in one."""
+
+    def test_runs_batched_and_matches_oracle(self):
+        import math
+
+        from repro.analysis.psrr import Probe
+        from repro.campaign.measurements import (
+            MEASUREMENTS,
+            UnitMeasurement,
+            register_measurement,
+        )
+
+        per_unit = []
+
+        class Spy(UnitMeasurement):
+            """Counts the per-unit calls (``run_unit`` and fallbacks)."""
+
+            def __call__(self, rt):
+                per_unit.append(rt.unit.index)
+                return super().__call__(rt)
+
+        def probe(m):
+            return Probe(10e3, ({},), m.built.out_p, m.built.out_n)
+
+        def gain_10khz(m, values):
+            return {"gain_10khz_db": 20.0 * math.log10(abs(values[0]))}
+
+        name = "test_gain_10khz_db"
+        register_measurement(name)(Spy(gain_10khz, probe))
+        try:
+            spec = CampaignSpec(
+                builder="micamp", corners=("tt", "ss"), temps_c=(25.0, 85.0),
+                gain_codes=(5,), measurements=("iq_ma", name))
+            result, counts = profiled_run(spec)
+            assert per_unit == []
+            assert counts["campaign.batched_units"] == spec.n_units
+            assert "campaign.batch_group_fallbacks" not in counts
+            assert result.to_json() == oracle_json(spec)
+            assert len(per_unit) == spec.n_units      # the oracle's calls
+        finally:
+            MEASUREMENTS.pop(name)
+
+
 class TestProgress:
     def test_raising_progress_stops_the_run_after_one_group(self):
         """``progress`` fires outside the group's fallback handler: an

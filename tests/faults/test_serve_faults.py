@@ -49,6 +49,29 @@ class TestJobTimeout:
         finally:
             _drain(svc)
 
+    def test_overrunning_optimize_job_fails_after_one_generation(self):
+        """An optimize job checks its deadline at each evaluation's
+        progress step.  A batched generation simulates all of its
+        candidates before the first of them reports, so the job stops
+        at the first evaluation after the deadline: one generation late
+        at most, never wedged."""
+        svc = CharacterizationService(workers=1, job_timeout=0.05,
+                                      watchdog_interval=0).start()
+        try:
+            plan = FaultPlan([FaultRule("serve.job", sleep=0.2, times=1)])
+            with plan.activate():
+                job = svc.submit_optimize({"budget": 6, "seed": 7})
+                assert job.wait(timeout=60)
+            assert job.state == J.FAILED
+            assert "wall-clock budget" in job.error
+            assert job.progress == {"evaluations_done": 1, "budget": 6}
+            assert svc.metrics.get("jobs_timeout") == 1
+
+            ok = svc.submit_optimize({"budget": 6, "seed": 8})
+            assert ok.wait(timeout=60) and ok.state == J.DONE
+        finally:
+            _drain(svc)
+
     def test_fast_job_unaffected_by_budget(self):
         svc = CharacterizationService(workers=1, job_timeout=60.0,
                                       watchdog_interval=0).start()

@@ -36,6 +36,10 @@ class AnalyticEvaluator:
         self.cache[key] = ev
         return ev
 
+    def evaluate_population(self, xs):
+        for row in np.atleast_2d(xs):
+            yield self.evaluate(row)
+
 
 def bowl_space():
     return DesignSpace([

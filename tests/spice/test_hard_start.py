@@ -199,10 +199,11 @@ class TestAdaptiveLadder:
                              ids=["typical", "robust"])
     def test_ci_search_newton_iterations(self, robust, iterations):
         """An exact count, not a timing: a longer ladder fails it.  Each
-        search meets the two ``HARD_STARTS`` (once per search).  Robust
-        candidates are 3-unit tensor groups, whose plain-stage iterations
-        lockstep Newton counts per unit (``batch.assembled_units``); a
-        unit it hands to the serial ladder adds only the ladder's."""
+        search meets the two ``HARD_STARTS`` (once per search).  The
+        candidates of a generation share tensor groups, whose plain-stage
+        iterations lockstep Newton counts per unit
+        (``batch.assembled_units``); a unit it hands to the serial ladder
+        adds only the ladder's."""
         rec = Recorder()
         with rec.activate():
             main(["optimize", "--quick", "--seed", "2026", "--no-progress"]

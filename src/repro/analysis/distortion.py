@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.spice.dc import OperatingPoint, dc_operating_point
-from repro.spice.elements import VoltageSource
+from repro.spice.elements import Sine
 from repro.spice.netlist import Circuit
+from repro.spice.sweeps import restoring_sources, source_walk
 from repro.spice.transient import transient_analysis
 # goertzel_dft is re-exported: the harmonic readout lives in waveform.
 from repro.spice.waveform import (
@@ -97,47 +97,17 @@ def measure_static_transfer(
     """Sweep a differential source pair and record the DC transfer.
 
     ``source_n`` (if given) is driven anti-phase, so ``vin`` is the full
-    differential input.  Sweeping walks outward from zero with warm
-    starts — the same continuation trick the other sweeps use.
+    differential input.  The sweep is one continuation walk outward from
+    zero (:func:`repro.spice.sweeps.continuation_walk`).
     """
-    el_p = circuit.element(source_p)
-    el_n = circuit.element(source_n) if source_n else None
-    for el in (el_p, el_n):
-        if el is not None and not isinstance(el, VoltageSource):
-            raise TypeError(f"{el.name!r} is not a voltage source")
-
-    system = circuit.compile(temp_c=temp_c)
-    half = amplitude / 2.0 if el_n is not None else amplitude
+    half = amplitude / 2.0 if source_n else amplitude
     steps = np.linspace(0.0, half, (points + 1) // 2)
-    orig_p = el_p.dc
-    orig_n = el_n.dc if el_n is not None else 0.0
-
-    vin_list: list[float] = []
-    vout_list: list[float] = []
-    try:
-        for direction in (+1.0, -1.0):
-            x_prev = None
-            for v in steps:
-                el_p.dc = direction * v
-                if el_n is not None:
-                    el_n.dc = -direction * v
-                op = dc_operating_point(system, x0=x_prev)
-                x_prev = op.x
-                vd = 2.0 * direction * v if el_n is not None else direction * v
-                out = op.v(out_p) - (op.v(out_n) if out_n else 0.0)
-                vin_list.append(vd)
-                vout_list.append(out)
-    finally:
-        el_p.dc = orig_p
-        if el_n is not None:
-            el_n.dc = orig_n
-
-    order = np.argsort(vin_list)
-    vin = np.asarray(vin_list)[order]
-    vout = np.asarray(vout_list)[order]
-    # Drop the duplicated zero point.
-    keep = np.concatenate([[True], np.diff(vin) > 0.0])
-    return StaticTransfer(vin[keep], vout[keep])
+    levels = np.concatenate([-steps[:0:-1], steps])
+    drive = {source_p: 1.0, source_n: -1.0} if source_n else {source_p: 1.0}
+    ops = source_walk(circuit, drive, levels, 0.0, temp_c)
+    vout = [op.v(out_p) - (op.v(out_n) if out_n else 0.0) for op in ops]
+    return StaticTransfer(2.0 * levels if source_n else levels,
+                          np.asarray(vout))
 
 
 def static_thd(
@@ -177,34 +147,21 @@ def transient_thd(
     The last two cycles are used for the coherent DFT so start-up
     transients don't leak into the harmonics.
     """
-    from repro.spice.elements import Sine
-
-    el_p = circuit.element(source_p)
     half = amplitude / 2.0 if source_n else amplitude
-    orig_p_wave = el_p.wave
-    el_p.wave = Sine(offset=el_p.dc, amplitude=half, freq=freq)
-    el_n = None
-    orig_n_wave = None
-    if source_n:
-        el_n = circuit.element(source_n)
-        orig_n_wave = el_n.wave
-        el_n.wave = Sine(offset=el_n.dc, amplitude=-half, freq=freq)
-
-    try:
+    names = [source_p, source_n] if source_n else [source_p]
+    with restoring_sources(circuit, names) as sources:
+        for el, sign in zip(sources, (1.0, -1.0)):
+            el.wave = Sine(offset=el.dc, amplitude=sign * half, freq=freq)
         t_stop, dt = make_time_grid(freq, cycles, points_per_cycle)
         result = transient_analysis(circuit, t_stop, dt, temp_c=temp_c)
-        y = result.v(out_p) - (result.v(out_n) if out_n else 0.0)
-        wave = Waveform(result.t, y)
-        seg = wave.last_cycles(freq, min(2, cycles))
-        # Exact Goertzel bins at k*f0: the analysis segment carries an
-        # extra edge sample (non-integer cycle count), which would leak
-        # fundamental energy across an FFT-grid harmonic pick.
-        amps = goertzel_harmonics(seg.y, freq * seg.dt, n_harmonics)
-        return thd_from_harmonics(amps), wave
-    finally:
-        el_p.wave = orig_p_wave
-        if el_n is not None:
-            el_n.wave = orig_n_wave
+    y = result.v(out_p) - (result.v(out_n) if out_n else 0.0)
+    wave = Waveform(result.t, y)
+    seg = wave.last_cycles(freq, min(2, cycles))
+    # Exact Goertzel bins at k*f0: the analysis segment carries an
+    # extra edge sample (non-integer cycle count), which would leak
+    # fundamental energy across an FFT-grid harmonic pick.
+    amps = goertzel_harmonics(seg.y, freq * seg.dt, n_harmonics)
+    return thd_from_harmonics(amps), wave
 
 
 def amplitude_at_thd(

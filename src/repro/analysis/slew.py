@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.spice.elements import Pulse, VoltageSource
+from repro.spice.elements import Pulse
 from repro.spice.netlist import Circuit
+from repro.spice.sweeps import restoring_sources
 from repro.spice.transient import transient_analysis
 from repro.spice.waveform import Waveform
 
@@ -44,26 +45,15 @@ def measure_slew_rate(
     The step starts 10 % into the run so the waveform has a clean
     pre-step baseline for overshoot/settling measurements.
     """
-    el_p = circuit.element(source_p)
-    if not isinstance(el_p, VoltageSource):
-        raise TypeError(f"{source_p!r} is not a voltage source")
-    el_n = circuit.element(source_n) if source_n else None
-
-    half = step / 2.0 if el_n is not None else step
+    half = step / 2.0 if source_n else step
     delay = duration * 0.1
-    saved = (el_p.wave, el_n.wave if el_n is not None else None)
-    el_p.wave = Pulse(v1=-half / 2, v2=half / 2, delay=delay, rise=dt / 2,
-                      fall=dt / 2, width=duration, period=2 * duration)
-    if el_n is not None:
-        el_n.wave = Pulse(v1=half / 2, v2=-half / 2, delay=delay, rise=dt / 2,
-                          fall=dt / 2, width=duration, period=2 * duration)
-
-    try:
+    names = [source_p, source_n] if source_n else [source_p]
+    with restoring_sources(circuit, names) as sources:
+        for el, sign in zip(sources, (1.0, -1.0)):
+            el.wave = Pulse(v1=-sign * half / 2, v2=sign * half / 2,
+                            delay=delay, rise=dt / 2, fall=dt / 2,
+                            width=duration, period=2 * duration)
         result = transient_analysis(circuit, duration, dt, temp_c=temp_c)
-    finally:
-        el_p.wave = saved[0]
-        if el_n is not None:
-            el_n.wave = saved[1]
 
     y = result.v(out_p) - (result.v(out_n) if out_n else 0.0)
     wave = Waveform(result.t, y)

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.process.technology import Technology
 from repro.spice import Circuit
-from repro.spice.dc import dc_sweep
+from repro.spice.sweeps import dc_sweep, source_value_sweep
 
 
 @dataclass
@@ -81,8 +81,6 @@ def mirror_saturation_compliance(
     collapses — with long-channel devices the copy alone degrades very
     gracefully (see :func:`mirror_compliance_voltage`).
     """
-    from repro.spice.sweeps import source_value_sweep
-
     volts = np.linspace(v_max, 0.05, points)
     out_devices = [name for name in ("mn2", "mn2c")
                    if name in cell.circuit]

@@ -32,7 +32,7 @@ from repro.process.technology import Technology
 from repro.spice.analysis import log_freqs
 from repro.spice.dc import dc_operating_point
 from repro.spice.noise import noise_analysis
-from repro.spice.sweeps import binary_search_threshold
+from repro.spice.sweeps import binary_search_threshold, source_value_sweep
 
 
 @dataclass
@@ -183,8 +183,6 @@ def characterize_power_buffer(
     d_unity = build_power_buffer(tech, feedback="unity", load="none",
                                  vdd=vdd, vss=vss)
     levels = np.linspace(vss, vdd, 16 if opt.quick else 27)
-    from repro.spice.sweeps import source_value_sweep
-
     ops = source_value_sweep(d_unity.circuit, "vsrc_p", levels, anchor=0.0)
     outs = np.array([op_u.v(d_unity.outp) for op_u in ops])
     slope = np.gradient(outs, levels)

@@ -31,7 +31,8 @@ from repro.spice.netlist import Circuit, GROUND
 from repro.spice.devices.mosfet import MosModel
 from repro.spice.devices.bjt import BjtModel
 from repro.spice.devices.diode import DiodeModel
-from repro.spice.dc import OperatingPoint, dc_operating_point, dc_sweep
+from repro.spice.dc import OperatingPoint, dc_operating_point
+from repro.spice.sweeps import dc_sweep
 from repro.spice.ac import ac_analysis, transfer_function
 from repro.spice.linsolve import (
     SmallSignalContext,

@@ -1,4 +1,4 @@
-"""DC operating point and DC sweeps.
+"""DC operating point.
 
 Newton-Raphson with componentwise voltage limiting, falling back to
 adaptive gmin stepping.  The paper's circuits (bias, bandgap, mic amp,
@@ -40,7 +40,6 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.obs.recorder import active, event, prof_count
-from repro.spice.elements import CurrentSource, VoltageSource
 from repro.spice.mna import MnaSystem
 from repro.spice.netlist import Circuit, is_ground
 
@@ -529,42 +528,3 @@ def strategy_ladder(
     return OperatingPoint(system, x, total_iters, strategy="gmin-stepping",
                           worst_resid=diag.get("resid"),
                           latch_reason=diag.get("latch"))
-
-
-def dc_sweep(
-    circuit: Circuit,
-    element_name: str,
-    values: np.ndarray,
-    outputs: list[str],
-    temp_c: float = 25.0,
-    options: NewtonOptions | None = None,
-) -> dict[str, np.ndarray]:
-    """Sweep the DC value of a source; warm-start each point.
-
-    ``outputs`` lists node names (voltages) and/or ``"i(<name>)"`` entries
-    (branch currents).  Returns ``{"sweep": values, output: array, ...}``.
-    """
-    el = circuit.element(element_name)
-    if not isinstance(el, (VoltageSource, CurrentSource)):
-        raise TypeError(f"{element_name!r} is not a sweepable source")
-
-    original = el.dc
-    system = circuit.compile(temp_c=temp_c)
-    results: dict[str, list[float]] = {out: [] for out in outputs}
-    x_prev: np.ndarray | None = None
-    try:
-        for value in values:
-            el.dc = float(value)
-            op = dc_operating_point(system, temp_c=temp_c, options=options, x0=x_prev)
-            x_prev = op.x
-            for out in outputs:
-                if out.startswith("i(") and out.endswith(")"):
-                    results[out].append(op.i(out[2:-1]))
-                else:
-                    results[out].append(op.v(out))
-    finally:
-        el.dc = original
-
-    data = {out: np.asarray(vals) for out, vals in results.items()}
-    data["sweep"] = np.asarray(values, dtype=float)
-    return data

@@ -1,68 +1,129 @@
-"""Parameter sweeps with solution continuation.
+"""DC sweeps: one warm-started continuation walk.
 
 Self-biased circuits (bandgap, bias generators, class-AB loops) have
 degenerate or spurious DC states; jumping straight to an extreme
-temperature or supply can land on the wrong one.  These helpers walk the
-sweep from a trusted anchor point, warm-starting each solve from the
-neighbouring solution — the numeric analogue of slowly turning the knob
-on the bench.
+temperature or supply can land on the wrong one.  Every DC sweep is
+therefore one :func:`continuation_walk`, the numeric analogue of slowly
+turning the knob on the bench: it solves the anchor level once, cold,
+then walks the levels at or below the anchor downward and those above it
+upward, warm-starting each solve from the previous one.  A level equal
+to the anchor gets the anchor's own solution.  A level is a value driven
+onto one or more sources with a sign each (:func:`source_walk`) or a
+temperature (:func:`temperature_sweep`).
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.spice.dc import NewtonOptions, OperatingPoint, dc_operating_point
+from repro.spice.dc import OperatingPoint, dc_operating_point
+from repro.spice.elements import CurrentSource, VoltageSource
 from repro.spice.netlist import Circuit
 
+TEMP_ANCHOR_C = 25.0
+"""Anchor of every temperature sweep: the nominal, nodeset-seeded point."""
 
-def temperature_sweep(
-    circuit: Circuit,
-    temps_c: np.ndarray,
-    anchor_c: float = 25.0,
-    options: NewtonOptions | None = None,
-    max_step_c: float = 12.0,
-) -> list[OperatingPoint]:
-    """Operating point at each temperature, warm-started outward from the
-    anchor temperature.  Returns points ordered like ``temps_c``.
+TEMP_MAX_STEP_C = 12.0
+"""Largest temperature step per solve: a warm start across a 40 K jump can
+throw Newton into a degenerate equilibrium of a self-biased loop."""
 
-    Continuation steps are limited to ``max_step_c``: bipolar saturation
-    currents change by orders of magnitude across the consumer range, and
-    a warm start across a 40 K jump can throw Newton into a degenerate
-    equilibrium of a self-biased loop.  Hidden intermediate solves keep
-    each jump small.
+
+@contextmanager
+def restoring_sources(circuit: Circuit, names: Iterable[str]) -> Iterator[list]:
+    """The named sources, each one's ``dc`` and ``wave`` restored on exit.
+
+    Every name is looked up and checked before the caller can change any
+    source, so a wrong name leaves the circuit as it was.
     """
-    temps_c = np.asarray(temps_c, dtype=float)
-    anchor_op = dc_operating_point(circuit, temp_c=anchor_c, options=options)
+    sources = [circuit.element(name) for name in names]
+    for el in sources:
+        if not isinstance(el, (VoltageSource, CurrentSource)):
+            raise TypeError(f"{el.name!r} is not an independent source")
+    saved = [(el.dc, el.wave) for el in sources]
+    try:
+        yield sources
+    finally:
+        for el, (dc, wave) in zip(sources, saved):
+            el.dc, el.wave = dc, wave
 
-    def walk(x_from: np.ndarray, t_from: float, t_to: float) -> OperatingPoint:
-        """Solve at t_to via intermediate solves every max_step_c."""
-        n_steps = max(1, int(np.ceil(abs(t_to - t_from) / max_step_c)))
-        x = x_from
-        op = None
-        for k in range(1, n_steps + 1):
-            t_k = t_from + (t_to - t_from) * k / n_steps
-            op = dc_operating_point(circuit, temp_c=float(t_k),
-                                    options=options, x0=x)
-            x = op.x
-        return op
 
-    results: dict[int, OperatingPoint] = {}
-    below = sorted((i for i in range(len(temps_c)) if temps_c[i] <= anchor_c),
-                   key=lambda i: -temps_c[i])
-    above = sorted((i for i in range(len(temps_c)) if temps_c[i] > anchor_c),
-                   key=lambda i: temps_c[i])
+def continuation_walk(
+    levels: np.ndarray,
+    anchor: float,
+    solve: Callable[[float, np.ndarray | None], OperatingPoint],
+    max_step: float | None = None,
+) -> list[OperatingPoint]:
+    """One operating point per level, in the order of ``levels``.
+
+    ``solve(level, x0)`` returns the operating point at ``level``,
+    warm-started from ``x0`` (cold when ``None``).  With ``max_step`` a
+    longer step is split into equal hidden sub-steps.
+    """
+    levels = np.asarray(levels, dtype=float)
+    anchor_op = solve(anchor, None)
+    ops = [anchor_op] * len(levels)
+    below = sorted((i for i, v in enumerate(levels) if v < anchor),
+                   key=lambda i: -levels[i])
+    above = sorted((i for i, v in enumerate(levels) if v > anchor),
+                   key=lambda i: levels[i])
     for chain in (below, above):
-        x_prev = anchor_op.x
-        t_prev = anchor_c
+        op, prev = anchor_op, anchor
         for i in chain:
-            op = walk(x_prev, t_prev, float(temps_c[i]))
-            results[i] = op
-            x_prev = op.x
-            t_prev = float(temps_c[i])
-    return [results[i] for i in range(len(temps_c))]
+            level = float(levels[i])
+            path = [level]
+            if max_step is not None:
+                n = max(1, int(np.ceil(abs(level - prev) / max_step)))
+                path = [prev + (level - prev) * k / n for k in range(1, n + 1)]
+            for step in path:
+                op = solve(step, op.x)
+            ops[i], prev = op, level
+    return ops
+
+
+def source_walk(
+    circuit: Circuit,
+    drive: dict[str, float],
+    levels: np.ndarray,
+    anchor: float,
+    temp_c: float,
+) -> list[OperatingPoint]:
+    """The walk with every source of ``drive`` (name -> sign) set to its
+    sign times the level, at ``temp_c``."""
+    with restoring_sources(circuit, drive) as sources:
+        system = circuit.compile(temp_c=temp_c)
+
+        def solve(level: float, x0: np.ndarray | None) -> OperatingPoint:
+            for el, sign in zip(sources, drive.values()):
+                el.dc = sign * level
+            return dc_operating_point(system, x0=x0)
+
+        return continuation_walk(levels, anchor, solve)
+
+
+def dc_sweep(
+    circuit: Circuit,
+    element_name: str,
+    values: np.ndarray,
+    outputs: list[str],
+    temp_c: float = TEMP_ANCHOR_C,
+) -> dict[str, np.ndarray]:
+    """Sweep the DC value of a source, anchored at ``values[0]`` (so a
+    monotone sweep is walked in its own order).
+
+    ``outputs`` lists node names (voltages) and/or ``"i(<name>)"`` entries
+    (branch currents).  Returns ``{output: array, ..., "sweep": values}``.
+    """
+    values = np.asarray(values, dtype=float)
+    ops = source_value_sweep(circuit, element_name, values, temp_c=temp_c)
+    data = {}
+    for out in outputs:
+        branch = out[2:-1] if out.startswith("i(") and out.endswith(")") else None
+        data[out] = np.asarray([op.i(branch) if branch else op.v(out) for op in ops])
+    data["sweep"] = values
+    return data
 
 
 def source_value_sweep(
@@ -70,42 +131,22 @@ def source_value_sweep(
     source_name: str,
     values: np.ndarray,
     anchor: float | None = None,
-    temp_c: float = 25.0,
-    options: NewtonOptions | None = None,
+    temp_c: float = TEMP_ANCHOR_C,
 ) -> list[OperatingPoint]:
-    """DC sweep of a source value with continuation from an anchor value.
-
-    Unlike :func:`repro.spice.dc.dc_sweep` this returns full operating
-    points and walks outward from ``anchor`` (default: first value).
-    """
-    from repro.spice.elements import CurrentSource, VoltageSource
-
-    el = circuit.element(source_name)
-    if not isinstance(el, (VoltageSource, CurrentSource)):
-        raise TypeError(f"{source_name!r} is not a sweepable source")
+    """Full operating points of a source sweep, walked outward from
+    ``anchor`` (default: the first value)."""
     values = np.asarray(values, dtype=float)
-    anchor_v = float(values[0]) if anchor is None else anchor
+    return source_walk(circuit, {source_name: 1.0}, values,
+                       float(values[0]) if anchor is None else anchor, temp_c)
 
-    original = el.dc
-    system = circuit.compile(temp_c=temp_c)
-    results: dict[int, OperatingPoint] = {}
-    try:
-        el.dc = anchor_v
-        anchor_op = dc_operating_point(system, options=options)
-        below = sorted((i for i in range(len(values)) if values[i] <= anchor_v),
-                       key=lambda i: -values[i])
-        above = sorted((i for i in range(len(values)) if values[i] > anchor_v),
-                       key=lambda i: values[i])
-        for chain in (below, above):
-            x_prev = anchor_op.x
-            for i in chain:
-                el.dc = float(values[i])
-                op = dc_operating_point(system, options=options, x0=x_prev)
-                results[i] = op
-                x_prev = op.x
-    finally:
-        el.dc = original
-    return [results[i] for i in range(len(values))]
+
+def temperature_sweep(circuit: Circuit, temps_c: np.ndarray) -> list[OperatingPoint]:
+    """Operating point at each temperature, walked outward from
+    :data:`TEMP_ANCHOR_C` in steps of at most :data:`TEMP_MAX_STEP_C`."""
+    return continuation_walk(
+        temps_c, TEMP_ANCHOR_C,
+        lambda t, x0: dc_operating_point(circuit, temp_c=t, x0=x0),
+        max_step=TEMP_MAX_STEP_C)
 
 
 def binary_search_threshold(

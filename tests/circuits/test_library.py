@@ -65,7 +65,7 @@ class TestCascodeMirror:
         """What the headroom buys: far higher output resistance while it
         *is* saturated — the trade the paper had to give up."""
         import numpy as np
-        from repro.spice.dc import dc_sweep
+        from repro.spice.sweeps import dc_sweep
 
         r_out = {}
         for kind, build in (("simple", build_simple_mirror_cell),

@@ -13,7 +13,7 @@ from repro.circuits.library import (
     mirror_compliance_voltage,
     mirror_saturation_compliance,
 )
-from repro.spice.dc import dc_sweep
+from repro.spice.sweeps import dc_sweep
 
 
 def output_resistance(cell, v_lo=2.0, v_hi=2.4):

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.bias import build_bias_circuit, eq1_min_supply
-from repro.spice.dc import dc_sweep
-from repro.spice.sweeps import temperature_sweep
+from repro.spice.sweeps import dc_sweep, temperature_sweep
 
 
 @pytest.fixture(scope="module")

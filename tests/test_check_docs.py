@@ -31,3 +31,29 @@ def test_a_dropped_row_is_reported():
     doc = "| `dc.dense_latch` | warn |\n"
     assert tool.undocumented_events({"dc.dense_latch", "dc.jacobian_singular"},
                                     doc) == ["dc.jacobian_singular"]
+
+
+def test_repo_paths_are_read_from_code_spans_only():
+    text = ("See `src/repro/spice/dc.py:415` and `tests/spice/test_dc.py::"
+            "TestDcSweep`, not `repro.spice.dc` or `PYTHONPATH=src`.\n"
+            "```\ntools/not_a_span.py\n`examples/fenced.py`\n```\n")
+    assert list(_load_tool().iter_repo_paths(text)) == [
+        "src/repro/spice/dc.py", "tests/spice/test_dc.py"]
+
+
+def test_repo_path_exists_for_files_and_globs():
+    tool = _load_tool()
+    assert tool.repo_path_exists("tools/check_docs.py")
+    assert tool.repo_path_exists("tests/spice/test_*.py")
+    assert not tool.repo_path_exists("tests/ingest/test_keys.py")
+    assert not tool.repo_path_exists("tests/spice/test_nothing_*.py")
+
+
+def test_every_repo_path_in_the_docs_exists():
+    tool = _load_tool()
+    docs = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+    assert [err for doc in docs for err in tool.missing_paths(doc)] == []
+
+
+def test_gitignored_output_dirs_are_skipped():
+    assert "tests/paper/out/" in _load_tool().ignored_dirs()

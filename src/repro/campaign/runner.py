@@ -188,12 +188,26 @@ def run_campaign(spec: CampaignSpec, store=None,
     ``techs`` is a caller's cache of ``spec.tech``'s corner technologies
     (see :class:`ChunkCache`), filled on demand.
     """
+    units = spec.expand() if units is None else list(units)
+    keys = None
+    if store is not None:
+        from repro.store import UnitKeyer
+
+        keyer = UnitKeyer(spec)
+        keys = [keyer.key(unit) for unit in units]
+    return _run_keyed(spec, units, store, keys, progress, techs)
+
+
+def _run_keyed(spec: CampaignSpec, units: list[WorkUnit], store,
+               keys: list[str] | None, progress=None,
+               techs: dict | None = None):
+    """:func:`run_campaign` over expanded ``units`` whose store ``keys``
+    (one per unit; ``None`` without a store) the caller already derived
+    — the serve warm path, which probes the store with them first."""
     import sqlite3
 
     from repro.campaign.batchrun import run_chunk_batched
     from repro.campaign.result import CampaignResult
-
-    units = spec.expand() if units is None else list(units)
 
     with span("campaign.run", builder=spec.builder,
               n_units=len(units)) as run_span:
@@ -202,10 +216,6 @@ def run_campaign(spec: CampaignSpec, store=None,
                                         techs=techs)
             result = CampaignResult.from_units(spec, units, records)
         else:
-            from repro.store import UnitKeyer
-
-            keyer = UnitKeyer(spec)
-            keys = [keyer.key(unit) for unit in units]
             store_errors = 0
             try:
                 cached = store.get_many(keys)

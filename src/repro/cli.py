@@ -459,6 +459,8 @@ def _cmd_client(args: argparse.Namespace) -> int:
     except TimeoutError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        client.close()
     raise AssertionError(f"unhandled client command {args.client_cmd!r}")
 
 
@@ -476,6 +478,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         except ServeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        finally:
+            client.close()
         spans = doc.get("spans", [])
     else:
         try:

@@ -18,10 +18,12 @@ actually consumed: many clients, repeated requests, one shared cache.
   hits** (a fully-cached campaign never touches the engine) and
   exactly-once unit execution across any interleaving of duplicates.
 * :mod:`repro.serve.api` — the stdlib ``ThreadingHTTPServer`` JSON API
-  (``POST /v1/campaigns``, ``POST /v1/optimize``, ``GET /v1/jobs/<id>``
-  [+ ``/result`` with pagination], ``GET /v1/metrics``, ``/healthz``).
-* :mod:`repro.serve.client` — a ``urllib`` client driving the lifecycle
-  (``repro client``, ``perfbench/``'s ``serve_mixed`` workload).
+  over persistent HTTP/1.1 connections (``POST /v1/campaigns``,
+  ``POST /v1/optimize``, ``GET /v1/jobs/<id>`` [+ ``?wait=S`` long poll,
+  + ``/result`` with pagination], ``GET /v1/metrics``, ``/healthz``).
+* :mod:`repro.serve.client` — an ``http.client`` client driving the
+  lifecycle over one kept-alive connection per thread (``repro client``,
+  ``perfbench/``'s ``serve_mixed`` workload).
 
 Quickstart::
 

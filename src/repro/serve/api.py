@@ -6,6 +6,7 @@ Routes (all JSON in, JSON out)::
     POST /v1/optimize           submit an optimize request      -> 202
     GET  /v1/jobs               list jobs, newest first         -> 200
     GET  /v1/jobs/<id>          one job's status view           -> 200
+         ?wait=S                ... once terminal, or after S s -> 200
     GET  /v1/jobs/<id>/result   the result document             -> 200
          ?offset=N&limit=M      one page of campaign rows       -> 200
     GET  /v1/jobs/<id>/trace    the job's collected spans       -> 200/404
@@ -14,6 +15,14 @@ Routes (all JSON in, JSON out)::
     GET  /v1/metrics            counters + gauges + latencies   -> 200
     GET  /metrics               Prometheus text exposition      -> 200
     GET  /healthz               liveness                        -> 200
+
+Connections are persistent HTTP/1.1 with Nagle's algorithm off on
+every accepted socket, so a response's headers and body never wait on
+the client's delayed ACK.  ``server_close()`` shuts down every
+connection still held open, so no kept-alive client reaches a stopped
+service.  ``?wait=S`` makes the status route a long poll: it answers
+as soon as the job is terminal, or after ``min(S, LONG_POLL_CAP_S)``
+seconds with the job still running.
 
 Every request's wall time lands in the service's latency histograms
 (``http.request_s`` overall plus one per route class), so ``/metrics``
@@ -38,6 +47,9 @@ byte what ``repro campaign --json`` writes for the same spec.
 from __future__ import annotations
 
 import json
+import math
+import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -49,11 +61,16 @@ from repro.serve.validate import SpecValidationError
 
 #: Request bodies above this size are rejected with 413.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Longest a ``GET /v1/jobs/<id>?wait=S`` long poll holds its response.
+LONG_POLL_CAP_S = 10.0
+#: How often a long poll looks up from the job to see the server closing.
+_LONG_POLL_SLICE_S = 0.1
 
 
 class ServeHandler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -71,6 +88,8 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -127,7 +146,8 @@ class ServeHandler(BaseHTTPRequestHandler):
     def _route_class(self) -> str:
         """A low-cardinality label for latency histograms — one series
         per route shape, never per job id."""
-        path = urlsplit(self.path).path.rstrip("/")
+        split = urlsplit(self.path)
+        path = split.path.rstrip("/")
         if path in ("/healthz",):
             return "healthz"
         if path in ("/metrics", "/v1/metrics"):
@@ -143,6 +163,8 @@ class ServeHandler(BaseHTTPRequestHandler):
                 return "result"
             if path.endswith("/trace"):
                 return "trace"
+            if "wait" in parse_qs(split.query):
+                return "jobs_wait"
             return "jobs"
         return "other"
 
@@ -227,6 +249,14 @@ class ServeHandler(BaseHTTPRequestHandler):
                 self.service.metrics.incr("http_errors")
                 return self._error(404, f"no such job: {parts[3]}")
             if len(parts) == 4:
+                query = parse_qs(split.query)
+                if "wait" in query:
+                    try:
+                        wait = _wait_seconds(query["wait"][0])
+                    except ValueError as exc:
+                        self.service.metrics.incr("http_errors")
+                        return self._error(400, str(exc))
+                    self._long_poll(job, wait)
                 return self._send_json(200, job.view())
             if len(parts) == 5 and parts[4] == "result":
                 return self._result(job, parse_qs(split.query))
@@ -240,6 +270,17 @@ class ServeHandler(BaseHTTPRequestHandler):
                 return self._send_json(200, trace)
         self.service.metrics.incr("http_errors")
         self._error(404, f"no such route: GET {path}")
+
+    def _long_poll(self, job: J.Job, wait: float) -> None:
+        """Hold the status response until ``job`` is terminal, ``wait``
+        (at most :data:`LONG_POLL_CAP_S`) seconds pass, or the server
+        closes."""
+        deadline = time.monotonic() + min(wait, LONG_POLL_CAP_S)
+        while not job.terminal and not self.server.closing.is_set():
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return
+            job.wait(min(remaining, _LONG_POLL_SLICE_S))
 
     def _result(self, job: J.Job, query: dict) -> None:
         if job.state == J.FAILED:
@@ -263,10 +304,27 @@ class ServeHandler(BaseHTTPRequestHandler):
         self._send(200, text.encode("utf-8"))
 
 
+def _wait_seconds(text: str) -> float:
+    """The ``?wait=`` of a long poll: finite seconds, ``>= 0``."""
+    try:
+        wait = float(text)
+    except ValueError:
+        wait = math.nan
+    if not math.isfinite(wait) or wait < 0:
+        raise ValueError(f"wait must be a finite number of seconds >= 0, "
+                         f"got {text!r}")
+    return wait
+
+
 class ServeServer(ThreadingHTTPServer):
     """One HTTP server bound to one service (thread-per-connection —
     polling is I/O-bound; the heavy lifting stays on the service's own
-    worker pool)."""
+    worker pool).
+
+    It keeps the set of open connections so :meth:`server_close` can
+    shut each down: a kept-alive client then sees its connection closed
+    instead of reaching a stopped service, and the handler threads the
+    close joins are not left blocked reading a next request."""
 
     daemon_threads = True
 
@@ -276,6 +334,39 @@ class ServeServer(ThreadingHTTPServer):
         super().__init__(address, ServeHandler)
         self.service = service
         self.verbose = verbose
+        self.closing = threading.Event()
+        self._connections: set = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            if self.closing.is_set():
+                self.shutdown_request(request)
+                return
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        """A client that resets its kept-alive connection while the
+        handler waits for its next request is routine, not a fault."""
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+    def server_close(self) -> None:
+        with self._connections_lock:
+            self.closing.set()
+            held = list(self._connections)
+        for request in held:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass                    # already gone
+        super().server_close()
 
 
 def make_server(host: str = "127.0.0.1", port: int = 0,

@@ -1,26 +1,47 @@
-"""A tiny stdlib client for the serve API (``urllib``, no deps).
+"""A tiny stdlib client for the serve API (``http.client``, no deps).
 
 :class:`ServeClient` speaks the whole job lifecycle — submit, poll,
 fetch — and is what ``repro client`` and ``perfbench/``'s
 ``serve_mixed`` workload drive.  Errors come back as :class:`ServeError` carrying the HTTP
 status and the server's one-line message.
 
-Transient transport failures (connection refused/reset mid-restart — a
-:class:`ServeError` with ``status == 0``) are retried with capped
-exponential backoff, but **only for GETs**: status polls and result
-fetches are idempotent, so a poll that dies while the server restarts
-rides through instead of failing a long ``wait``.  POSTs are never
-retried — a resubmitted campaign is coalesced or answered warm, but
-that is the caller's decision, not the transport's.  Tune with the
-``retries=`` / ``backoff=`` constructor knobs (``retries=0`` disables).
+Each thread that uses a client keeps one persistent HTTP/1.1
+connection to the server and reuses it for every request it sends;
+:meth:`ServeClient.close` closes them all, and a thread's connection
+also goes with the thread.
+The client connects directly: it does not read ``HTTP_PROXY`` or the
+other proxy variables.
+
+A kept connection can go stale between requests: the server closed it
+while idle, or restarted.  The failure then shows before any status
+line is read (``RemoteDisconnected``, ``BrokenPipeError`` or
+``ConnectionResetError``), so the server never answered, and the
+request is sent once more on a fresh connection, GET and POST alike.
+
+Transport failures on a fresh connection (connection refused/reset
+mid-restart — a :class:`ServeError` with ``status == 0``) are retried
+with capped exponential backoff, but **only for GETs**: status polls
+and result fetches are idempotent, so a poll that dies while the
+server restarts rides through instead of failing a long ``wait``.
+POSTs are never retried — a resubmitted campaign is coalesced or
+answered warm, but that is the caller's decision, not the transport's.
+Tune with the ``retries=`` / ``backoff=`` constructor knobs
+(``retries=0`` disables).
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
+from urllib.parse import urlsplit
+
+#: A reused connection failing this way was dropped by the server
+#: before it read the request: safe to send again, whatever the method.
+_STALE = (http.client.RemoteDisconnected, BrokenPipeError,
+          ConnectionResetError)
 
 
 class ServeError(RuntimeError):
@@ -43,6 +64,23 @@ class ServeClient:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
+        split = urlsplit(self.base_url)
+        if split.scheme != "http" or not split.hostname:
+            raise ValueError(f"base_url must be an http:// URL, "
+                             f"got {base_url!r}")
+        self._netloc = split.netloc
+        self._prefix = split.path
+        self._local = threading.local()
+        self._connections = weakref.WeakSet()   # every thread's, for close()
+        self._connections_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every connection the client holds; a later request
+        opens a fresh one."""
+        with self._connections_lock:
+            held = list(self._connections)
+        for conn in held:
+            conn.close()
 
     # ------------------------------------------------------------------
     # Transport
@@ -65,31 +103,44 @@ class ServeClient:
 
     def _request_once(self, method: str, path: str,
                       payload=None) -> tuple[int, bytes]:
-        url = f"{self.base_url}{path}"
-        data = None
+        """Send on this thread's connection; a stale reused connection
+        (see the module docstring) is replaced and the request sent once
+        more."""
+        body = None
         headers = {"Accept": "application/json"}
         if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
+            body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        req = urllib.request.Request(url, data=data, headers=headers,
-                                     method=method)
+        url = f"{self.base_url}{path}"
+        conn = getattr(self._local, "conn", None)
+        reused = conn is not None and conn.sock is not None
+        if conn is None:
+            conn = self._local.conn = http.client.HTTPConnection(
+                self._netloc, timeout=self.timeout)
+            with self._connections_lock:
+                self._connections.add(conn)
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return resp.status, resp.read()
-        except urllib.error.HTTPError as exc:
-            body = exc.read()
             try:
-                message = json.loads(body).get("error", body.decode())
+                conn.request(method, self._prefix + path, body, headers)
+                resp = conn.getresponse()
+            except _STALE:
+                if not reused:
+                    raise
+                conn.close()
+                conn.request(method, self._prefix + path, body, headers)
+                resp = conn.getresponse()
+            data = resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise ServeError(0, f"connection to {url} failed: "
+                                f"{type(exc).__name__}: {exc}") from exc
+        if not 200 <= resp.status < 300:
+            try:
+                message = json.loads(data).get("error", data.decode())
             except (json.JSONDecodeError, UnicodeDecodeError):
-                message = body.decode(errors="replace")
-            raise ServeError(exc.code, message) from exc
-        except urllib.error.URLError as exc:
-            raise ServeError(0, f"cannot reach {url}: {exc.reason}") from exc
-        except OSError as exc:
-            # urllib only wraps errors raised while *sending*; a
-            # connection torn down while reading the response (server
-            # killed mid-restart) surfaces raw — same transport verdict.
-            raise ServeError(0, f"connection to {url} failed: {exc}") from exc
+                message = data.decode(errors="replace")
+            raise ServeError(resp.status, message)
+        return resp.status, data
 
     def _get_json(self, path: str) -> dict:
         _status, body = self._request("GET", path)
@@ -129,24 +180,25 @@ class ServeClient:
     def job(self, job_id: str) -> dict:
         return self._get_json(f"/v1/jobs/{job_id}")
 
-    def wait(self, job_id: str, timeout: float = 600.0,
-             interval: float = 0.05) -> dict:
-        """Poll until the job is terminal; returns the final view.
+    def wait(self, job_id: str, timeout: float = 600.0) -> dict:
+        """Long-poll until the job is terminal; returns the final view.
 
-        The poll interval backs off geometrically to ~1 s so long jobs
-        do not hammer the server while short ones finish in one or two
-        round trips.
+        Each ``GET /v1/jobs/<id>?wait=S`` returns as soon as the job is
+        terminal, so a job is seen done one round trip after it
+        finishes.  ``S`` is at most half the socket timeout (the server
+        caps it too), so a held poll never trips the client's own read
+        timeout.
         """
         deadline = time.monotonic() + timeout
         while True:
-            view = self.job(job_id)
+            remaining = deadline - time.monotonic()
+            wait = max(0.0, min(remaining, self.timeout / 2))
+            view = self._get_json(f"/v1/jobs/{job_id}?wait={wait:.3f}")
             if view["state"] in ("done", "failed"):
                 return view
             if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {view['state']} after {timeout}s")
-            time.sleep(interval)
-            interval = min(interval * 1.5, 1.0)
 
     def result_bytes(self, job_id: str) -> bytes:
         """The full result document, verbatim (for campaigns: the exact

@@ -12,7 +12,8 @@ directly usable in-process, which is how the tests pin its semantics):
   if *every* unit of the expansion is cached, the result is merged
   inline from the store (``run_campaign`` with zero missing units — the
   engine and the worker threads are never touched) and the job is born
-  ``done``.
+  ``done``.  One :class:`~repro.store.UnitKeyer` derives the campaign
+  fingerprint and the unit keys of the probe and the merge.
 * **coalescing** — identical in-flight requests attach to one execution
   (see :class:`~repro.serve.jobs.JobQueue.submit`); with a store
   attached, the shared units of *sequential* duplicates are never
@@ -368,13 +369,14 @@ class CharacterizationService:
                                   "one of ['campaign', 'optimize']")
 
     def submit_campaign(self, payload) -> J.Job:
-        from repro.store.keys import campaign_key
+        from repro.store import UnitKeyer
 
         spec = campaign_spec_from_dict(payload)
-        fingerprint = campaign_key(spec)
+        keyer = UnitKeyer(spec)
+        fingerprint = keyer.campaign_key()
         self.metrics.incr("submitted_campaign")
 
-        warm_job = self._try_warm(spec, payload, fingerprint)
+        warm_job = self._try_warm(keyer, payload, fingerprint)
         if warm_job is not None:
             return warm_job
 
@@ -407,7 +409,7 @@ class CharacterizationService:
             self.metrics.incr("coalesced")
         return job
 
-    def _try_warm(self, spec, payload, fingerprint) -> J.Job | None:
+    def _try_warm(self, keyer, payload, fingerprint) -> J.Job | None:
         """Answer a fully-cached campaign inline, skipping the queue.
 
         The probe is one batched index query (no payload reads); only a
@@ -422,17 +424,15 @@ class CharacterizationService:
         store = self._active_store()
         if store is None:
             return None
-        from repro.campaign import run_campaign
-        from repro.store import UnitKeyer
+        from repro.campaign.runner import _run_keyed
 
-        units = spec.expand()
-        keyer = UnitKeyer(spec)
+        units = keyer.spec.expand()
         keys = [keyer.key(unit) for unit in units]
         try:
             present = store.contains_many(keys)
             if len(present) < len(keys):
                 return None
-            result = run_campaign(spec, store=store)
+            result = _run_keyed(keyer.spec, units, store, keys)
         except STORE_ERRORS:
             self._degrade_store()
             return None

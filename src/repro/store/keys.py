@@ -117,28 +117,39 @@ def campaign_key(spec: CampaignSpec) -> str:
     """Whole-campaign identity: the unit-invariant fingerprint *plus*
     every axis — two specs share it iff they expand to the same units
     measured the same way.  Used for grouping/metadata, not lookup."""
-    return canonical_hash({
-        "base": spec_fingerprint(spec),
-        "corners": list(spec.corners),
-        "temps_c": canonical_payload(spec.temps_c),
-        "supplies": canonical_payload(spec.supplies),
-        "seeds": canonical_payload(spec.seeds),
-        "gain_codes": canonical_payload(spec.gain_codes),
-    })
+    return UnitKeyer(spec).campaign_key()
 
 
 class UnitKeyer:
     """Per-unit key factory amortising the spec fingerprint.
 
-    Hashing the full spec fingerprint once and folding only the unit
-    coordinates per call keeps key generation ~O(units), not
-    O(units x spec size) — partitioning a thousand-unit campaign is a
-    few hundred microseconds.
+    The spec fingerprint is serialised once, here, and serves both the
+    unit keys and :meth:`campaign_key`.  Hashing it once and folding
+    only the unit coordinates per call keeps key generation ~O(units),
+    not O(units x spec size) — partitioning a thousand-unit campaign is
+    a few hundred microseconds.
     """
 
     def __init__(self, spec: CampaignSpec) -> None:
         self.spec = spec
-        self._base = canonical_hash(spec_fingerprint(spec))
+        self._fingerprint = canonical_json(spec_fingerprint(spec))
+        self._base = hashlib.sha256(
+            self._fingerprint.encode("utf-8")).hexdigest()
+
+    def campaign_key(self) -> str:
+        """:func:`campaign_key` of the keyer's spec."""
+        spec = self.spec
+        axes = canonical_json({
+            "corners": list(spec.corners),
+            "temps_c": canonical_payload(spec.temps_c),
+            "supplies": canonical_payload(spec.supplies),
+            "seeds": canonical_payload(spec.seeds),
+            "gain_codes": canonical_payload(spec.gain_codes),
+        })
+        # The canonical text of {"base": fingerprint, **axes}: "base"
+        # sorts before every axis name.
+        text = '{"base":' + self._fingerprint + "," + axes[1:]
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def key(self, unit: WorkUnit) -> str:
         coords = canonical_json({

@@ -296,6 +296,7 @@ class TestErrorShell:
             conn.endheaders()
             resp = conn.getresponse()
             assert resp.status == 400
+            assert resp.getheader("Connection") == "close"  # not reused
             assert "Content-Length" in json.loads(resp.read())["error"]
         finally:
             conn.close()

@@ -103,6 +103,26 @@ class TestUnitKeys:
         assert campaign_key(small_spec()) != \
             campaign_key(small_spec(temps_c=(25.0, 85.0)))
 
+    def test_keys_are_pinned(self):
+        """Literal digests: a change to the key text orphans every
+        stored record, so it must show here first."""
+        spec = small_spec()
+        keyer = UnitKeyer(spec)
+        assert campaign_key(spec) == keyer.campaign_key() == (
+            "a2e8a656c4a620b9e5650f67c3f37d6a946f214070ed50f303a8a57a0db6c7ab")
+        assert [keyer.key(u) for u in spec.expand()][:2] == [
+            "d2a7abe904cdb86125cee5f4635e732ecce486a3948a991c9e6e3450ed8839d5",
+            "2d0e16c7a335066d114d01e9d59c5fd19bc3399266533c503048ca85c5161f4a"]
+        sized = small_spec(builder="micamp_sized", corners=("tt",),
+                           temps_c=(25.0, 85.0), supplies=(None, 3.3),
+                           seeds=(None,), measurements=("offset_v",),
+                           builder_kwargs={"i_pair": 0.001,
+                                           "r_total": 20000.0})
+        assert campaign_key(sized) == (
+            "90a316e946006a4beae6b53cbbee8f268c48ce1d078500f20aedea7a1bea2aea")
+        assert UnitKeyer(sized).key(sized.expand()[-1]) == (
+            "97cbd45e27d86f3d2a928eeade2bc894cf9e5bbc595791c984919831174b75f2")
+
 
 _SUBPROCESS_SCRIPT = """
 import json, sys

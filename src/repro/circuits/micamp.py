@@ -141,9 +141,6 @@ class MicAmpDesign:
                     gate_src.dc = 1.3 if closed else -1.3
         self.gain_code = code
 
-    def supply_current_sources(self) -> tuple[str, str]:
-        return ("vdd_src", "vss_src")
-
 
 def build_mic_amp(
     tech: Technology,

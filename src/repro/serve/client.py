@@ -155,11 +155,6 @@ class ServeClient:
     def metrics(self) -> dict:
         return self._get_json("/v1/metrics")
 
-    def metrics_text(self) -> str:
-        """The Prometheus text exposition from ``GET /metrics``."""
-        _status, body = self._request("GET", "/metrics")
-        return body.decode("utf-8")
-
     def job_trace(self, job_id: str) -> dict:
         """The job's collected spans (``{"trace_id", "spans"}``); raises
         :class:`ServeError` 404 while the recorder is disarmed server-side."""

@@ -60,7 +60,10 @@ class Job:
     ``OptimizationResult``) and is deliberately *not* journalled — after
     a restart, campaign results are reconstructed from the result store
     (a pure warm merge), which is cheaper and safer than persisting a
-    second copy of the data.
+    second copy of the data.  Nor is ``keyer``, the
+    :class:`~repro.store.UnitKeyer` a campaign submission validated and
+    keyed its payload into; a job restored from the journal parses its
+    payload again.
     """
 
     id: str
@@ -83,6 +86,7 @@ class Job:
     #: (``REPRO_OBS=1``); ``None`` otherwise.  Telemetry only.
     trace_id: str | None = None
     result: object = None
+    keyer: object = None
     _done_event: threading.Event = field(default_factory=threading.Event,
                                          repr=False)
 

@@ -13,16 +13,17 @@ directly usable in-process, which is how the tests pin its semantics):
   inline from the store (``run_campaign`` with zero missing units — the
   engine and the worker threads are never touched) and the job is born
   ``done``.  One :class:`~repro.store.UnitKeyer` derives the campaign
-  fingerprint and the unit keys of the probe and the merge.
+  fingerprint and the unit keys of the probe and the merge; a cold job
+  keeps it, so its payload is validated and keyed once.
 * **coalescing** — identical in-flight requests attach to one execution
   (see :class:`~repro.serve.jobs.JobQueue.submit`); with a store
   attached, the shared units of *sequential* duplicates are never
   re-executed either, so across any interleaving each unit is executed
   exactly once.
 * **workers** — a small thread pool drains the queue; each campaign job
-  runs in-process through :func:`repro.campaign.run_campaign` with a
-  per-group progress callback feeding the job's status view, and each
-  optimize job wraps
+  runs in-process through :func:`repro.campaign.run_campaign`'s keyed
+  body with a per-group progress callback feeding the job's status
+  view, and each optimize job wraps
   :func:`repro.optimize.optimize_mic_amp` the same way.
 
 Served campaign results are **byte-identical** to a direct
@@ -382,7 +383,7 @@ class CharacterizationService:
 
         job = J.Job(id=J.new_job_id(), kind="campaign",
                     payload=payload if isinstance(payload, dict) else {},
-                    fingerprint=fingerprint)
+                    fingerprint=fingerprint, keyer=keyer)
         job, coalesced = self.queue.submit(job)
         if coalesced:
             self.metrics.incr("coalesced")
@@ -542,16 +543,19 @@ class CharacterizationService:
         self.queue.finish(job, J.DONE)
 
     def _run_campaign_job(self, job: J.Job) -> None:
-        from repro.campaign import run_campaign
+        from repro.campaign.runner import _run_keyed
+        from repro.store import UnitKeyer
 
-        spec = campaign_spec_from_dict(job.payload)
+        keyer = job.keyer or UnitKeyer(campaign_spec_from_dict(job.payload))
 
         def update(done: int, total: int) -> None:
             job.progress = {"units_done": done, "units_total": total}
 
         store = self._active_store()
-        result = run_campaign(spec, store=store,
-                              progress=self._deadline_progress(job, update))
+        units = keyer.spec.expand()
+        keys = None if store is None else [keyer.key(unit) for unit in units]
+        result = _run_keyed(keyer.spec, units, store, keys,
+                            progress=self._deadline_progress(job, update))
         job.result = result
         if result.store_stats is not None:
             if result.store_stats.get("store_errors"):

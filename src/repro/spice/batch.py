@@ -296,7 +296,10 @@ def newton_batch(
     update, ``stall_iterations`` clamped steps in a row, or iteration
     budget).  Failed units keep their serial-faithful ``x`` frozen and
     are meant to enter the serial ladder at gmin stepping
-    (:class:`repro.spice.dc.PlainFailure`).
+    (:class:`repro.spice.dc.PlainFailure`).  The stall rule stops a
+    hard start after 10 of its up to 150 iterations, so the group's
+    other units run on without it; a converging unit it stops as well
+    gets the ladder's operating point, the one its serial solve gets.
 
     ``diags``, when given, holds one dict per unit; each receives the
     forensics the serial ``_newton`` records in its ``diag``: ``resid``

@@ -75,10 +75,6 @@ class NoiseResult:
                                    for i, key in enumerate(group_keys)}
         return self._contributions
 
-    def output_nv(self) -> np.ndarray:
-        """Output noise voltage density [nV/sqrt(Hz)]."""
-        return np.sqrt(self.output_psd) * 1e9
-
     def input_nv(self) -> np.ndarray:
         """Input-referred noise voltage density [nV/sqrt(Hz)]."""
         return np.sqrt(self.input_psd) * 1e9
@@ -103,11 +99,6 @@ class NoiseResult:
         """
         power = _integrate_band(self.freqs, self.input_psd, f_lo, f_hi)
         return (power / (f_hi - f_lo)) ** 0.5
-
-    def weighted_output_rms(self, weight, f_lo: float, f_hi: float) -> float:
-        """RMS output noise with a |W(f)|^2 weighting (e.g. psophometric)."""
-        w = np.asarray([weight(f) for f in self.freqs])
-        return _integrate_band(self.freqs, self.output_psd * w**2, f_lo, f_hi) ** 0.5
 
     def top_contributors(self, freq: float, count: int = 10) -> list[tuple[str, str, float]]:
         """Largest (device, mechanism, V^2/Hz) contributions near ``freq``."""

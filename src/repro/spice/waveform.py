@@ -170,10 +170,6 @@ class Spectrum:
     freqs: np.ndarray
     amplitude: np.ndarray
 
-    def dbv(self) -> np.ndarray:
-        """Amplitude in dBV (dB re 1 V peak)."""
-        return 20.0 * np.log10(np.maximum(self.amplitude, 1e-300))
-
     def db_carrier(self, f0: float) -> np.ndarray:
         """Amplitude in dBc relative to the bin nearest ``f0``."""
         ref = self.amplitude_at(f0)

@@ -5,9 +5,13 @@ so the guarantees are pinned where they live; ``test_api.py`` re-checks
 the thin HTTP shell on top.
 """
 
+import json
+import pathlib
 import threading
 
 import pytest
+
+import repro.ingest
 
 from repro.campaign import run_campaign
 from repro.serve import CharacterizationService, SpecValidationError
@@ -18,6 +22,14 @@ from repro.store import ResultStore
 #: A tiny, fast campaign: 2 bias-block units, one measurement.
 PAYLOAD = {"builder": "bias", "corners": ["tt"], "temps_c": [25.0, 85.0],
            "measurements": ["bias_current_ua"]}
+_DECKS = pathlib.Path(__file__).parent.parent / "ingest" / "decks"
+#: A netlist request: the differential-pair test deck, 2 units.
+NETLIST_PAYLOAD = {
+    "netlist": {"deck": (_DECKS / "diff_amp.sp").read_text(),
+                "binding": json.loads(
+                    (_DECKS / "diff_amp.binding.json").read_text())},
+    "corners": ["tt"], "temps_c": [25.0, 85.0],
+    "measurements": ["offset_v", "iq_ma", "gain_1khz_db"]}
 
 
 @pytest.fixture
@@ -75,6 +87,24 @@ class TestCampaignJobs:
         assert not job.warm                       # one unit was missing
         assert job.result.store_stats["reused_units"] == 2
         assert job.result.store_stats["executed_units"] == 1
+
+    def test_cold_netlist_job_canonicalizes_its_deck_once(self, service,
+                                                          monkeypatch):
+        """The job runs with the keyer its submission derived, so the
+        deck is parsed and flattened at submission only."""
+        direct = run_campaign(campaign_spec_from_dict(NETLIST_PAYLOAD))
+        calls = []
+        canonicalize = repro.ingest.canonicalize_deck
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return canonicalize(*args, **kwargs)
+
+        monkeypatch.setattr(repro.ingest, "canonicalize_deck", counted)
+        job = service.submit_campaign(NETLIST_PAYLOAD)
+        assert job.wait(timeout=60) and job.state == J.DONE and not job.warm
+        assert len(calls) == 1
+        assert service.result_text(job) == direct.to_json() + "\n"
 
     def test_malformed_payload_raises_before_any_job(self, service):
         with pytest.raises(SpecValidationError):

@@ -2,7 +2,7 @@
 
 A hard start spends its plain-Newton stage clamped at the step limit
 every iteration.  The plain stage stops after
-``NewtonOptions.stall_iterations`` (83) clamped steps in a row and the
+``NewtonOptions.stall_iterations`` (10) clamped steps in a row and the
 ladder restarts gmin stepping from the initial guess, so the operating
 point is the one gmin stepping alone finds.  On the tensor path a unit
 that fails lockstep Newton enters that ladder directly, without
@@ -11,15 +11,23 @@ re-running the plain stage.
 The two hard starts (``HARD_STARTS``) are those of the CI search
 ``repro optimize --quick --seed 2026`` (tt, 25 degC), taken from its
 evaluator cache.  Before the stall rule each took 150 plain iterations
-(210 and 211 in all).  ``LONGEST_CONVERGING`` is the design with the
-longest clamped run measured in a converging plain stage: 73 steps, and
-it converges at iteration 83.  A scan of the ``perfbench``
-``optimize_de`` streams (seeds 1-10, the first 30 entries of each,
-reruns skipped: 7413 converging plain stages) found it in seed 6, entry
-18, a typical search.  The limit must stay above that run, or the rule
-would change the design's operating point; 83 steps leave a margin of
-1.14x.  ``SLOW_CONVERGING`` (a seed-2 search) converges later, at
-iteration 97, after a 55-step run.
+(210 and 211 in all).
+
+The limit also diverts a converging solve that has 10 clamped steps in
+a row; the ladder then lands on its plain-Newton point to round-off.
+A scan of the ``perfbench`` ``optimize_de`` streams (seeds 1-10, the
+first 30 entries of each, reruns skipped, every unit solved serially:
+7893 plain stages) counted 474 hard starts, all but one stopped by the
+limit, and 108 diverted converging stages, none more than 2.3e-14 V
+from its plain-Newton point.  Converging runs reach 138 clamped steps
+there, so no limit that saves iterations diverts nothing.
+``LONGEST_CONVERGING`` (seed 6, entry 18 of an earlier scan: a 73-step
+run, converged at iteration 83) and ``SLOW_CONVERGING`` (a seed-2
+search: a 55-step run, converged at iteration 97) set the former limit
+of 83; both now take the ladder.  ``LIVE_PAST_STALL`` (seed 1, entry
+26, a typical search) converges at iteration 21 and never has 10
+clamped steps in a row, so in lockstep it is still live when a hard
+start beside it stalls.
 
 The gmin ladder is adaptive (``dc.strategy_ladder``); ``_decade_ladder``
 below is the fixed ladder it replaced (1e-3 ... 1e-12 S, then 0), kept
@@ -76,6 +84,12 @@ SLOW_CONVERGING = {
     "split_flicker": 0.034999999999999996, "i_pair": 0.0007261561095402029,
     "l_input": 1.8928720334405797e-05, "l_load": 2.0095091452076665e-05,
     "r_total": 48204.766885948666}
+LIVE_PAST_STALL = {
+    "i_pair": 0.0005508457406676332, "l_input": 1.5744223807493175e-05,
+    "l_load": 3.334955067762685e-05, "r_total": 10546.053908451264,
+    "split_flicker": 0.30000000000000004,
+    "split_input_thermal": 0.42500000000000004, "split_load_thermal": 0.04,
+    "split_network": 0.14500000000000002, "split_switches": 0.025}
 STALL = NewtonOptions().stall_iterations
 MEASUREMENTS = ("offset_v", "iq_ma", "gain_1khz_db")
 
@@ -198,7 +212,7 @@ class TestAdaptiveLadder:
         rec = Recorder()
         with rec.activate():
             op = dc_operating_point(system)
-        assert op.strategy == "gmin-stepping" and op.iterations == 119
+        assert op.strategy == "gmin-stepping" and op.iterations == 46
         counts = rec.profile()["counts"]
         assert counts["dc.gmin_rungs"] == 4
         (esc,) = rec.events(name="dc.strategy_escalation")
@@ -206,11 +220,13 @@ class TestAdaptiveLadder:
             "gmin-stepping", "stalled")
         assert not rec.events(name="dc.nonconvergence")
 
-    @pytest.mark.parametrize("robust, iterations", [([], 371), (["--robust"], 751)],
+    @pytest.mark.parametrize("robust, ladders, iterations",
+                             [([], 2, 225), (["--robust"], 4, 602)],
                              ids=["typical", "robust"])
-    def test_ci_search_newton_iterations(self, robust, iterations):
-        """An exact count, not a timing: a longer ladder fails it.  Each
-        search meets the two ``HARD_STARTS`` (once per search).  The
+    def test_ci_search_newton_iterations(self, robust, ladders, iterations):
+        """An exact count, not a timing: a longer ladder or a later stall
+        fails it.  Each search meets the two ``HARD_STARTS`` (once per
+        search); the robust one also diverts two converging units.  The
         candidates of a generation share tensor groups, whose plain-stage
         iterations lockstep Newton counts per unit
         (``batch.assembled_units``); a unit it hands to the serial ladder
@@ -220,8 +236,8 @@ class TestAdaptiveLadder:
             main(["optimize", "--quick", "--seed", "2026", "--no-progress"]
                  + robust)
         counts = rec.profile()["counts"]
-        assert counts["dc.strategy.gmin-stepping"] == 2
-        assert counts["dc.gmin_rungs"] == 8
+        assert counts["dc.strategy.gmin-stepping"] == ladders
+        assert counts["dc.gmin_rungs"] == 4 * ladders
         assert counts["dc.newton_iterations"] + \
             counts.get("batch.assembled_units", 0) == iterations
 
@@ -238,10 +254,20 @@ class TestLongestConvergingRun:
                                       NewtonOptions(), stall=74)
         assert converged and iters == 83
 
-    def test_stall_limit_leaves_it_to_plain_newton(self):
-        assert STALL > 73
-        op = dc_operating_point(_system(LONGEST_CONVERGING))
-        assert op.strategy == "newton" and op.iterations == 83
+    @pytest.mark.parametrize("params, iterations",
+                             [(LONGEST_CONVERGING, 42), (SLOW_CONVERGING, 40)],
+                             ids=["longest", "slow"])
+    def test_ladder_lands_on_the_plain_newton_point(self, params, iterations):
+        """Diverted after 10 clamped steps, the design takes the ladder
+        and still lands on the point plain Newton converges to."""
+        system = _system(params)
+        op = dc_operating_point(system)
+        assert op.strategy == "gmin-stepping" and op.iterations == iterations
+        converged, x_plain, _ = _newton(system, _initial_guess(system),
+                                        system.rhs_dc(), 0.0, NewtonOptions(),
+                                        stall=None)
+        assert converged
+        assert np.max(np.abs(op.x - x_plain)) <= NewtonOptions().vntol
 
 
 class TestTensorFallback:
@@ -291,38 +317,56 @@ class TestTensorFallback:
         assert serial_health[0]["strategy"] == "gmin-stepping"
 
 
+def _lockstep_matches_per_unit(designs):
+    """Run ``designs`` (tt, 25 degC) as one lockstep group, check every
+    unit against the per-unit ``_newton`` plain stage, and return
+    ``(converged, iterations, counts)``."""
+    circuits = [_circuit(p) for p in designs]
+    temps = [25.0] * len(circuits)
+    bs = BatchedSystem(circuits[0].compile(temp_c=25.0), circuits, temps)
+    diags = [{} for _ in circuits]
+    rec = Recorder()
+    with rec.activate():
+        converged, x, iterations = newton_batch(
+            bs, bs.initial_guess(), bs.rhs_dc(), diags=diags)
+    for u, circ in enumerate(circuits):
+        system = circ.compile(temp_c=25.0)
+        diag: dict = {}
+        ok, x_ref, iters = _newton(system, _initial_guess(system),
+                                   system.rhs_dc(), 0.0, NewtonOptions(),
+                                   diag=diag, stall=STALL)
+        assert ok == converged[u]
+        assert iterations[u] == iters
+        assert x[u].tobytes() == x_ref.tobytes()
+        assert diags[u] == diag
+    counts = rec.profile()["counts"]
+    # Every assembled unit-iteration was a live one.
+    assert counts["batch.assembled_units"] == int(iterations.sum())
+    return converged.tolist(), iterations.tolist(), counts
+
+
 class TestLockstepCompaction:
-    """A hard unit among three converging ones: once units finish,
-    lockstep Newton assembles only the live ones, and every unit still
-    gets the per-unit ``_newton`` result."""
+    """Once units finish, lockstep Newton assembles only the live ones,
+    and every unit still gets the per-unit ``_newton`` result."""
 
     def test_group_matches_per_unit_newton(self):
+        """Two stalling units among two that converge first: 10 + 10 +
+        6 + 7 assembled unit-iterations, where a full-group lockstep
+        assembles 4 x 10."""
         space = mic_amp_design_space()
-        designs = [HARD_STARTS[0], SLOW_CONVERGING,
-                   space.as_dict(space.default()),
-                   space.as_dict(space.from_unit(np.full(space.dim, 0.3)))]
-        circuits = [_circuit(p) for p in designs]
-        temps = [25.0] * len(circuits)
-        bs = BatchedSystem(circuits[0].compile(temp_c=25.0), circuits, temps)
-        diags = [{} for _ in circuits]
-        rec = Recorder()
-        with rec.activate():
-            converged, x, iterations = newton_batch(
-                bs, bs.initial_guess(), bs.rhs_dc(), diags=diags)
-        assert converged.tolist() == [False, True, True, True]
-        for u, circ in enumerate(circuits):
-            system = circ.compile(temp_c=25.0)
-            diag: dict = {}
-            ok, x_ref, iters = _newton(system, _initial_guess(system),
-                                       system.rhs_dc(), 0.0, NewtonOptions(),
-                                       diag=diag, stall=STALL)
-            assert ok == converged[u]
-            assert iterations[u] == iters
-            assert x[u].tobytes() == x_ref.tobytes()
-            assert diags[u] == diag
-        # Every assembled unit-iteration was a live one: 83 + 97 + 6 + 7
-        # of them, where a full-group lockstep assembles 4 x 97.
-        assert iterations.tolist() == [STALL, 97, 6, 7]
-        counts = rec.profile()["counts"]
-        assert counts["batch.newton_iterations"] == 97
-        assert counts["batch.assembled_units"] == int(iterations.sum())
+        converged, iterations, counts = _lockstep_matches_per_unit(
+            [HARD_STARTS[0], SLOW_CONVERGING, space.as_dict(space.default()),
+             space.as_dict(space.from_unit(np.full(space.dim, 0.3)))])
+        assert converged == [False, False, True, True]
+        assert iterations == [STALL, STALL, 6, 7]
+        assert counts["batch.newton_iterations"] == STALL
+
+    def test_unit_stalls_while_a_sibling_is_live(self):
+        """The hard start stalls at iteration 10 and leaves the group;
+        its sibling runs on alone to iteration 21: 10 + 21 assembled
+        unit-iterations, where a full-group lockstep assembles 2 x 21."""
+        converged, iterations, counts = _lockstep_matches_per_unit(
+            [HARD_STARTS[0], LIVE_PAST_STALL])
+        assert converged == [False, True]
+        assert iterations == [STALL, 21]
+        assert counts["batch.newton_iterations"] == 21

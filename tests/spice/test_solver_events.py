@@ -80,9 +80,10 @@ class TestEscalationEvents:
         assert first["fields"]["to_strategy"] == "gmin-stepping"
         assert isinstance(first["fields"]["resid_norm"], float)
         # Each escalation says why the stage it leaves failed, and so
-        # does the failure of the last stage, gmin stepping.
-        assert [e["fields"]["reason"] for e in escalations] == ["budget"]
-        assert all("clamped_streak" not in e["fields"] for e in escalations)
+        # does the failure of the last stage, gmin stepping.  The plain
+        # stage stalls after its 10 clamped steps.
+        assert [e["fields"]["reason"] for e in escalations] == ["stalled"]
+        assert [e["fields"]["clamped_streak"] for e in escalations] == [10]
         failures = rec.events(name="dc.nonconvergence", severity="error")
         assert failures, "non-convergence never recorded"
         assert failures[-1]["fields"]["circuit"] == "bad"

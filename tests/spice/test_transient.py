@@ -259,6 +259,39 @@ class TestCompanionNewton:
         monkeypatch.setattr(distortion, "transient_analysis", frozen_transient)
         assert _rel(new, self._buffer_thd(tech, 4.0, 20)) < 1e-9
 
+    def test_failed_prediction_hands_over_at_the_stall_bound(self, tech,
+                                                             monkeypatch):
+        """4 V differential in, 1.5 V rails, 20 points per cycle: each of
+        the six predicted starts that fail stops after
+        ``PREDICTED_STALL`` clamped steps instead of the 60-iteration
+        budget, and the retry from the previous solution gives the
+        waveform of a run without the bound, bit for bit."""
+        calls = []
+
+        def spy(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append((kwargs.get("stall"), result[0], result[2]))
+            return result
+
+        def run():
+            design = build_power_buffer(tech, feedback="inverting",
+                                        load="resistive", vdd=1.5, vss=-1.5)
+            thd, wave = distortion.transient_thd(
+                design.circuit, "vsrc_p", "vsrc_n", "outp", "outn",
+                amplitude=4.0, cycles=3, points_per_cycle=20)
+            return thd, wave.y.tobytes()
+
+        real = transient_mod._newton
+        monkeypatch.setattr(transient_mod, "_newton", spy)
+        bounded = run()
+        stall = transient_mod.PREDICTED_STALL
+        failed = [k for k, (bound, ok, _) in enumerate(calls)
+                  if bound is not None and not ok]
+        assert [calls[k] for k in failed] == [(stall, False, stall)] * 6
+        assert all(calls[k + 1][:2] == (None, True) for k in failed)
+        monkeypatch.setattr(transient_mod, "PREDICTED_STALL", None)
+        assert run() == bounded
+
     def test_sparse_steps_match_the_dense_waveform(self, monkeypatch):
         """Above ``sparse_threshold`` the steps take the SuperLU path.  The
         t = 0 solve fills the system's sparse triplets with G alone, so a

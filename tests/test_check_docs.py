@@ -1,4 +1,5 @@
-"""`tools/check_docs.py`: every emitted event is named in the architecture doc."""
+"""`tools/check_docs.py`: every emitted event and span is named in the
+architecture doc."""
 
 import importlib.util
 import pathlib
@@ -31,6 +32,34 @@ def test_a_dropped_row_is_reported():
     doc = "| `dc.dense_latch` | warn |\n"
     assert tool.undocumented_events({"dc.dense_latch", "dc.jacobian_singular"},
                                     doc) == ["dc.jacobian_singular"]
+
+
+def test_emitted_spans_are_the_span_literals():
+    assert _load_tool().emitted_spans() == {
+        "campaign.run", "campaign.batch_group", "serve.job"}
+
+
+def test_every_emitted_span_is_documented():
+    tool = _load_tool()
+    doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
+    assert tool.undocumented_events(tool.emitted_spans(), doc) == []
+
+
+def test_a_dropped_span_row_fails_the_check(tmp_path, monkeypatch, capsys):
+    tool = _load_tool()
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text(
+        'with span("serve.job", job=1):\n    pass\n'
+        'with span("campaign.run"):\n    pass\n')
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "architecture.md").write_text(
+        "| `serve.job` | service worker thread, per job |\n")
+    (tmp_path / ".gitignore").write_text("out/\n")
+    monkeypatch.setattr(tool, "REPO_ROOT", tmp_path)
+    assert tool.main([str(tmp_path / "docs" / "architecture.md")]) == 1
+    out = capsys.readouterr().out
+    assert "span 'campaign.run' is emitted under src/ but not documented" in out
+    assert "serve.job" not in out
 
 
 def test_repo_paths_are_read_from_code_spans_only():

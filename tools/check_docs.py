@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Fail CI on broken intra-repo links and undocumented events.
+"""Fail CI on broken intra-repo links and undocumented events and spans.
 
 Scans ``README.md`` and ``docs/*.md`` for markdown links/images and
 verifies that every *relative* target (no scheme, no mailto) exists on
@@ -12,9 +12,9 @@ suffix is dropped, a glob pattern passes if it matches something, and a
 path under a directory that ``.gitignore`` lists (test and build output,
 absent from a fresh checkout) is skipped.
 
-Also fails when an ``event("<name>"`` literal under ``src/`` is not named
-(in backticks) in ``docs/architecture.md``, so an event cannot drop out
-of the event taxonomy there unnoticed.
+Also fails when an ``event("<name>"`` or ``span("<name>"`` literal under
+``src/`` is not named (in backticks) in ``docs/architecture.md``, so an
+event or a span cannot drop out of the taxonomy there unnoticed.
 
 Usage::
 
@@ -40,6 +40,8 @@ _PATH_RE = re.compile(r"^(?:tests|src|tools|examples)/\S*$")
 _SUFFIX_RE = re.compile(r"(?:::.*|:\d[\d,-]*)$")
 # event("name", ...) and the solver wrapper _solver_event("name", ...).
 _EVENT_RE = re.compile(r'event\(\s*"([^"]+)"')
+# with span("name", ...).
+_SPAN_RE = re.compile(r'\bspan\(\s*"([^"]+)"')
 
 
 def iter_links(text: str):
@@ -90,11 +92,20 @@ def missing_paths(path: pathlib.Path) -> list[str]:
             if not name.startswith(skip) and not repo_path_exists(name)]
 
 
-def emitted_events() -> set[str]:
-    """Names of every ``event("<name>"`` literal under ``src/``."""
+def _emitted(pattern: re.Pattern) -> set[str]:
     return {match.group(1)
             for path in (REPO_ROOT / "src").rglob("*.py")
-            for match in _EVENT_RE.finditer(path.read_text())}
+            for match in pattern.finditer(path.read_text())}
+
+
+def emitted_events() -> set[str]:
+    """Names of every ``event("<name>"`` literal under ``src/``."""
+    return _emitted(_EVENT_RE)
+
+
+def emitted_spans() -> set[str]:
+    """Names of every ``span("<name>"`` literal under ``src/``."""
+    return _emitted(_SPAN_RE)
 
 
 def undocumented_events(names: set[str], doc_text: str) -> list[str]:
@@ -120,16 +131,18 @@ def main(argv: list[str] | None = None) -> int:
         errors.extend(missing_paths(f))
         checked += 1
     broken = len(errors)
-    names = emitted_events()
-    arch = REPO_ROOT / "docs" / "architecture.md"
-    errors.extend(f"docs/architecture.md: event {name!r} is emitted under "
-                  f"src/ but not documented"
-                  for name in undocumented_events(names, arch.read_text()))
+    arch_text = (REPO_ROOT / "docs" / "architecture.md").read_text()
+    names = {"event": emitted_events(), "span": emitted_spans()}
+    for kind, emitted in names.items():
+        errors.extend(f"docs/architecture.md: {kind} {name!r} is emitted "
+                      f"under src/ but not documented"
+                      for name in undocumented_events(emitted, arch_text))
     for err in errors:
         print(f"ERROR: {err}")
-    print(f"checked {checked} file(s) and {len(names)} event(s): "
-          f"{'FAIL' if errors else 'ok'} ({broken} broken link(s) or path(s), "
-          f"{len(errors) - broken} undocumented event(s))")
+    print(f"checked {checked} file(s), {len(names['event'])} event(s) and "
+          f"{len(names['span'])} span(s): {'FAIL' if errors else 'ok'} "
+          f"({broken} broken link(s) or path(s), "
+          f"{len(errors) - broken} undocumented event(s) or span(s))")
     return 1 if errors else 0
 
 

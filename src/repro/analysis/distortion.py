@@ -75,14 +75,6 @@ class StaticTransfer:
         return thd_from_harmonics(
             goertzel_harmonics(out, 1.0 / n_points, n_harmonics))
 
-    def output_amplitude(self, amplitude: float, n_points: int = 1024,
-                         bias: float = 0.0) -> float:
-        """Fundamental amplitude at the output for a sine input."""
-        t = np.arange(n_points) / n_points
-        sine = bias + amplitude * np.sin(2.0 * np.pi * t)
-        out = self.apply(sine)
-        return float(goertzel_harmonics(out, 1.0 / n_points, 1)[0])
-
 
 def measure_static_transfer(
     circuit: Circuit,

@@ -167,14 +167,6 @@ class MicAmpNoiseBudget:
         """Input-referred density [nV/sqrt(Hz)]."""
         return float(np.sqrt(self.input_psd(freq, code)) * 1e9)
 
-    def average_input_nv(self, f_lo: float = 300.0, f_hi: float = 3400.0,
-                         code: int | None = None, points: int = 200) -> float:
-        """Band-average density [nV/sqrt(Hz)] (Table 1's headline row)."""
-        freqs = np.linspace(f_lo, f_hi, points)
-        psd = np.array([self.input_psd(f, code) for f in freqs])
-        avg = np.trapezoid(psd, freqs) / (f_hi - f_lo)
-        return float(np.sqrt(avg) * 1e9)
-
     def flicker_corner_hz(self, code: int | None = None) -> float:
         """Frequency where flicker equals thermal (the Fig. 7 knee)."""
         thermal = (

@@ -71,11 +71,3 @@ def psophometric_rms(freqs: np.ndarray, psd: np.ndarray) -> float:
         raise ValueError("freqs and psd must have matching shapes")
     w = psophometric_weight(freqs)
     return float(np.sqrt(np.trapezoid(psd * w**2, freqs)))
-
-
-def weighted_snr_db(signal_rms: float, freqs: np.ndarray, noise_psd: np.ndarray) -> float:
-    """Psophometric S/N [dB] of an RMS signal against a noise PSD."""
-    noise = psophometric_rms(freqs, noise_psd)
-    if noise <= 0.0:
-        raise ValueError("noise PSD integrates to zero; cannot form an SNR")
-    return 20.0 * float(np.log10(signal_rms / noise))

@@ -265,18 +265,3 @@ class CampaignResult:
                 f"median {np.median(finite):11.4g}   max {np.max(finite):11.4g}"
             )
         return "\n".join(lines)
-
-    def format_table(self, max_rows: int = 20) -> str:
-        """A plain-text view of the first ``max_rows`` rows."""
-        header = "  ".join(f"{c:>12}" for c in self.columns)
-        lines = [header]
-        for row in self.data[:max_rows]:
-            cells = []
-            for c in self.columns:
-                v = row[c]
-                cells.append(f"{v:>12}" if isinstance(v, str)
-                             else f"{float(v):>12.5g}")
-            lines.append("  ".join(cells))
-        if len(self) > max_rows:
-            lines.append(f"  ... ({len(self) - max_rows} more rows)")
-        return "\n".join(lines)

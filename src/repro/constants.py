@@ -46,12 +46,3 @@ def db(ratio: float) -> float:
 def undb(value_db: float) -> float:
     """Decibels to voltage ratio (inverse of :func:`db`)."""
     return 10.0 ** (value_db / 20.0)
-
-
-def db_power(ratio: float) -> float:
-    """Power ratio to decibels (10*log10)."""
-    import math
-
-    if ratio <= 0.0:
-        raise ValueError(f"db_power() requires a positive ratio, got {ratio!r}")
-    return 10.0 * math.log10(ratio)

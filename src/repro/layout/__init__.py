@@ -5,7 +5,6 @@ from repro.layout.area import (
     AreaBreakdown,
     estimate_area_mm2,
     estimate_mic_amp_area_mm2,
-    estimate_power_buffer_area_mm2,
 )
 from repro.layout.common_centroid import (
     Placement,
@@ -21,7 +20,6 @@ __all__ = [
     "common_centroid_pattern",
     "estimate_area_mm2",
     "estimate_mic_amp_area_mm2",
-    "estimate_power_buffer_area_mm2",
     "gradient_imbalance",
     "interdigitated_pattern",
     "placement_sigma_vt",

@@ -91,8 +91,3 @@ def estimate_area_mm2(
 def estimate_mic_amp_area_mm2(design) -> float:
     """Area of a built microphone amplifier [mm^2] (paper: 1.1 mm^2)."""
     return estimate_area_mm2(design.circuit, design.tech).total_mm2
-
-
-def estimate_power_buffer_area_mm2(design) -> float:
-    """Area of a built power buffer [mm^2] (Fig. 10)."""
-    return estimate_area_mm2(design.circuit, design.tech).total_mm2

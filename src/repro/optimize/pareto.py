@@ -91,15 +91,6 @@ class ParetoFront:
         """Points ordered by the first objective (stable for export)."""
         return sorted(self.points, key=lambda p: p.values)
 
-    def best_by(self, objective: str) -> ParetoPoint:
-        """The front's extreme point along one objective."""
-        if objective not in self.objectives:
-            raise KeyError(f"unknown objective {objective!r}; have {self.objectives}")
-        if not self.points:
-            raise ValueError("empty Pareto front")
-        k = self.objectives.index(objective)
-        return min(self.points, key=lambda p: p.values[k])
-
     def format(self, max_rows: int = 12) -> str:
         header = "  ".join(f"{o:>14}" for o in self.objectives) + "  feasible"
         lines = [f"Pareto front: {len(self)} points "

@@ -150,18 +150,6 @@ class DesignSpace:
             raise ValueError(f"expected a ({self.dim},) vector, got {x.shape}")
         return {name: float(v) for name, v in zip(self.names, x)}
 
-    def from_dict(self, values: dict[str, float]) -> np.ndarray:
-        """A (possibly partial) ``{name: value}`` dict -> quantized vector,
-        missing names filled from :meth:`default`."""
-        unknown = sorted(set(values) - set(self.names))
-        if unknown:
-            raise KeyError(f"unknown parameters {unknown}; have {list(self.names)}")
-        base = self.default()
-        for i, name in enumerate(self.names):
-            if name in values:
-                base[i] = float(values[name])
-        return self.quantize(base)
-
     def key(self, x: np.ndarray) -> tuple:
         """Hashable cache key of a design vector (quantized, rounded to
         12 significant digits so float noise cannot split cache lines)."""

@@ -66,10 +66,6 @@ class GainControl:
         """Nominal closed-loop voltage gain (linear)."""
         return undb(self.gain_db(code))
 
-    def code_for_db(self, target_db: float) -> int:
-        """Closest gain code for a requested dB value."""
-        return int(np.argmin([abs(s - target_db) for s in self.steps_db]))
-
     def r_bottom(self, code: int) -> float:
         """R_a for a code: the string below the selected tap [ohm]."""
         return self.r_total / self.gain_linear(code)

@@ -78,10 +78,6 @@ class Technology:
             return self.pmos
         raise ValueError(f"unknown polarity {polarity!r}")
 
-    def with_supply(self, vdd: float, vss: float) -> "Technology":
-        """Same process at a different supply pair (supply sweeps)."""
-        return replace(self, vdd_nominal=vdd, vss_nominal=vss)
-
     def scaled(self, **mos_overrides: dict) -> "Technology":
         """Return a copy with per-flavour MOS parameter overrides.
 

@@ -41,7 +41,7 @@ from repro.spice.linsolve import (
 )
 from repro.spice.transient import transient_analysis
 from repro.spice.noise import noise_analysis
-from repro.spice.waveform import Spectrum, Waveform
+from repro.spice.waveform import Waveform
 
 __all__ = [
     "BjtModel",
@@ -63,7 +63,6 @@ __all__ = [
     "Sine",
     "SmallSignalContext",
     "SpectralSolver",
-    "Spectrum",
     "Switch",
     "Vccs",
     "Vcvs",

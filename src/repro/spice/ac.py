@@ -39,10 +39,6 @@ class AcResult:
         mag = np.abs(sig)
         return 20.0 * np.log10(np.maximum(mag, 1e-300))
 
-    def phase_deg(self, node_p: str, node_n: str | None = None) -> np.ndarray:
-        sig = self.v(node_p) if node_n is None else self.vdiff(node_p, node_n)
-        return np.degrees(np.angle(sig))
-
 
 def ac_analysis(op: OperatingPoint, freqs: np.ndarray) -> AcResult:
     """Run an AC sweep at the operating point ``op``.

@@ -155,9 +155,6 @@ class OperatingPoint:
         """Branch current of a voltage-source-like element [A]."""
         return float(self.x[self.system.branch(element_name)])
 
-    def node_voltages(self) -> dict[str, float]:
-        return {name: self.v(name) for name in self.system.node_names}
-
     # ------------------------------------------------------------------
     # Device inspection
     # ------------------------------------------------------------------

@@ -165,6 +165,7 @@ class BjtGroup:
         q2 = 2.0 * ELEMENTARY_CHARGE
         return q2 * np.abs(ev.ic), q2 * np.abs(ev.ib)
 
-    def flicker_noise_psd(self, ev: BjtEval, freq: float) -> np.ndarray:
-        """Base-current flicker noise PSD at ``freq`` [A^2/Hz]."""
-        return self.kf * np.power(np.abs(ev.ib), self.af) / freq
+    def flicker_coefficient(self, ev: BjtEval) -> np.ndarray:
+        """Base-current flicker coefficient: the PSD is this over
+        ``f**af`` [A^2/Hz]."""
+        return self.kf * np.power(np.abs(ev.ib), self.af)

@@ -89,5 +89,7 @@ class DiodeGroup:
     def shot_noise_psd(self, ev: DiodeEval) -> np.ndarray:
         return 2.0 * ELEMENTARY_CHARGE * np.abs(ev.current)
 
-    def flicker_noise_psd(self, ev: DiodeEval, freq: float) -> np.ndarray:
-        return self.kf * np.power(np.abs(ev.current), self.af) / freq
+    def flicker_coefficient(self, ev: DiodeEval) -> np.ndarray:
+        """Junction-current flicker coefficient: the PSD is this over
+        ``f**af`` [A^2/Hz]."""
+        return self.kf * np.power(np.abs(ev.current), self.af)

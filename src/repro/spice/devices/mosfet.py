@@ -278,11 +278,10 @@ class MosGroup:
         """Channel thermal-noise current PSD per device [A^2/Hz]."""
         return self.kt4 * (2.0 / 3.0 * ev.gm + ev.gds_channel)
 
-    def flicker_noise_psd(self, ev: MosEval, freq: float) -> np.ndarray:
-        """Flicker-noise current PSD per device at ``freq`` [A^2/Hz]."""
-        area = self.cox * self.w * self.l * self.m
-        svg = self.kf / (area * np.power(freq, self.af))
-        return ev.gm**2 * svg
+    def flicker_coefficient(self, ev: MosEval) -> np.ndarray:
+        """Drain-current flicker coefficient per device: the PSD is this
+        over ``f**af`` [A^2/Hz], the gate-referred Svg times gm^2."""
+        return self.kf / (self.cox * self.w * self.l * self.m) * ev.gm**2
 
     def gate_capacitances(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(Cgs, Cgd, Cjunction) constant small-signal caps per device.

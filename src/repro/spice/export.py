@@ -222,9 +222,3 @@ def export_netlist(circuit: Circuit, title: str | None = None) -> str:
         out.write(_diode_model_card(model) + "\n")
     out.write(".end\n")
     return out.getvalue()
-
-
-def write_netlist(circuit: Circuit, path: str, title: str | None = None) -> None:
-    """Export to a file."""
-    with open(path, "w") as fh:
-        fh.write(export_netlist(circuit, title))

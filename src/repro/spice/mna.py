@@ -715,8 +715,11 @@ class StampedSystem:
         in circuit order, then each MOSFET's channel thermal source and,
         where its coefficient is positive, its flicker source, then each
         BJT's collector and base shot sources, then each diode's shot
-        source.  The arrays come straight from the device groups, whose
-        stacked rows equal their units' serial arrays bit for bit.
+        source.  Each group's ``flicker_coefficient`` is the one 1/f law
+        of its devices; a BJT's base flicker and a diode's junction
+        flicker ride on their shot slots.  The arrays come straight from
+        the device groups, whose stacked rows equal their units' serial
+        arrays bit for bit.
         Which switches are closed and which flicker sources exist are
         per-unit values (gain codes switch the network), so units are
         grouped by layout, never padded: a zero source would change the
@@ -762,7 +765,7 @@ class StampedSystem:
         if self.mos_group is not None:
             grp = self.mos_group
             ev = evals["mos"] if "mos" in evals else grp.evaluate(x_ext)
-            flicker = grp.kf / (grp.cox * grp.w * grp.l * grp.m) * ev.gm**2
+            flicker = grp.flicker_coefficient(ev)
             th, fl = slice(o, o + 2 * n_dev[0], 2), slice(o + 1, o + 2 * n_dev[0], 2)
             keys += [(name, mech) for name in grp.names for mech in ("thermal", "flicker")]
             node_a[th] = node_a[fl] = grp.d
@@ -780,7 +783,7 @@ class StampedSystem:
             node_a[sc], node_a[sb] = grp.c, grp.b
             node_b[sc] = node_b[sb] = grp.e
             psd_flat[:, sc], psd_flat[:, sb] = grp.shot_noise_psd(ev)
-            psd_flicker[:, sb] = grp.kf * np.power(np.abs(ev.ib), grp.af)
+            psd_flicker[:, sb] = grp.flicker_coefficient(ev)
             af[:, sb] = grp.af
             o += 2 * n_dev[1]
         if self.diode_group is not None:
@@ -789,6 +792,8 @@ class StampedSystem:
             node_a[o:], node_b[o:] = grp.np_idx, grp.nn_idx
             ev = evals["diode"] if "diode" in evals else grp.evaluate(x_ext)
             psd_flat[:, o:] = grp.shot_noise_psd(ev)
+            psd_flicker[:, o:] = grp.flicker_coefficient(ev)
+            af[:, o:] = grp.af
         flicker = psd_flicker != 0.0
 
         layouts: dict[bytes, list[int]] = {}

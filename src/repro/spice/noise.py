@@ -83,14 +83,6 @@ class NoiseResult:
         """Interpolated input-referred density at one frequency [nV/sqrt(Hz)]."""
         return float(np.interp(freq, self.freqs, self.input_nv()))
 
-    def integrated_output_rms(self, f_lo: float, f_hi: float) -> float:
-        """RMS output noise over [f_lo, f_hi] [V]."""
-        return _integrate_band(self.freqs, self.output_psd, f_lo, f_hi) ** 0.5
-
-    def integrated_input_rms(self, f_lo: float, f_hi: float) -> float:
-        """RMS input-referred noise over [f_lo, f_hi] [V]."""
-        return _integrate_band(self.freqs, self.input_psd, f_lo, f_hi) ** 0.5
-
     def average_input_density(self, f_lo: float, f_hi: float) -> float:
         """Band-average input density sqrt(int PSD df / BW) [V/sqrt(Hz)].
 
@@ -109,17 +101,6 @@ class NoiseResult:
             reverse=True,
         )
         return ranked[:count]
-
-    def contribution_fraction(self, device_prefix: str) -> float:
-        """Fraction of total output noise power from devices whose name
-        starts with ``device_prefix`` (integrated over the sweep)."""
-        total = np.trapezoid(self.output_psd, self.freqs)
-        part = sum(
-            np.trapezoid(psd, self.freqs)
-            for (dev, _), psd in self.contributions.items()
-            if dev.startswith(device_prefix)
-        )
-        return float(part / total) if total > 0.0 else 0.0
 
 
 def _integrate_band(freqs: np.ndarray, psd: np.ndarray, f_lo: float, f_hi: float) -> float:

@@ -1,8 +1,8 @@
-"""Waveform and spectrum containers with bench-style measurements.
+"""Waveform container with bench-style measurements.
 
-These mirror the instruments on the authors' bench: RMS meters, a
-distortion analyser (coherent DFT at the fundamental's harmonics) and a
-spectrum analyser (windowed FFT for plots like the paper's Fig. 11).
+These mirror the instruments on the authors' bench: a slew and settling
+scope and a distortion analyser (coherent DFT at the fundamental's
+harmonics, as for the paper's Fig. 11).
 """
 
 from __future__ import annotations
@@ -35,18 +35,8 @@ class Waveform:
     def duration(self) -> float:
         return float(self.t[-1] - self.t[0])
 
-    def rms(self) -> float:
-        return float(np.sqrt(np.mean(self.y**2)))
-
     def mean(self) -> float:
         return float(np.mean(self.y))
-
-    def peak_to_peak(self) -> float:
-        return float(np.max(self.y) - np.min(self.y))
-
-    def ac_rms(self) -> float:
-        """RMS with the mean removed."""
-        return float(np.std(self.y))
 
     def slice_time(self, t_lo: float, t_hi: float) -> "Waveform":
         mask = (self.t >= t_lo) & (self.t <= t_hi)
@@ -135,55 +125,6 @@ class Waveform:
     def thd(self, f0: float, n_harmonics: int = 9) -> float:
         """Total harmonic distortion (ratio, not dB or percent)."""
         return thd_from_harmonics(self.harmonics(f0, n_harmonics))
-
-    def spectrum(self, window: str = "hann") -> "Spectrum":
-        """Windowed amplitude spectrum (spectrum-analyser view)."""
-        n = len(self.y)
-        if window == "hann":
-            win = np.hanning(n)
-        elif window == "flattop":
-            # 5-term flat-top for accurate amplitude readout
-            k = np.arange(n)
-            a = [0.21557895, 0.41663158, 0.277263158, 0.083578947, 0.006947368]
-            win = (
-                a[0]
-                - a[1] * np.cos(2 * np.pi * k / (n - 1))
-                + a[2] * np.cos(4 * np.pi * k / (n - 1))
-                - a[3] * np.cos(6 * np.pi * k / (n - 1))
-                + a[4] * np.cos(8 * np.pi * k / (n - 1))
-            )
-        elif window == "rect":
-            win = np.ones(n)
-        else:
-            raise ValueError(f"unknown window {window!r}")
-        coherent_gain = win.mean()
-        spec = np.fft.rfft((self.y - self.y.mean()) * win)
-        amps = np.abs(spec) / n / coherent_gain * 2.0
-        freqs = np.fft.rfftfreq(n, self.dt)
-        return Spectrum(freqs=freqs, amplitude=amps)
-
-
-@dataclass
-class Spectrum:
-    """One-sided amplitude spectrum."""
-
-    freqs: np.ndarray
-    amplitude: np.ndarray
-
-    def db_carrier(self, f0: float) -> np.ndarray:
-        """Amplitude in dBc relative to the bin nearest ``f0``."""
-        ref = self.amplitude_at(f0)
-        return 20.0 * np.log10(np.maximum(self.amplitude, 1e-300) / max(ref, 1e-300))
-
-    def amplitude_at(self, freq: float) -> float:
-        """Peak amplitude within half a bin of ``freq``."""
-        if len(self.freqs) < 2:
-            raise ValueError("spectrum too short")
-        bin_width = self.freqs[1] - self.freqs[0]
-        mask = np.abs(self.freqs - freq) <= bin_width
-        if not np.any(mask):
-            raise ValueError(f"{freq} Hz outside spectrum range")
-        return float(np.max(self.amplitude[mask]))
 
 
 def goertzel_dft(y: np.ndarray, freqs_norm) -> np.ndarray:

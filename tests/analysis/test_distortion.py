@@ -52,10 +52,6 @@ class TestStaticTransfer:
         with pytest.raises(ValueError, match="exceeds"):
             transfer.apply(np.array([1.5]))
 
-    def test_output_amplitude(self):
-        transfer = cubic_transfer(0.0, span=2.0)
-        assert transfer.output_amplitude(0.7) == pytest.approx(0.7, rel=1e-3)
-
     def test_needs_enough_points(self):
         with pytest.raises(ValueError):
             StaticTransfer(np.arange(4.0), np.arange(4.0))
@@ -172,7 +168,7 @@ class TestCircuitMeasurements:
         thd_tran, wave = transient_thd(design.circuit, "vin_p", "vin_n",
                                        "outp", "outn", amplitude=0.4,
                                        cycles=3, points_per_cycle=300)
-        assert wave.peak_to_peak() > 1.0
+        assert np.ptp(wave.y) > 1.0
         # agreement within a factor ~2 at these tiny distortion levels
         assert thd_tran == pytest.approx(thd_static, rel=1.0, abs=2e-4)
 

@@ -107,10 +107,6 @@ class TestBudgetVsSimulation:
             mic_amp_noise.input_nv_at(1e3), rel=0.25
         )
 
-    def test_band_average_agrees(self, budget, mic_amp_noise):
-        sim_avg = mic_amp_noise.average_input_density(300, 3400) * 1e9
-        assert budget.average_input_nv() == pytest.approx(sim_avg, rel=0.25)
-
     def test_flicker_corner_in_voice_band_decade(self, budget):
         """Fig. 7: the 1/f knee sits in or just below the voice band."""
         corner = budget.flicker_corner_hz()

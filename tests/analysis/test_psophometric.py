@@ -8,7 +8,6 @@ from repro.analysis.psophometric import (
     psophometric_rms,
     psophometric_weight,
     psophometric_weight_db,
-    weighted_snr_db,
 )
 
 
@@ -61,9 +60,3 @@ class TestWeightedRms:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             psophometric_rms(np.arange(5.0) + 1.0, np.arange(4.0))
-
-    def test_weighted_snr(self):
-        freqs = np.linspace(30.0, 6000.0, 500)
-        psd = np.full_like(freqs, 1e-14)
-        snr = weighted_snr_db(0.6, freqs, psd)
-        assert snr > 80.0

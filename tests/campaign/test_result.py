@@ -112,8 +112,6 @@ class TestExport:
         r = synthetic_result()
         text = r.summary()
         assert "8 units" in text and "psrr_db" in text
-        table = r.format_table(max_rows=3)
-        assert "more rows" in table
 
 
 class TestNonFiniteJson:

@@ -60,19 +60,6 @@ class TestDomination:
 
 
 class TestAccessorsAndExport:
-    def test_best_by(self):
-        f = front2()
-        f.add({"a": 1.0, "b": 3.0}, {"p": 1.0})
-        f.add({"a": 3.0, "b": 1.0}, {"p": 2.0})
-        assert f.best_by("a").params == {"p": 1.0}
-        assert f.best_by("b").params == {"p": 2.0}
-        with pytest.raises(KeyError):
-            f.best_by("zzz")
-
-    def test_best_by_empty_front_raises(self):
-        with pytest.raises(ValueError, match="empty"):
-            front2().best_by("a")
-
     def test_csv_export(self, tmp_path):
         f = front2()
         f.add({"a": 1.0, "b": 3.0}, {"p": 1.0, "q": 2.0})

@@ -81,16 +81,6 @@ class TestDesignSpace:
         assert d[1] == pytest.approx(1e-3)
         assert d[2] == pytest.approx(0.0, abs=2.0 / 64.0)  # centre
 
-    def test_from_dict_partial_fills_defaults(self):
-        space = small_space()
-        x = space.from_dict({"lin": 5.0})
-        assert x[0] == pytest.approx(5.0)
-        assert x[1] == pytest.approx(1e-3)
-
-    def test_from_dict_rejects_unknown(self):
-        with pytest.raises(KeyError, match="unknown"):
-            small_space().from_dict({"nope": 1.0})
-
 
 class TestMicAmpSpace:
     def test_default_is_the_paper_point_on_grid(self):

@@ -17,11 +17,6 @@ class TestCodes:
         assert gc.gain_linear(5) == pytest.approx(100.0)
         assert gc.gain_linear(0) == pytest.approx(undb(10.0))
 
-    def test_code_for_db(self):
-        gc = GainControl()
-        assert gc.code_for_db(40.0) == 5
-        assert gc.code_for_db(23.5) == 2
-
     def test_code_validation(self):
         gc = GainControl()
         with pytest.raises(ValueError):

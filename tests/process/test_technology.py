@@ -28,11 +28,6 @@ class TestCmos12:
         with pytest.raises(ValueError):
             CMOS12.mos("finfet")
 
-    def test_with_supply(self):
-        t = CMOS12.with_supply(1.5, -1.5)
-        assert t.supply_total == pytest.approx(3.0)
-        assert t.nmos is CMOS12.nmos  # models untouched
-
     def test_scaled_overrides(self):
         t = CMOS12.scaled(nmos={"vth0": 0.8})
         assert t.nmos.vth0 == pytest.approx(0.8)

@@ -107,11 +107,12 @@ class TestNoise:
         assert sic[0] == pytest.approx(2 * ELEMENTARY_CHARGE * abs(ev.ic[0]), rel=1e-9)
         assert sib[0] == pytest.approx(2 * ELEMENTARY_CHARGE * abs(ev.ib[0]), rel=1e-9)
 
-    def test_flicker_inverse_frequency(self):
+    def test_flicker_coefficient_tracks_base_current(self):
         grp, ev = evaluate_single(VPNP_12, 0.0, 0.0, 0.75)
-        assert grp.flicker_noise_psd(ev, 10.0)[0] == pytest.approx(
-            10.0 * grp.flicker_noise_psd(ev, 100.0)[0], rel=1e-9
-        )
+        coeff = grp.flicker_coefficient(ev)[0]
+        assert coeff > 0.0
+        assert coeff == pytest.approx(
+            VPNP_12.kf * abs(ev.ib[0]) ** VPNP_12.af, rel=1e-12)
 
 
 class TestValidation:

@@ -69,11 +69,8 @@ class TestNewton:
 class TestOperatingPoint:
     def test_accessors(self, mic_amp_op):
         assert mic_amp_op.v("gnd") == 0.0
-        volts = mic_amp_op.node_voltages()
-        assert "outp" in volts
         assert mic_amp_op.vdiff("outp", "outn") == pytest.approx(
-            volts["outp"] - volts["outn"]
-        )
+            mic_amp_op.v("outp") - mic_amp_op.v("outn"))
 
     def test_mos_op_unknown_name(self, mic_amp_op):
         with pytest.raises(KeyError):

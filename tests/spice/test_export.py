@@ -9,7 +9,7 @@ from repro.spice import Circuit, Pulse, Sine
 from repro.spice.devices.bjt import BjtModel
 from repro.spice.devices.diode import DiodeModel
 from repro.spice.devices.mosfet import MosModel
-from repro.spice.export import _fmt, export_netlist, write_netlist
+from repro.spice.export import _fmt, export_netlist
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -60,11 +60,6 @@ class TestExport:
 
     def test_ends_with_end_card(self, small_circuit):
         assert export_netlist(small_circuit).rstrip().endswith(".end")
-
-    def test_write_netlist(self, small_circuit, tmp_path):
-        path = tmp_path / "demo.cir"
-        write_netlist(small_circuit, str(path))
-        assert path.read_text().startswith("* demo")
 
     def test_resistor_tempco_exported(self, small_circuit):
         deck = export_netlist(small_circuit)

@@ -171,17 +171,17 @@ class TestNoiseModels:
         ron = 0.005 / ev.into_drain[0]
         assert psd == pytest.approx(4 * BOLTZMANN * 298.15 / ron, rel=0.2)
 
-    def test_flicker_scales_inverse_frequency(self):
-        grp, ev = evaluate_single(NMOS_12, 2.0, 1.5, 0.0, 0.0)
-        s100 = grp.flicker_noise_psd(ev, 100.0)[0]
-        s1k = grp.flicker_noise_psd(ev, 1000.0)[0]
-        assert s100 / s1k == pytest.approx(10.0, rel=1e-6)
+    def test_flicker_coefficient_is_gate_law_times_gm2(self):
+        grp, ev = evaluate_single(NMOS_12, 2.0, 1.5, 0.0, 0.0, w=10e-6, l=2e-6)
+        svg = NMOS_12.kf / (NMOS_12.cox * 10e-6 * 2e-6)
+        assert grp.flicker_coefficient(ev)[0] == pytest.approx(
+            svg * ev.gm[0] ** 2, rel=1e-12)
 
     def test_flicker_scales_inverse_area(self):
         grp1, ev1 = evaluate_single(NMOS_12, 2.0, 1.5, 0.0, 0.0, w=10e-6, l=2e-6)
         grp2, ev2 = evaluate_single(NMOS_12, 2.0, 1.5, 0.0, 0.0, w=40e-6, l=2e-6)
-        svg1 = grp1.flicker_noise_psd(ev1, 1e3)[0] / ev1.gm[0] ** 2
-        svg2 = grp2.flicker_noise_psd(ev2, 1e3)[0] / ev2.gm[0] ** 2
+        svg1 = grp1.flicker_coefficient(ev1)[0] / ev1.gm[0] ** 2
+        svg2 = grp2.flicker_coefficient(ev2)[0] / ev2.gm[0] ** 2
         assert svg1 / svg2 == pytest.approx(4.0, rel=1e-6)
 
     def test_pmos_flicker_lower_than_nmos(self):

@@ -9,8 +9,8 @@ factor, this test would catch it.
 import numpy as np
 import pytest
 
-from repro.constants import BOLTZMANN
-from repro.spice import Circuit, dc_operating_point, noise_analysis
+from repro.constants import BOLTZMANN, ELEMENTARY_CHARGE
+from repro.spice import Circuit, DiodeModel, dc_operating_point, noise_analysis
 from repro.spice.analysis import log_freqs
 
 KT = BOLTZMANN * 298.15
@@ -40,7 +40,7 @@ class TestTextbookIdentities:
         ckt = make_rc(r=r, c=c)
         op = dc_operating_point(ckt)
         nr = noise_analysis(op, freqs, "b")
-        total = nr.integrated_output_rms(freqs[0], freqs[-1])
+        total = np.sqrt(np.trapezoid(nr.output_psd, freqs))
         expected = np.sqrt(KT / c)
         assert total == pytest.approx(expected, rel=0.02)
 
@@ -66,6 +66,24 @@ class TestTextbookIdentities:
         nr = noise_analysis(op, np.array([1e3]), "b")
         assert nr.output_psd[0] == pytest.approx(4 * KT * 500.0 / 2.0, rel=1e-6)
 
+    def test_diode_flicker_at_the_operating_point(self):
+        """A diode's KF adds kf*|I_D|^af/f into its node's impedance."""
+        kf, r = 1e-12, 1e3
+        ckt = Circuit("diode_flicker")
+        ckt.vsource("v1", "a", "gnd", dc=2.0, ac=1.0)
+        ckt.resistor("r1", "a", "b", r)
+        ckt.diode("d1", "b", "gnd", DiodeModel(kf=kf))
+        op = dc_operating_point(ckt)
+        freqs = np.array([10.0, 100.0, 1e3])
+        nr = noise_analysis(op, freqs, "b")
+        ev = op.system.diode_group.evaluate(op.x)
+        i_d = abs(ev.current[0])
+        z2 = (1.0 / (1.0 / r + ev.gd[0])) ** 2
+        flat = (4 * KT / r + 2 * ELEMENTARY_CHARGE * i_d) * z2
+        assert nr.output_psd[0] > 50.0 * nr.output_psd[2]
+        np.testing.assert_allclose(nr.output_psd,
+                                   flat + kf * i_d / freqs * z2, rtol=1e-9)
+
 
 class TestConsistency:
     def test_contributions_sum_to_total(self, mic_amp_noise):
@@ -90,9 +108,9 @@ class TestConsistency:
 
     def test_band_edges_validated(self, mic_amp_noise):
         with pytest.raises(ValueError, match="empty"):
-            mic_amp_noise.integrated_input_rms(1e3, 1e3)
+            mic_amp_noise.average_input_density(1e3, 1e3)
         with pytest.raises(ValueError, match="outside"):
-            mic_amp_noise.integrated_input_rms(1e-3, 1e3)
+            mic_amp_noise.average_input_density(1e-3, 1e3)
 
 
 class TestMicAmpNoiseShape:
@@ -124,9 +142,3 @@ class TestMicAmpNoiseShape:
         assert np.interp(1e3, mic_amp_noise.freqs, mic_amp_noise.gain) == pytest.approx(
             100.0, rel=0.02
         )
-
-    def test_contribution_fraction_api(self, mic_amp_noise):
-        frac_inputs = sum(
-            mic_amp_noise.contribution_fraction(name) for name in ("t1", "t2", "t3", "t4")
-        )
-        assert 0.1 < frac_inputs < 0.9

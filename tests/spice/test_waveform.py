@@ -1,10 +1,10 @@
-"""Waveform/Spectrum measurements against synthetic signals."""
+"""Waveform measurements against synthetic signals."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.spice.waveform import Spectrum, Waveform, make_time_grid
+from repro.spice.waveform import Waveform, make_time_grid
 
 
 def sine_wave(freq=1e3, amp=1.0, n_cycles=4, fs=200e3, offset=0.0, phase=0.0):
@@ -13,18 +13,9 @@ def sine_wave(freq=1e3, amp=1.0, n_cycles=4, fs=200e3, offset=0.0, phase=0.0):
 
 
 class TestBasicMeasures:
-    def test_rms_of_sine(self):
-        w = sine_wave(amp=2.0)
-        assert w.rms() == pytest.approx(2.0 / np.sqrt(2), rel=1e-3)
-
-    def test_peak_to_peak(self):
-        w = sine_wave(amp=1.5)
-        assert w.peak_to_peak() == pytest.approx(3.0, rel=1e-3)
-
-    def test_mean_and_ac_rms(self):
+    def test_mean(self):
         w = sine_wave(amp=1.0, offset=0.7)
         assert w.mean() == pytest.approx(0.7, abs=1e-6)
-        assert w.ac_rms() == pytest.approx(1 / np.sqrt(2), rel=1e-3)
 
     def test_max_slope_of_sine(self):
         w = sine_wave(freq=1e3, amp=1.0, fs=1e6)
@@ -116,32 +107,6 @@ class TestFourier:
     def test_amplitude_recovery_property(self, amp, phase):
         w = sine_wave(freq=1e3, amp=amp, phase=phase, n_cycles=5)
         assert abs(w.fourier_component(1e3)) == pytest.approx(amp, rel=1e-3)
-
-
-class TestSpectrum:
-    def test_hann_peak_amplitude(self):
-        w = sine_wave(freq=1e3, amp=0.5, n_cycles=32, fs=256e3)
-        spec = w.spectrum("hann")
-        assert spec.amplitude_at(1e3) == pytest.approx(0.5, rel=0.05)
-
-    def test_flattop_amplitude_accuracy(self):
-        # non-coherent tone: flat-top still reads the amplitude correctly
-        t = np.arange(16384) / 256e3
-        y = 0.5 * np.sin(2 * np.pi * 1234.5 * t)
-        spec = Waveform(t, y).spectrum("flattop")
-        assert spec.amplitude_at(1234.5) == pytest.approx(0.5, rel=0.02)
-
-    def test_dbc_reference(self):
-        w = sine_wave(freq=1e3, amp=1.0, n_cycles=32, fs=256e3)
-        spec = w.spectrum()
-        dbc = spec.db_carrier(1e3)
-        k = np.argmin(np.abs(spec.freqs - 1e3))
-        assert dbc[k] == pytest.approx(0.0, abs=0.1)
-
-    def test_unknown_window_rejected(self):
-        w = sine_wave()
-        with pytest.raises(ValueError):
-            w.spectrum("blackman-nuttall-9000")
 
 
 class TestTimeGrid:
